@@ -3,8 +3,10 @@
 
 Runs the same workloads in two subprocesses, one with numba enabled and one
 with GFLOWLAB_NO_NUMBA=1, and prints a timing table.  Each workload is a
-real hot path: the adaptive profile integrator (bowl and shrinker solves)
-and the explicit PDE stepping loop.
+real hot path: the bowl and shrinker profile solves and the explicit PDE
+stepping loop.  The profile solves drive scipy's LSODA from Python in both
+modes, so numba reaches only the speed algebra they call.  Where numba is
+absent both columns time the fallback.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """

@@ -1,14 +1,15 @@
 """Hot numeric kernels, JIT-compiled with numba when available.
 
-numba is an optional dependency.  Every kernel in this module is plain numpy
-code.  When numba imports successfully (and is not disabled) the kernels are
-compiled with ``@njit``; otherwise -- numba not installed, or disabled -- the
-same source runs as vectorized numpy / plain Python.  Set
+numba is an optional dependency.  The speed algebra and the flow stepping
+loops in this module are plain numpy code.  When numba imports successfully
+(and is not disabled) they are compiled with ``@njit``; otherwise -- numba
+not installed, or disabled -- the same source runs as vectorized numpy /
+plain Python.  Set
 
     GFLOWLAB_NO_NUMBA=1
 
-to force the pure-numpy fallback path.  ``benchmarks/bench_kernels.py``
-compares the two paths on the real workloads.
+to force the pure-numpy fallback path.  The profile integrator is not a
+numba kernel: it drives scipy's LSODA from Python on either path.
 
 Speed kinds are encoded as integers so kernels stay monomorphic:
 
@@ -21,9 +22,12 @@ with per-kind constants (p0, p1, p2) prepared by ``speeds.SpeedFunction``.
 
 from __future__ import annotations
 
+import math
 import os
+import warnings
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 _flag = os.environ.get("GFLOWLAB_NO_NUMBA", "").strip().lower()
 _DISABLED = _flag in {"1", "true", "yes", "numpy"}
@@ -48,6 +52,13 @@ else:
         return fn
 
 
+# integrate_profile: internal tolerance relative to the profile's, the
+# smallest rtol scipy accepts without clamping it, and the sample spacing
+# in units of the fast time scale 1/|d psi''/d psi'|
+INNER_TOL = 1e-3
+RTOL_FLOOR = 100.0 * np.finfo(float).eps
+SAMPLE_STIFF = 8.0
+
 KIND_SUM = 0
 KIND_BH = 1
 KIND_SIGMA = 2
@@ -56,10 +67,9 @@ KIND_SIGMA = 2
 STATUS_OK = 0
 STATUS_STOP = 1
 STATUS_CONE = 2
-STATUS_UNDERFLOW = 3
-STATUS_BUFFER = 4
-STATUS_PINCH = 5
-STATUS_CFL = 6
+STATUS_SOLVER = 3
+STATUS_PINCH = 4
+STATUS_CFL = 5
 
 
 @jit
@@ -101,175 +111,117 @@ def speed_f(kind, p0, p1, p2, y, z):
     return y * (z * p1 - p0 * y) / (y * p1 - z * p2)
 
 
-@jit
-def _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2, rho, psi, psip):
-    """Right-hand side of psi'' = (1+psi'^2) f(psi'/rho, 1/2 + (rho psi' - psi)/(2 a^2)).
+def _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip):
+    """psi'' = (1+psi'^2) f(psi'/rho, 1/2 + (rho psi' - psi)/(2 a^2)).
 
-    Returns (ok, psi', psi'').  The closed-form inverse extends smoothly a
-    little below z/y = F(0,1) (where f turns negative), which trial stages of
-    the integrator may graze: the profile rides asymptotically along that
-    cone edge.  Membership of accepted states is enforced by the caller; a
-    stage is only rejected near the genuine singularity at z/y = Q.
+    Works elementwise on arrays.  The closed-form inverse extends smoothly a
+    little below z/y = F(0,1), which trial states of the solver may graze:
+    the bowl rides asymptotically along that cone edge.  Membership of the
+    returned samples is checked by ``integrate_profile``.
+    """
+    zarg = 0.5 + 0.5 * inv_a2 * (rho * psip - psi)
+    return (1.0 + psip * psip) * speed_f(kind, p0, p1, p2, psip / rho, zarg)
+
+
+def _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip):
+    """Closed-form (d psi''/d psi, d psi''/d psi') of ``_profile_slope``.
+
+    With x = f(y, z) and F(x, y) = z: x_z = 1/F_x and x_y = -F_y/F_x, where
+    Euler's relation gives F_y = (F - x F_x)/y = (z - x F_x)/y.
     """
     yarg = psip / rho
     zarg = 0.5 + 0.5 * inv_a2 * (rho * psip - psi)
-    if yarg <= 0.0 or zarg <= 0.0:
-        return False, 0.0, 0.0
-    ratio = zarg / yarg
-    if ratio >= 0.999999999 * Q or ratio <= 0.5 * F01:
-        return False, 0.0, 0.0
-    fval = speed_f(kind, p0, p1, p2, yarg, zarg)
-    return True, psip, (1.0 + psip * psip) * fval
+    x = speed_f(kind, p0, p1, p2, yarg, zarg)
+    fx = speed_Fx(kind, p0, p1, p2, x, yarg)
+    x_z = 1.0 / fx
+    x_y = -(zarg - x * fx) / (yarg * fx)
+    w = 1.0 + psip * psip
+    j21 = -0.5 * inv_a2 * w * x_z
+    j22 = 2.0 * psip * x + w * (x_y / rho + 0.5 * inv_a2 * rho * x_z)
+    return j21, j22
 
 
-@jit
 def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
                       rho0, psi0, psip0, rho_end, psi_stop,
-                      rtol, atol, h_rho_cap, h_z_cap,
-                      out_rho, out_psi, out_psip, out_psipp):
-    """Adaptive Dormand-Prince 5(4) integration of a rotation-profile ODE.
+                      rtol, atol, h_rho_cap, h_z_cap):
+    """Stiff (LSODA) integration of a rotation-profile ODE, resampled densely.
 
     inv_a2 = 1/a^2 selects the self-shrinking profile; inv_a2 = 0 gives the
-    translating one.  Every accepted node is recorded into the caller
-    allocated out_* buffers. Stops at rho_end or once psi >= psi_stop.
+    translating one.  Stops at rho_end or once psi reaches psi_stop.  The
+    solve runs at ``INNER_TOL`` times (rtol, atol), with rtol floored at
+    ``RTOL_FLOOR``; its dense output is sampled on every step at spacing
+    min(SAMPLE_STIFF/|d psi''/d psi'|, h_rho_cap (1 + rho), h_z_cap/psi'), so
+    that quadrature checks on consecutive samples resolve the fast direction.
 
-    Returns (status, n_nodes) with status one of the STATUS_* codes.
+    Returns (status, n_samples, (rho, psi, psi', psi''), rho_reached,
+    message) with status one of the STATUS_* codes; on STATUS_CONE,
+    n_samples counts the admissible samples before the first that is not.
     """
-    rho = rho0
-    psi = psi0
-    psip = psip0
+    def rhs(rho, y):
+        return [y[1], _profile_slope(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])]
 
-    ok, _, psipp = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2, rho, psi, psip)
-    if not ok:
-        return STATUS_CONE, 0
+    def jac(rho, y):
+        j21, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])
+        return [[0.0, 1.0], [j21, j22]]
 
-    nmax = out_rho.shape[0]
-    out_rho[0] = rho
-    out_psi[0] = psi
-    out_psip[0] = psip
-    out_psipp[0] = psipp
-    m = 1
+    events = None
+    if math.isfinite(psi_stop):
+        def reach_stop(rho, y):
+            return y[0] - psi_stop
+        reach_stop.terminal = True
+        reach_stop.direction = 1.0
+        events = reach_stop
 
-    h = 0.01 * rho0
-    while True:
-        if rho >= rho_end:
-            return STATUS_OK, m
-        if psi >= psi_stop:
-            return STATUS_STOP, m
-        if m >= nmax:
-            return STATUS_BUFFER, m
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_ivp(rhs, (rho0, rho_end), [psi0, psip0], method="LSODA",
+                        jac=jac, dense_output=True, events=events,
+                        rtol=max(INNER_TOL * rtol, RTOL_FLOOR),
+                        atol=INNER_TOL * atol)
+    if sol.status < 0:  # the solver's own diagnosis arrives as a warning
+        detail = "; ".join([sol.message] + [str(w.message) for w in caught])
+        return STATUS_SOLVER, 0, None, float(sol.t[-1]), detail
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
-        hmax = h_rho_cap * (1.0 + rho)
-        if h_z_cap > 0.0 and psip > 0.0:
-            hz = h_z_cap / psip
-            if hz < hmax:
-                hmax = hz
-        if h > hmax:
-            h = hmax
-        if rho + h > rho_end:
-            h = rho_end - rho
+    # sample spacing per solver step, from the stiffer end of the step
+    t, (psi_t, psip_t) = sol.t, sol.y
+    _, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, t, psi_t, psip_t)
+    cap = np.minimum(SAMPLE_STIFF / np.abs(j22), h_rho_cap * (1.0 + t))
+    if h_z_cap > 0.0:
+        cap = np.minimum(cap, h_z_cap / psip_t)
+    h = np.diff(t)
+    n = np.ceil(h / np.minimum(cap[:-1], cap[1:])).astype(np.int64)
+    first = np.cumsum(n) - n
+    k = np.arange(n.sum()) - np.repeat(first, n)
+    rho = np.append(np.repeat(t[:-1], n) + k * np.repeat(h / n, n), t[-1])
+    # each step's LSODA Nordsieck polynomial about the step's end point,
+    # evaluated by Horner on the terms past the constant one so that each
+    # sample is rounded once: the Simpson check multiplies the rounding of
+    # psi by |d psi''/d psi'| (~2 rho for bh n=3)
+    pieces = sol.sol.interpolants
+    yh = np.zeros((len(pieces), max(p.yh.shape[1] for p in pieces), 2))
+    origin, scale = np.empty((2, len(pieces)))
+    for i, piece in enumerate(pieces):
+        yh[i, :piece.yh.shape[1]] = piece.yh.T
+        origin[i], scale[i] = piece.t, piece.h
+    step = np.repeat(np.arange(len(pieces)), n)
+    s = ((rho[1:] - origin[step]) / scale[step])[:, None]
+    corr = yh[step, -1]
+    for j in range(yh.shape[1] - 2, 0, -1):
+        corr = corr * s + yh[step, j]
+    states = np.vstack([sol.y[:, :1].T, yh[step, 0] + corr * s])
+    psi, psip = np.ascontiguousarray(states.T)
+    psipp = _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip)
 
-        ok1, k1a, k1b = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2,
-                                     rho, psi, psip)
-        if not ok1:
-            return STATUS_CONE, m
-
-        accepted = False
-        while not accepted:
-            bad = False
-            # Dormand-Prince stages
-            r2 = rho + 0.2 * h
-            y2 = psi + h * 0.2 * k1a
-            p2_ = psip + h * 0.2 * k1b
-            ok_, k2a, k2b = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2, r2, y2, p2_)
-            bad = bad or (not ok_)
-            if not bad:
-                r3 = rho + 0.3 * h
-                y3 = psi + h * (3.0 / 40.0 * k1a + 9.0 / 40.0 * k2a)
-                p3_ = psip + h * (3.0 / 40.0 * k1b + 9.0 / 40.0 * k2b)
-                ok_, k3a, k3b = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2, r3, y3, p3_)
-                bad = bad or (not ok_)
-            if not bad:
-                r4 = rho + 0.8 * h
-                y4 = psi + h * (44.0 / 45.0 * k1a - 56.0 / 15.0 * k2a + 32.0 / 9.0 * k3a)
-                p4_ = psip + h * (44.0 / 45.0 * k1b - 56.0 / 15.0 * k2b + 32.0 / 9.0 * k3b)
-                ok_, k4a, k4b = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2, r4, y4, p4_)
-                bad = bad or (not ok_)
-            if not bad:
-                r5 = rho + 8.0 / 9.0 * h
-                y5 = psi + h * (19372.0 / 6561.0 * k1a - 25360.0 / 2187.0 * k2a
-                                + 64448.0 / 6561.0 * k3a - 212.0 / 729.0 * k4a)
-                p5_ = psip + h * (19372.0 / 6561.0 * k1b - 25360.0 / 2187.0 * k2b
-                                  + 64448.0 / 6561.0 * k3b - 212.0 / 729.0 * k4b)
-                ok_, k5a, k5b = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2, r5, y5, p5_)
-                bad = bad or (not ok_)
-            if not bad:
-                r6 = rho + h
-                y6 = psi + h * (9017.0 / 3168.0 * k1a - 355.0 / 33.0 * k2a
-                                + 46732.0 / 5247.0 * k3a + 49.0 / 176.0 * k4a
-                                - 5103.0 / 18656.0 * k5a)
-                p6_ = psip + h * (9017.0 / 3168.0 * k1b - 355.0 / 33.0 * k2b
-                                  + 46732.0 / 5247.0 * k3b + 49.0 / 176.0 * k4b
-                                  - 5103.0 / 18656.0 * k5b)
-                ok_, k6a, k6b = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2, r6, y6, p6_)
-                bad = bad or (not ok_)
-            if not bad:
-                # 5th order solution
-                y_new = psi + h * (35.0 / 384.0 * k1a + 500.0 / 1113.0 * k3a
-                                   + 125.0 / 192.0 * k4a - 2187.0 / 6784.0 * k5a
-                                   + 11.0 / 84.0 * k6a)
-                p_new = psip + h * (35.0 / 384.0 * k1b + 500.0 / 1113.0 * k3b
-                                    + 125.0 / 192.0 * k4b - 2187.0 / 6784.0 * k5b
-                                    + 11.0 / 84.0 * k6b)
-                ok_, k7a, k7b = _profile_rhs(kind, p0, p1, p2, F01, Q, inv_a2,
-                                             rho + h, y_new, p_new)
-                bad = bad or (not ok_)
-            if not bad:
-                # embedded 4th-order error estimate
-                ea = h * (71.0 / 57600.0 * k1a - 71.0 / 16695.0 * k3a
-                          + 71.0 / 1920.0 * k4a - 17253.0 / 339200.0 * k5a
-                          + 22.0 / 525.0 * k6a - 1.0 / 40.0 * k7a)
-                eb = h * (71.0 / 57600.0 * k1b - 71.0 / 16695.0 * k3b
-                          + 71.0 / 1920.0 * k4b - 17253.0 / 339200.0 * k5b
-                          + 22.0 / 525.0 * k6b - 1.0 / 40.0 * k7b)
-                sa = atol + rtol * max(abs(psi), abs(y_new))
-                sb = atol + rtol * max(abs(psip), abs(p_new))
-                err = np.sqrt(0.5 * ((ea / sa) ** 2 + (eb / sb) ** 2))
-                if err <= 1.0:
-                    rho = rho + h
-                    psi = y_new
-                    psip = p_new
-                    # accepted states must lie strictly inside the cone
-                    ratio_acc = ((0.5 + 0.5 * inv_a2 * (rho * psip - psi))
-                                 * rho / psip)
-                    if ratio_acc <= F01:
-                        return STATUS_CONE, m
-                    out_rho[m] = rho
-                    out_psi[m] = psi
-                    out_psip[m] = psip
-                    out_psipp[m] = k7b
-                    m += 1
-                    fac = 5.0
-                    if err > 0.0:
-                        fac = 0.9 * err ** -0.2
-                        if fac > 5.0:
-                            fac = 5.0
-                        if fac < 0.2:
-                            fac = 0.2
-                    h = h * fac
-                    accepted = True
-                else:
-                    fac = 0.9 * err ** -0.2
-                    if fac < 0.2:
-                        fac = 0.2
-                    h = h * fac
-            else:
-                h = 0.5 * h
-            if not accepted and h < 1e-14 * (1.0 + rho):
-                if bad:
-                    return STATUS_CONE, m
-                return STATUS_UNDERFLOW, m
-    return STATUS_UNDERFLOW, m
+    # admissibility of every sample: F(0,1) < z/y < Q
+    ratio = (0.5 + 0.5 * inv_a2 * (rho * psip - psi)) * rho / psip
+    bad = np.flatnonzero(~((psip > 0.0) & (ratio > F01) & (ratio < Q)))
+    samples = (rho, psi, psip, psipp)
+    if bad.size:
+        return STATUS_CONE, int(bad[0]), samples, float(rho[bad[0]]), ""
+    status = STATUS_STOP if sol.status == 1 else STATUS_OK
+    return status, rho.size, samples, float(rho[-1]), sol.message
 
 
 @jit

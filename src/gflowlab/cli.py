@@ -51,12 +51,6 @@ def _speed_from(args, cfg) -> SpeedFunction:
     return SpeedFunction(kind, n, None if k is None else int(k))
 
 
-def _monitor_columns(speed, rho, psi, psi_rho, psi_rhorho, inv_a2):
-    lam = rho * psi_rhorho / (psi_rho * (1.0 + psi_rho ** 2))
-    b = (rho / psi_rho) * (0.5 + 0.5 * inv_a2 * (rho * psi_rho - psi))
-    return lam, b
-
-
 def cmd_bowl(args, cfg) -> int:
     sp = _speed_from(args, cfg)
     rho_max = float(_opt(args, cfg, "bowl", "rho-max", 1000.0))
@@ -66,14 +60,13 @@ def cmd_bowl(args, cfg) -> int:
     outdir = output.output_dir(args.outdir)
 
     bowl = solitons.solve_bowl(sp, rho_max=rho_max, tol=tol)
-    lam, b = _monitor_columns(sp, bowl.rho[1:], bowl.zeta[1:],
-                              bowl.zeta_rho[1:], bowl.zeta_rhorho[1:], 0.0)
     meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
             "a": "inf", "theta": "", "tol": tol}
     csv_path = os.path.join(outdir, "bowl.csv")
     output.write_csv(csv_path, {
         "rho": bowl.rho[1:], "psi": bowl.zeta[1:],
-        "psi_rho": bowl.zeta_rho[1:], "Lambda": lam, "B": b}, meta)
+        "psi_rho": bowl.zeta_rho[1:], "Lambda": bowl.monitor.Lambda,
+        "B": bowl.monitor.B}, meta)
     output.write_plot_script(os.path.join(outdir, "bowl.gp"), "bowl.csv",
                              "rho", ["psi", "psi_rho"], "bowl profile")
 
@@ -126,14 +119,13 @@ def cmd_shrinker(args, cfg) -> int:
     for a in a_list:
         prof = solitons.solve_shrinker(sp, a, theta=theta, tol=tol, M=m_knob)
         profiles.append(prof)
-        lam, b = _monitor_columns(sp, prof.rho, prof.psi, prof.psi_rho,
-                                  prof.psi_rhorho, 1.0 / a ** 2)
         meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
                 "a": a, "theta": theta, "tol": tol}
         tag = f"{a:g}".replace(".", "p")
         output.write_csv(os.path.join(outdir, f"shrinker_a{tag}_rho.csv"),
                          {"rho": prof.rho, "psi": prof.psi,
-                          "psi_rho": prof.psi_rho, "Lambda": lam, "B": b},
+                          "psi_rho": prof.psi_rho,
+                          "Lambda": prof.monitor.Lambda, "B": prof.monitor.B},
                          meta)
         output.write_csv(os.path.join(outdir, f"shrinker_a{tag}_z.csv"),
                          {"z": prof.z, "v": prof.v, "v_z": prof.v_z,

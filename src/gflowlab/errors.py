@@ -18,7 +18,7 @@ class ConeExit(GFlowError, RuntimeError):
 
 
 class ToleranceFailure(GFlowError, RuntimeError):
-    """Adaptive step size underflowed before the error target was met."""
+    """An adaptive solver stopped before the end of its interval."""
 
 
 class BarrierViolation(GFlowError, RuntimeError):

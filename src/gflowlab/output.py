@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 CSV_SCHEMA = "gflowlab-csv v1"
+_CSV_BLOCK = 8192
 
 
 def _fmt(x) -> str:
@@ -25,6 +26,14 @@ def _fmt(x) -> str:
             return "inf" if x > 0 else "-inf"
         return repr(x)
     return str(x)
+
+
+def _fmt_column(a: np.ndarray) -> list:
+    """``_fmt`` of every entry; a float64-or-narrower column goes through
+    ``repr`` of Python floats, which spells nan and +-inf as ``_fmt`` does."""
+    if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+        return list(map(repr, a.tolist()))
+    return [_fmt(x) for x in a]
 
 
 def write_csv(path: str, columns: Mapping[str, Sequence],
@@ -39,10 +48,12 @@ def write_csv(path: str, columns: Mapping[str, Sequence],
     for key in sorted(meta or {}):
         lines.append(f"# {key}={_fmt((meta or {})[key])}")
     lines.append(",".join(names))
-    for i in range(length):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        # row blocks bound the memory held by the formatted strings
+        for lo in range(0, length, _CSV_BLOCK):
+            cells = [_fmt_column(a[lo:lo + _CSV_BLOCK]) for a in arrays]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path: str):

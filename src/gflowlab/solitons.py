@@ -28,7 +28,6 @@ from .errors import (BarrierViolation, ConeExit, NonConvergence,
 from .speeds import SpeedFunction
 
 DEFAULT_RHO_K = tuple(2.0 ** -k for k in range(4, 15))
-_MAX_NODES = 400_000
 
 
 def estimate_c_lower(speed: SpeedFunction) -> float:
@@ -93,31 +92,28 @@ class EllipticityMonitor:
 def _integrate(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
                rtol, atol, h_rho_cap, h_z_cap):
     p0, p1, p2 = speed.params
-    out = [np.empty(_MAX_NODES) for _ in range(4)]
-    status, m = _accel.integrate_profile(
+    status, _, samples, rho_reached, message = _accel.integrate_profile(
         speed.code, p0, p1, p2, speed.F01,
         speed.Q if math.isfinite(speed.Q) else np.inf, inv_a2,
         float(rho0), float(psi0), float(psip0), float(rho_end),
         float(psi_stop), float(rtol), float(atol),
-        float(h_rho_cap), float(h_z_cap),
-        out[0], out[1], out[2], out[3])
+        float(h_rho_cap), float(h_z_cap))
     if status == _accel.STATUS_CONE:
         raise ConeExit(
-            f"profile left the inversion cone near rho = {out[0][max(m - 1, 0)]:.6g}")
-    if status == _accel.STATUS_UNDERFLOW:
-        raise ToleranceFailure("step size underflow in profile integration")
-    if status == _accel.STATUS_BUFFER:
-        raise ToleranceFailure("node buffer exhausted; relax tolerances")
-    return (out[0][:m].copy(), out[1][:m].copy(),
-            out[2][:m].copy(), out[3][:m].copy())
+            f"profile left the inversion cone near rho = {rho_reached:.6g}")
+    if status == _accel.STATUS_SOLVER:
+        raise ToleranceFailure(
+            f"profile solver stopped at rho = {rho_reached:.6g} "
+            f"of {rho_end:.6g}: {message}")
+    return samples
 
 
 def _simpson_residuals(speed, inv_a2, rho, psi, psip, psipp, rtol, atol):
     """Per-interval defect of psi' against Simpson quadrature of the RHS.
 
-    Independent of the Runge-Kutta stepping: uses only stored node data,
-    cubic Hermite mid-states, and the ODE right-hand side.  The defect is
-    normalized by the integrator's per-step tolerance promise
+    Independent of the solver: uses only the stored samples, cubic Hermite
+    mid-states, and the ODE right-hand side.  The defect is normalized by
+    the profile's tolerance promise
     atol + rtol (1 + |psi'|), so values of order one mean the stored
     profile satisfies the ODE to within the configured tolerance (a wrong
     right-hand side inflates this by many orders of magnitude).
@@ -206,6 +202,13 @@ def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
     integration starts at ``rho_start`` from the two-term tip series
     zeta = rho^2/(4 F(1,1)), zeta' = rho/(2 F(1,1)), whose curvature matches
     the regular solution at the tip.
+
+    The solver runs internally at (1e-3 tol, 1e-5 tol) relative/absolute,
+    with the relative part floored at 100 machine epsilons (~2.2e-14), the
+    smallest value scipy accepts without substituting its own.  Samples of
+    its dense output form the profile; ``residual_norms`` measures them in
+    units of tol.  The rounding of zeta sets a floor on that measure which
+    grows like rho^2 (about 2 at rho = 1000 for bh n = 3).
     """
     if rho_max <= rho_start:
         raise ValueError("rho_max must exceed the regularized start")
@@ -338,6 +341,11 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     solutions must agree to ``tol`` in sup norm on the shared window;
     the deepest converged run is returned, with barrier-sandwich checks
     enforced along the way.
+
+    Each IVP is solved at (1e-3 rtol, 1e-5 rtol), with ``rtol`` defaulting
+    to 1e-2 tol; the internal relative tolerance is floored at 100 machine
+    epsilons (~2.2e-14).  Tighter requests solve at the floor; a ``tol``
+    that this accuracy cannot meet fails the Cauchy test (NonConvergence).
     """
     F01, f11, Q = speed.F01, speed.F11, speed.Q
     lo = f11 / Q if math.isfinite(Q) else 0.0

@@ -67,6 +67,8 @@ def test_fit_resolution_invariance(sum3):
 def test_shrinker_neck_report(sum3):
     profiles = [gf.solve_shrinker(sum3, a, tol=1e-8)
                 for a in (50.0, 100.0, 200.0, 400.0)]
+    for prof in profiles:
+        assert float(np.max(prof.residual_norms())) <= 10.0, prof.a
     rep = fit_shrinker_neck(profiles, L=15.0)
     assert rep["lower_ok"]
     assert all(r["lower_violations"] == 0 for r in rep["lower"])

@@ -1,12 +1,13 @@
 """Bowl and shrinker profile construction, barriers, and diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import gflowlab as gf
-from gflowlab.errors import NonConvergence
+from gflowlab.errors import NonConvergence, ToleranceFailure
 from gflowlab.solitons import (estimate_c_lower, lambda_ceiling,
                                neck_constants, shrinker_upper_bound_fit,
                                solve_bowl, solve_shrinker)
@@ -60,6 +61,28 @@ def test_residual_detects_wrong_equation(shrinker_sum3_a50):
 def test_bowl_monitor_identity(bowl_sum3):
     assert bowl_sum3.monitor.identity_gap <= 1e-8
     assert bowl_sum3.monitor.bounded
+
+
+@pytest.mark.parametrize("name, rho_max", [("bh3", 2000.0), ("sum3", 5000.0)])
+def test_bowl_long_tail(request, name, rho_max):
+    # the stiff tail: no node ceiling, and the residual stays within
+    # tolerance (bh n=3 at rho = 2000 sits near its rounding floor of ~7)
+    speed = request.getfixturevalue(name)
+    bowl = solve_bowl(speed, rho_max=rho_max, tol=1e-10)
+    assert bowl.rho[-1] == rho_max
+    assert float(np.max(bowl.residual_norms())) <= 10.0
+    assert bowl.monitor.bounded
+    assert bowl.tip_curvature == pytest.approx(1.0 / (2.0 * speed.F11),
+                                               rel=1e-6)
+
+
+def test_profile_solver_failure_names_cause(sum3):
+    # zero error weight on psi (psi0 = 0, atol = 0) is illegal input for
+    # LSODA: the error quotes the solver and where it stopped
+    from gflowlab.solitons import _integrate
+    with pytest.raises(ToleranceFailure, match=r"rho = 1 of 50: .*lsoda"):
+        _integrate(sum3, 0.0, 1.0, 0.0, 0.3, 50.0, np.inf,
+                   rtol=1e-10, atol=0.0, h_rho_cap=0.05, h_z_cap=0.0)
 
 
 def test_bowl_tolerance_study(sum3):
@@ -133,7 +156,10 @@ def test_shrinker_mesh_refinement(sum3):
 
 
 def test_shrinker_nonconvergence_raises(sum3):
-    with pytest.raises(NonConvergence):
+    # the internal tolerance is floored explicitly: no warning of a
+    # tolerance substituted by the solver
+    with pytest.raises(NonConvergence), warnings.catch_warnings():
+        warnings.simplefilter("error")
         solve_shrinker(sum3, 25.0, tol=1e-16,
                        rho_k=[2.0 ** -k for k in range(4, 8)])
 
