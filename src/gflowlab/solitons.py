@@ -220,7 +220,10 @@ def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
         rtol=tol, atol=tol * 1e-2, h_rho_cap=0.05, h_z_cap=0.0)
     monitor = EllipticityMonitor.from_profile(speed, rho, zeta, zeta_rho,
                                               zeta_rr, 0.0)
-    tip = _tip_curvature(rho, zeta_rho, zeta_rr, at=min(0.01, 0.003 * rho_max))
+    # stations inside the solved range: below rho_start the spline would
+    # extrapolate its first interval, which the solver may make tiny
+    tip = _tip_curvature(rho, zeta_rho, zeta_rr,
+                         at=max(min(0.01, 0.003 * rho_max), rho_start))
     # exact tip node: zeta(0) = zeta_rho(0) = 0, zeta_rr(0) -> measured limit
     rho = np.concatenate([[0.0], rho])
     zeta = np.concatenate([[0.0], zeta])

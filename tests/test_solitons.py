@@ -76,6 +76,14 @@ def test_bowl_long_tail(request, name, rho_max):
                                                rel=1e-6)
 
 
+def test_bowl_tip_on_short_range(bh3):
+    # rho_max barely past the regularized start: the Richardson stations
+    # must stay inside the solved range instead of extrapolating below it
+    bowl = solve_bowl(bh3, rho_max=2e-4, tol=1e-10)
+    assert bowl.tip_curvature == pytest.approx(0.75, rel=1e-6)
+    assert float(np.max(bowl.residual_norms())) <= 10.0
+
+
 def test_profile_solver_failure_names_cause(sum3):
     # zero error weight on psi (psi0 = 0, atol = 0) is illegal input for
     # LSODA: the error quotes the solver and where it stopped
