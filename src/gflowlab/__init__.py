@@ -7,7 +7,6 @@ diagnostics, radial and rescaled graph-flow simulation, and the Hermite
 spectral decomposition of the linearized rescaled flow.
 """
 
-from ._accel import NUMBA_ENABLED
 from .errors import (BarrierViolation, ConeExit, ConeViolation,
                      DomainViolation, GFlowError, InsufficientTail,
                      NonConvergence, Pinch, QuadratureFailure,
@@ -35,5 +34,9 @@ from .fits import (AsymptoticFit, fit_bowl_expansion, fit_shrinker_neck,
                    measure_rescaled_decay)
 
 __version__ = "0.1.0"
+
+# the one backend is numpy + scipy; the flag stays for callers that record
+# which backend ran
+NUMBA_ENABLED = False
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,17 +1,12 @@
-"""Hot numeric kernels, JIT-compiled with numba when available.
+"""Numeric kernels: the speed algebra, the profile integrator and the
+graph-flow stepping loops, in numpy and scipy.
 
-numba is an optional dependency.  The speed algebra and the flow stepping
-loops in this module are plain numpy code.  When numba imports successfully
-(and is not disabled) they are compiled with ``@njit``; otherwise -- numba
-not installed, or disabled -- the same source runs as vectorized numpy /
-plain Python.  Set
+The speed algebra works elementwise on arrays and scalars.  Profiles are
+integrated with scipy's LSODA; the explicit flow step is Heun's method and
+the semi-implicit step solves one tridiagonal system per step with
+``scipy.linalg.solve_banded``.
 
-    GFLOWLAB_NO_NUMBA=1
-
-to force the pure-numpy fallback path.  The profile integrator is not a
-numba kernel: it drives scipy's LSODA from Python on either path.
-
-Speed kinds are encoded as integers so kernels stay monomorphic:
+Speed kinds are encoded as integers:
 
     0  sum          F(x, y) = x + p0*y
     1  bh           F(x, y) = 1 / (p0/(x+y) + p1/y)
@@ -23,34 +18,11 @@ with per-kind constants (p0, p1, p2) prepared by ``speeds.SpeedFunction``.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 
 import numpy as np
 from scipy.integrate import solve_ivp
-
-_flag = os.environ.get("GFLOWLAB_NO_NUMBA", "").strip().lower()
-_DISABLED = _flag in {"1", "true", "yes", "numpy"}
-
-NUMBA_ENABLED = False
-if not _DISABLED:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # numba is optional: fall back to plain numpy
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    def jit(fn):
-        return _njit(cache=True)(fn)
-
-else:
-
-    def jit(fn):
-        return fn
-
+from scipy.linalg import solve_banded
 
 # integrate_profile: internal tolerance relative to the profile's, the
 # smallest rtol scipy accepts without clamping it, and the sample spacing
@@ -72,7 +44,6 @@ STATUS_PINCH = 4
 STATUS_CFL = 5
 
 
-@jit
 def speed_F(kind, p0, p1, p2, x, y):
     """Restriction F(x, y) = speed at the curvature vector (x, y, ..., y).
 
@@ -85,7 +56,6 @@ def speed_F(kind, p0, p1, p2, x, y):
     return y * (p0 * y + p1 * x) / (p1 * y + p2 * x)
 
 
-@jit
 def speed_Fx(kind, p0, p1, p2, x, y):
     """Partial derivative of the restriction in its first argument."""
     if kind == 0:
@@ -97,7 +67,6 @@ def speed_Fx(kind, p0, p1, p2, x, y):
     return y * y * (p1 * p1 - p0 * p2) / (d * d)
 
 
-@jit
 def speed_f(kind, p0, p1, p2, y, z):
     """Closed-form partial inverse: the x with F(x, y) = z.
 
@@ -224,31 +193,39 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
     return status, rho.size, samples, float(rho[-1]), sol.message
 
 
-@jit
-def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
-    """Interior right-hand side of the radial (mode 0) / rescaled (mode 1) flow.
+def _discrete_pair(v, dz, cfac):
+    """(ok, v_z, x, y) from central differences at the interior nodes.
 
-    Returns (ok, rhs, fx_max); ok is False when the discrete curvature pair
-    leaves the admissible cone (x + cfac*y <= 0) at some interior node.
+    x = -v_zz/(1+v_z^2) and y = 1/v; ok is False when some node leaves the
+    admissible cone (x + cfac*y <= 0) or has a non-positive radius.
     """
     vz = (v[2:] - v[:-2]) / (2.0 * dz)
     vzz = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dz * dz)
     core = v[1:-1]
     x = -vzz / (1.0 + vz * vz)
     y = 1.0 / core
-    guard = np.min(x + cfac * y)
-    if guard <= 0.0 or np.min(core) <= 0.0:
-        return False, 0.0 * core, 0.0
+    ok = not (np.min(x + cfac * y) <= 0.0 or np.min(core) <= 0.0)
+    return ok, vz, x, y
+
+
+def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
+    """Interior right-hand side of the radial (mode 0) / rescaled (mode 1) flow.
+
+    Returns (ok, rhs, fx_max); ok is False when the discrete curvature pair
+    leaves the admissible cone (x + cfac*y <= 0) at some interior node.
+    """
+    ok, vz, x, y = _discrete_pair(v, dz, cfac)
+    if not ok:
+        return False, 0.0 * v[1:-1], 0.0
     g = speed_F(kind, p0, p1, p2, x, y)
     fx = speed_Fx(kind, p0, p1, p2, x, y)
     if mode == 0:
         rhs = -g
     else:
-        rhs = -g + 0.5 * (core - z[1:-1] * vz)
+        rhs = -g + 0.5 * (v[1:-1] - z[1:-1] * vz)
     return True, rhs, np.max(fx)
 
 
-@jit
 def _apply_bc(v, bc_mode, bl, br):
     if bc_mode == 0:
         v[0] = bl
@@ -259,7 +236,38 @@ def _apply_bc(v, bc_mode, bl, br):
     # bc_mode 1 (frozen): boundary nodes are never touched
 
 
-@jit
+def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every, rec, rec_t):
+    """Advance a copy of v0 by ``step(v, s)`` (in place, returns a status).
+
+    Aborts with the step's status when it is not STATUS_OK, and with
+    STATUS_PINCH once a value reaches r_floor.  Snapshots land in rec /
+    rec_t every rec_every steps (plus the initial state) while rows last.
+
+    Returns (status, n_recorded, n_steps_done).
+    """
+    v = v0.copy()
+    nrec = 0
+    if rec_every > 0:
+        rec[0] = v
+        rec_t[0] = 0.0
+        nrec = 1
+
+    t = 0.0
+    for s in range(nsteps):
+        status = step(v, s)
+        if status != STATUS_OK:
+            return status, nrec, s
+        t = t + dt
+        if np.min(v) <= r_floor:
+            return STATUS_PINCH, nrec, s + 1
+        if (rec_every > 0 and (s + 1) % rec_every == 0
+                and nrec < rec.shape[0]):
+            rec[nrec] = v
+            rec_t[nrec] = t
+            nrec += 1
+    return STATUS_OK, nrec, nsteps
+
+
 def flow_run(kind, p0, p1, p2, cfac, mode,
              v0, z, dz, dt, nsteps,
              bc_mode, bcl, bcr,
@@ -273,120 +281,65 @@ def flow_run(kind, p0, p1, p2, cfac, mode,
 
     Returns (status, n_recorded, n_steps_done).
     """
-    m = v0.shape[0]
-    v = v0.copy()
-    nrec = 0
-    if rec_every > 0:
-        for i in range(m):
-            rec[0, i] = v[i]
-        rec_t[0] = 0.0
-        nrec = 1
-
-    t = 0.0
-    for s in range(nsteps):
+    def heun(v, s):
         ok, r1, fx1 = graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz)
         if not ok:
-            return STATUS_CONE, nrec, s
+            return STATUS_CONE
         if dt * fx1 > cfl_limit:
-            return STATUS_CFL, nrec, s
+            return STATUS_CFL
         v1 = v.copy()
         v1[1:-1] = v[1:-1] + dt * r1
         _apply_bc(v1, bc_mode, bcl[s + 1], bcr[s + 1])
         ok, r2, fx2 = graph_rhs(kind, p0, p1, p2, cfac, mode, v1, z, dz)
         if not ok:
-            return STATUS_CONE, nrec, s
+            return STATUS_CONE
         if dt * fx2 > cfl_limit:
-            return STATUS_CFL, nrec, s
+            return STATUS_CFL
         v[1:-1] = v[1:-1] + 0.5 * dt * (r1 + r2)
         _apply_bc(v, bc_mode, bcl[s + 1], bcr[s + 1])
-        t = t + dt
-        if np.min(v) <= r_floor:
-            return STATUS_PINCH, nrec, s + 1
-        if rec_every > 0 and ((s + 1) % rec_every == 0):
-            if nrec < rec.shape[0]:
-                for i in range(m):
-                    rec[nrec, i] = v[i]
-                rec_t[nrec] = t
-                nrec += 1
-    return STATUS_OK, nrec, nsteps
+        return STATUS_OK
+
+    return _stepping_loop(heun, v0, dt, nsteps, r_floor, rec_every, rec,
+                          rec_t)
 
 
-@jit
 def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
                              v0, z, dz, dt, nsteps,
                              bc_mode, bcl, bcr,
                              r_floor, rec_every, rec, rec_t):
-    """Semi-implicit stepping of the radial flow.
+    """Semi-implicit stepping of the radial flow, first order in time.
 
-    The second-derivative coefficient is frozen at the current state and the
-    diffusive part is taken implicitly (tridiagonal solve), which removes the
-    explicit CFL restriction in stiff small-radius regimes.
+    The speed is linearized in x about the current state, with the
+    coefficient dF/dx frozen there, and the resulting diffusion is taken
+    implicitly (one tridiagonal solve per step); this removes the explicit
+    CFL restriction in stiff small-radius regimes.  bc_mode 0 takes the
+    Dirichlet tables bcl / bcr; any other mode keeps the boundary values
+    frozen.  z is unused (the radial flow has no drift term).
+
+    Returns (status, n_recorded, n_steps_done).
     """
     m = v0.shape[0]
-    v = v0.copy()
-    nrec = 0
-    if rec_every > 0:
-        for i in range(m):
-            rec[0, i] = v[i]
-        rec_t[0] = 0.0
-        nrec = 1
+    # (upper, main, lower) diagonals in solve_banded's layout; the boundary
+    # rows are the identity
+    bands = np.zeros((3, m))
+    bands[1] = 1.0
 
-    lo = np.empty(m)
-    di = np.empty(m)
-    up = np.empty(m)
-    rhs = np.empty(m)
-    cp = np.empty(m)
-    dp = np.empty(m)
-
-    t = 0.0
-    for s in range(nsteps):
-        ok, r1, _ = graph_rhs(kind, p0, p1, p2, cfac, 0, v, z, dz)
+    def implicit(v, s):
+        ok, vz, x, y = _discrete_pair(v, dz, cfac)
         if not ok:
-            return STATUS_CONE, nrec, s
-        vz = (v[2:] - v[:-2]) / (2.0 * dz)
-        vzz = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dz * dz)
-        one_p = 1.0 + vz * vz
-        xcur = -vzz / one_p
-        fx = speed_Fx(kind, p0, p1, p2, xcur, 1.0 / v[1:-1])
-        g = speed_F(kind, p0, p1, p2, xcur, 1.0 / v[1:-1])
-        mu = dt * fx / (one_p * dz * dz)
-
-        di[0] = 1.0
-        up[0] = 0.0
-        lo[0] = 0.0
-        di[m - 1] = 1.0
-        up[m - 1] = 0.0
-        lo[m - 1] = 0.0
+            return STATUS_CONE
+        fx = speed_Fx(kind, p0, p1, p2, x, y)
+        mu = dt * fx / ((1.0 + vz * vz) * dz * dz)
+        bands[0, 2:] = -mu
+        bands[1, 1:-1] = 1.0 + 2.0 * mu
+        bands[2, :-2] = -mu
+        b = v.copy()
+        b[1:-1] = v[1:-1] - dt * (speed_F(kind, p0, p1, p2, x, y) - fx * x)
         if bc_mode == 0:
-            rhs[0] = bcl[s + 1]
-            rhs[m - 1] = bcr[s + 1]
-        else:
-            rhs[0] = v[0]
-            rhs[m - 1] = v[m - 1]
-        for i in range(1, m - 1):
-            lo[i] = -mu[i - 1]
-            di[i] = 1.0 + 2.0 * mu[i - 1]
-            up[i] = -mu[i - 1]
-            rhs[i] = v[i] - dt * (g[i - 1] - fx[i - 1] * xcur[i - 1])
+            b[0] = bcl[s + 1]
+            b[-1] = bcr[s + 1]
+        v[:] = solve_banded((1, 1), bands, b)
+        return STATUS_OK
 
-        # Thomas solve
-        cp[0] = up[0] / di[0]
-        dp[0] = rhs[0] / di[0]
-        for i in range(1, m):
-            den = di[i] - lo[i] * cp[i - 1]
-            cp[i] = up[i] / den
-            dp[i] = (rhs[i] - lo[i] * dp[i - 1]) / den
-        v[m - 1] = dp[m - 1]
-        for i in range(m - 2, -1, -1):
-            v[i] = dp[i] - cp[i] * v[i + 1]
-
-        t = t + dt
-        if np.min(v) <= r_floor:
-            return STATUS_PINCH, nrec, s + 1
-        if rec_every > 0 and ((s + 1) % rec_every == 0):
-            if nrec < rec.shape[0]:
-                for i in range(m):
-                    rec[nrec, i] = v[i]
-                rec_t[nrec] = t
-                nrec += 1
-    return STATUS_OK, nrec, nsteps
+    return _stepping_loop(implicit, v0, dt, nsteps, r_floor, rec_every, rec,
+                          rec_t)

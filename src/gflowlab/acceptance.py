@@ -24,8 +24,8 @@ from scipy.special import erf
 from . import fits, flow, geometry, solitons, spectral, speeds
 from .flow import (BoundaryCondition, RadialFlowState, run_flow,
                    cylinder_radius, shrinking_cylinder_reference,
-                   state_from_reference, translating_bowl_reference,
-                   translation_speed)
+                   state_from_reference, step_plan,
+                   translating_bowl_reference, translation_speed)
 
 
 @dataclass
@@ -150,10 +150,8 @@ def criterion_6():
     for delta in (0.1, 0.05, 0.025):
         st = state_from_reference(sp, ref, -5.0, 5.0, delta)
         bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-        dt0 = 0.4 * delta ** 2 / 2.0
-        nsteps = int(math.ceil(t_end / dt0))
-        hist = run_flow(st, t_end / nsteps, nsteps, bc=bc,
-                        record_every=nsteps)
+        dt, nsteps = step_plan(sp, delta, t_end)
+        hist = run_flow(st, dt, nsteps, bc=bc, record_every=nsteps)
         exact = math.sqrt(r0 ** 2 - 2.0 * sp.F01 * t_end)
         errs.append(float(np.max(np.abs(hist.final_state.values - exact))))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
@@ -172,10 +170,8 @@ def criterion_7():
     delta = 0.05
     st = state_from_reference(sp, ref, 5.0, 25.0, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    dt0 = 0.4 * delta ** 2 / 2.0
-    nsteps = int(math.ceil(1.0 / dt0))
-    hist = run_flow(st, 1.0 / nsteps, nsteps, bc=bc,
-                    record_every=max(1, nsteps // 40))
+    dt, nsteps = step_plan(sp, delta, 1.0)
+    hist = run_flow(st, dt, nsteps, bc=bc, record_every=max(1, nsteps // 40))
     level = float(st.values[st.values.size // 2])
     res = translation_speed(hist, level)
     err = abs(res["speed"] - 0.5)
@@ -236,14 +232,13 @@ def criterion_10():
     delta = 0.05
     z = np.linspace(-14.0, 14.0, int(round(28 / delta)) + 1)
     eps = 1e-4
-    dt0 = 0.4 * delta ** 2 / 2.0
-    nsteps = int(math.ceil(1.0 / dt0))
+    dt, nsteps = step_plan(sp, delta, 1.0)
     details = {}
     ok = True
     for k in (0, 1, 2, 3):
         st = RadialFlowState("rescaled", z, sigma + eps * basis.value(k, z),
                              0.0, sp)
-        hist = run_flow(st, 1.0 / nsteps, nsteps,
+        hist = run_flow(st, dt, nsteps,
                         bc=BoundaryCondition(mode="frozen"),
                         record_every=max(1, nsteps // 20))
         coeffs = []

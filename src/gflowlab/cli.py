@@ -22,8 +22,8 @@ from . import acceptance, fits, flow, output, solitons, spectral
 from .errors import GFlowError
 from .flow import (BoundaryCondition, RadialFlowState, run_flow,
                    cylinder_radius, shrinking_cylinder_reference,
-                   state_from_reference, translating_bowl_reference,
-                   translation_speed)
+                   state_from_reference, step_plan,
+                   translating_bowl_reference, translation_speed)
 from .speeds import SpeedFunction
 
 
@@ -190,16 +190,13 @@ def cmd_flow(args, cfg) -> int:
     else:
         raise ValueError(f"unknown flow preset {preset!r}")
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    fx = np.max(np.asarray(sp.Fx(0.0, 1.0)))
-    dt0 = safety * delta ** 2 / (2.0 * max(fx, 1.0))
-    nsteps = int(math.ceil(t_end / dt0))
-    hist = run_flow(st, t_end / nsteps, nsteps, bc=bc, scheme=scheme,
-                    cfl_safety=safety,
+    dt, nsteps = step_plan(sp, delta, t_end, safety)
+    hist = run_flow(st, dt, nsteps, bc=bc, scheme=scheme, cfl_safety=safety,
                     record_every=stride or max(1, nsteps // 50))
     manifest = {"speed": sp.to_config(), "preset": preset,
                 "grid": {"z_lo": float(st.z[0]), "z_hi": float(st.z[-1]),
                          "delta": delta},
-                "scheme": scheme, "dt": t_end / nsteps, "nsteps": nsteps,
+                "scheme": scheme, "dt": dt, "nsteps": nsteps,
                 "cfl_safety": safety, "boundary": "dirichlet-reference",
                 "seed": None}
     if preset == "cylinder":
@@ -250,10 +247,8 @@ def cmd_rescaled(args, cfg) -> int:
     z = np.linspace(-window, window, n)
     st = RadialFlowState("rescaled", z, _rescaled_seed(seed_mode, amp, sp,
                                                        basis, z), 0.0, sp)
-    dt0 = 0.4 * delta ** 2 / 2.0
-    nsteps = int(math.ceil(tau_end / dt0))
-    hist = run_flow(st, tau_end / nsteps, nsteps,
-                    bc=BoundaryCondition(mode="frozen"),
+    dt, nsteps = step_plan(sp, delta, tau_end)
+    hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     record_every=max(1, nsteps // 100))
     manifest = {"speed": sp.to_config(), "seed_mode": seed_mode, "amp": amp,
                 "grid": {"window": window, "delta": delta},
@@ -311,10 +306,8 @@ def cmd_spectral(args, cfg) -> int:
                          _rescaled_seed(seed_mode, amp, sp, basis, z),
                          0.0, sp)
     tau_end = float(windows + 1)
-    dt0 = 0.4 * delta ** 2 / 2.0
-    nsteps = int(math.ceil(tau_end / dt0))
-    hist = run_flow(st, tau_end / nsteps, nsteps,
-                    bc=BoundaryCondition(mode="frozen"),
+    dt, nsteps = step_plan(sp, delta, tau_end)
+    hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     record_every=max(1, int(nsteps // (tau_end * 8))))
     trace = spectral.gamma_trace_from_run(hist, basis, r=r_exp, L=big_l)
     verdict = spectral.merle_zaag_classifier(trace)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WindowTooNarrow, WindowTooShort
-from .flow import FlowHistory, cylinder_radius
+from .flow import FlowHistory, cylinder_radius, line_fit
 from .solitons import (BowlProfile, ShrinkerProfile,
                        shrinker_upper_bound_check)
 
@@ -123,13 +123,8 @@ def measure_rescaled_decay(history: FlowHistory, L: float,
     if np.max(sup) < 1e-14:
         return {"fixed_point": True, "slope": None, "sup_final": 0.0}
     valid = sup > 0
-    t = history.times[valid]
-    y = np.log(sup[valid])
-    A = np.vstack([t, np.ones_like(t)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fit = A @ coef
-    return {"fixed_point": False, "slope": float(coef[0]),
-            "rms": float(np.sqrt(np.mean((y - fit) ** 2))),
+    slope, _, rms = line_fit(history.times[valid], np.log(sup[valid]))
+    return {"fixed_point": False, "slope": slope, "rms": rms,
             "sup_final": float(sup[-1])}
 
 

@@ -158,9 +158,13 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
              r_floor: float = 1e-6) -> FlowHistory:
     """Advance a radial/rescaled state by ``nsteps`` steps of size ``dt``.
 
-    Snapshots are recorded every ``record_every`` steps (default: ~200
-    records per run).  Raises ConeExit / Pinch / StabilityViolation as the
-    corresponding invariant fails.
+    ``scheme="rk2"`` is Heun's method (second order in time) under a CFL
+    guard.  ``scheme="semi_implicit"`` is first order in time, radial only,
+    and takes Dirichlet or frozen boundaries; it raises ValueError for any
+    other representation or boundary mode.  Snapshots are recorded every
+    ``record_every`` steps (default: ~200 records per run).  Raises
+    ConeExit / Pinch / StabilityViolation as the corresponding invariant
+    fails.
     """
     bc = bc or BoundaryCondition()
     mode = _mode_code(state.representation)
@@ -183,6 +187,9 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     elif scheme == "semi_implicit":
         if mode != 0:
             raise ValueError("semi-implicit stepping is for the radial flow")
+        if bc.mode not in ("dirichlet", "frozen"):
+            raise ValueError("semi-implicit stepping takes dirichlet or "
+                             f"frozen boundaries, not {bc.mode!r}")
         status, nrec, ndone = _accel.radial_semi_implicit_run(
             state.speed.code, p0, p1, p2, state.speed.cone_factor,
             state.values, state.z, state.dz, float(dt), int(nsteps),
@@ -228,6 +235,20 @@ def rescaled_rhs(state: RadialFlowState) -> np.ndarray:
     if not ok:
         raise ConeExit("state lies outside the admissible cone")
     return np.asarray(rhs)
+
+
+def step_plan(speed: SpeedFunction, delta: float, t_end: float,
+              safety: float = 0.4) -> tuple[float, int]:
+    """(dt, nsteps) of an explicit run over [0, t_end] on grid spacing delta.
+
+    dt0 = safety delta^2 / (2 max(F_x(0,1), 1)), nsteps = ceil(t_end / dt0)
+    and dt = t_end / nsteps.  Takes the nominal spacing rather than a
+    state's dz, which linspace may round by an ulp.
+    """
+    fx = np.max(np.asarray(speed.Fx(0.0, 1.0)))
+    dt0 = safety * delta ** 2 / (2.0 * max(fx, 1.0))
+    nsteps = int(math.ceil(t_end / dt0))
+    return t_end / nsteps, nsteps
 
 
 def cfl_timestep(state: RadialFlowState, safety: float = 0.4) -> float:
@@ -316,15 +337,22 @@ def level_set_positions(history: FlowHistory, level: float) -> np.ndarray:
     return out
 
 
+def line_fit(x, y):
+    """Least-squares line y ~ slope x + intercept.
+
+    Returns (slope, intercept, rms of the residuals).
+    """
+    A = np.vstack([x, np.ones_like(x, dtype=float)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    rms = np.sqrt(np.mean((y - A @ coef) ** 2))
+    return float(coef[0]), float(coef[1]), float(rms)
+
+
 def translation_speed(history: FlowHistory, level: float) -> dict:
     """Least-squares drift rate of a fixed radius level set."""
-    zs = level_set_positions(history, level)
-    t = history.times
-    A = np.vstack([t, np.ones_like(t)]).T
-    coef, res, *_ = np.linalg.lstsq(A, zs, rcond=None)
-    fit = A @ coef
-    return {"speed": float(coef[0]), "intercept": float(coef[1]),
-            "rms": float(np.sqrt(np.mean((zs - fit) ** 2)))}
+    speed, intercept, rms = line_fit(history.times,
+                                     level_set_positions(history, level))
+    return {"speed": speed, "intercept": intercept, "rms": rms}
 
 
 @dataclass

@@ -23,6 +23,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.interpolate import PchipInterpolator
 
 from .errors import QuadratureFailure, TruncationWarning, WindowTooShort
+from .flow import line_fit
 
 
 def eigenvalue(n: int, k: int, l: int) -> float:
@@ -254,6 +255,11 @@ def smooth_cutoff(s):
     return 1.0 - ramp
 
 
+def suffix_max(arr):
+    """out[j] = max(arr[j:])."""
+    return np.maximum.accumulate(arr[::-1])[::-1]
+
+
 @dataclass
 class GammaTrace:
     """Windowed tail traces of a rescaled-flow run.
@@ -287,9 +293,6 @@ class GammaTrace:
         g = gp + g0 + gm
         if delta is None:
             delta = np.sqrt(g)
-
-        def suffix_max(arr):
-            return np.maximum.accumulate(arr[::-1])[::-1]
 
         return cls(windows=np.arange(g.size), gamma=g, gamma_plus=gp,
                    gamma_zero=g0, gamma_minus=gm, Gamma=suffix_max(g),
@@ -347,9 +350,6 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
         if best[0] > 0:
             ratios.append((best[1] + best[2] + best[3]) / best[0])
 
-    def suffix_max(arr):
-        return np.maximum.accumulate(arr[::-1])[::-1]
-
     ratios = np.asarray(ratios) if ratios else np.array([1.0])
     sandwich = float(max(np.max(ratios), 1.0 / max(np.min(ratios), 1e-300)))
     return GammaTrace(windows=np.arange(n_windows), gamma=gamma,
@@ -370,9 +370,8 @@ def _log_ratio_stats(num, den, half: bool = True):
         k, y = k[cut:], y[cut:]
     if k.size < 2:
         return None, None, None
-    A = np.vstack([k, np.ones_like(k, dtype=float)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), float(y[-1]), float(np.max(y))
+    slope, _, _ = line_fit(k, y)
+    return slope, float(y[-1]), float(np.max(y))
 
 
 def merle_zaag_classifier(trace: GammaTrace, slope_threshold: float = -0.1,
@@ -427,7 +426,6 @@ def plus_decay_rate(trace: GammaTrace) -> dict:
     y = np.log(gp[valid])
     if k.size < 3:
         raise WindowTooShort("need >= 3 windows with positive energy")
-    A = np.vstack([k, np.ones_like(k, dtype=float)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return {"factor_per_window": float(math.exp(coef[0])),
+    slope, _, _ = line_fit(k, y)
+    return {"factor_per_window": math.exp(slope),
             "bound": math.exp(-1.0)}

@@ -11,7 +11,7 @@ from gflowlab.errors import WindowTooNarrow, WindowTooShort
 from gflowlab.fits import (fit_bowl_expansion, fit_bowl_proof_quantities,
                            fit_shrinker_neck, measure_rescaled_decay)
 from gflowlab.flow import (BoundaryCondition, RadialFlowState,
-                           cylinder_radius, run_flow)
+                           cylinder_radius, run_flow, step_plan)
 from gflowlab.spectral import build_basis
 
 
@@ -64,9 +64,8 @@ def test_fit_resolution_invariance(sum3):
     assert abs(vals[0] - vals[1]) <= 0.01 * abs(vals[1])
 
 
-def test_shrinker_neck_report(sum3):
-    profiles = [gf.solve_shrinker(sum3, a, tol=1e-8)
-                for a in (50.0, 100.0, 200.0, 400.0)]
+def test_shrinker_neck_report(shrinker_sum3_sweep):
+    profiles = shrinker_sum3_sweep
     for prof in profiles:
         assert float(np.max(prof.residual_norms())) <= 10.0, prof.a
     rep = fit_shrinker_neck(profiles, L=15.0)
@@ -77,11 +76,10 @@ def test_shrinker_neck_report(sum3):
     assert max(cs[-3:]) <= 2.0 * min(cs[-3:])
 
 
-def test_shrinker_neck_sweep_guard(sum3, shrinker_sum3_a50,
-                                   shrinker_sum3_a100):
-    profiles = [shrinker_sum3_a50, shrinker_sum3_a100,
+def test_shrinker_neck_sweep_guard(sum3, shrinker_sum3_sweep):
+    profiles = [*shrinker_sum3_sweep[:2],
                 gf.solve_shrinker(sum3, 150.0, tol=1e-8),
-                gf.solve_shrinker(sum3, 200.0, tol=1e-8)]
+                shrinker_sum3_sweep[2]]
     with pytest.raises(WindowTooNarrow):
         fit_shrinker_neck(profiles, L=15.0)
 
@@ -90,10 +88,8 @@ def _rescaled_run(speed, u0_fn, T, delta=0.06, window=18.0):
     sigma = cylinder_radius(speed)
     z = np.linspace(-window, window, int(round(2 * window / delta)) + 1)
     st = RadialFlowState("rescaled", z, sigma + u0_fn(z), 0.0, speed)
-    dt0 = 0.4 * delta ** 2 / 2.0
-    nsteps = int(math.ceil(T / dt0))
-    return run_flow(st, T / nsteps, nsteps,
-                    bc=BoundaryCondition(mode="frozen"),
+    dt, nsteps = step_plan(speed, delta, T)
+    return run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     record_every=max(1, nsteps // 100))
 
 

@@ -13,19 +13,19 @@ from gflowlab.flow import (BoundaryCondition, RadialFlowState, cfl_timestep,
                            cylinder_radius, heat_barrier_psi,
                            heat_barrier_psi_quadrature, heat_barrier_residual,
                            rescaled_rhs, run_flow, shrinking_cylinder_reference,
-                           state_from_reference, step_radial, step_rescaled,
-                           tip_neck_diagnostics, translating_bowl_reference,
-                           translation_speed)
+                           state_from_reference, step_plan, step_radial,
+                           step_rescaled, tip_neck_diagnostics,
+                           translating_bowl_reference, translation_speed)
 from gflowlab.spectral import build_basis
 
 
-def _cylinder_run(speed, r0, delta, t_end, safety=0.4):
+def _cylinder_run(speed, r0, delta, t_end, scheme="rk2"):
     ref = shrinking_cylinder_reference(speed, r0)
     st = state_from_reference(speed, ref, -5.0, 5.0, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    dt0 = safety * delta ** 2 / 2.0
-    nsteps = int(math.ceil(t_end / dt0))
-    return run_flow(st, t_end / nsteps, nsteps, bc=bc, record_every=nsteps)
+    dt, nsteps = step_plan(speed, delta, t_end)
+    return run_flow(st, dt, nsteps, bc=bc, scheme=scheme,
+                    record_every=nsteps)
 
 
 def test_cylinder_regression(sum3):
@@ -61,11 +61,14 @@ def test_cfl_violation_raises(sum3):
         run_flow(st, 0.1, 5, bc=BoundaryCondition(mode="frozen"))
 
 
-def test_cfl_timestep_helper(sum3):
+def test_cfl_timestep_helper(sum3, all_speeds):
     ref = shrinking_cylinder_reference(sum3, 2.0)
     st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
     dt = cfl_timestep(st)
     assert dt == pytest.approx(0.4 * 0.1 ** 2 / 2.0, rel=1e-6)
+    # F_x(0,1) <= 1 for the built-in speeds: the plan is 0.4 delta^2 / 2
+    for sp in all_speeds:
+        assert step_plan(sp, 0.025, 0.25) == (0.25 / 2000, 2000)
 
 
 def test_pinch_detected(sum3):
@@ -90,10 +93,8 @@ def test_bowl_translation(sum3, bowl_sum3):
     delta = 0.05
     st = state_from_reference(sum3, ref, 5.0, 25.0, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    dt0 = 0.4 * delta ** 2 / 2.0
-    nsteps = int(math.ceil(1.0 / dt0))
-    hist = run_flow(st, 1.0 / nsteps, nsteps, bc=bc,
-                    record_every=max(1, nsteps // 40))
+    dt, nsteps = step_plan(sum3, delta, 1.0)
+    hist = run_flow(st, dt, nsteps, bc=bc, record_every=max(1, nsteps // 40))
     level = float(st.values[st.values.size // 2])
     res = translation_speed(hist, level)
     # bowl-side graph: r_z > 0 and r_zz < 0 along the run
@@ -134,6 +135,22 @@ def test_semi_implicit_matches_explicit(sum3):
     assert np.max(np.abs(a - b)) <= 1e-5
 
 
+def test_semi_implicit_cylinder_error(sum3):
+    # first order in time: at dt = 1.25e-4 the error is the scheme's own
+    hist = _cylinder_run(sum3, 2.0, 0.025, 0.25, scheme="semi_implicit")
+    exact = math.sqrt(4.0 - 2.0 * sum3.F01 * 0.25)
+    err = float(np.max(np.abs(hist.final_state.values - exact)))
+    assert err == pytest.approx(1.038e-5, rel=1e-3)
+
+
+def test_semi_implicit_rejects_extrapolate(sum3):
+    ref = shrinking_cylinder_reference(sum3, 2.0)
+    st = state_from_reference(sum3, ref, -5.0, 5.0, 0.025)
+    with pytest.raises(ValueError, match="extrapolate"):
+        run_flow(st, 1e-4, 10, bc=BoundaryCondition(mode="extrapolate"),
+                 scheme="semi_implicit")
+
+
 # -- rescaled flow -------------------------------------------------------------
 
 def test_cylinder_fixed_point(sum3):
@@ -164,10 +181,8 @@ def test_k0_mode_growth_rate(sum3):
     z = np.linspace(-14.0, 14.0, int(round(28 / delta)) + 1)
     st = RadialFlowState("rescaled", z, sigma + 1e-4 * basis.value(0, z),
                          0.0, sum3)
-    dt0 = 0.4 * delta ** 2 / 2.0
-    nsteps = int(math.ceil(1.0 / dt0))
-    hist = run_flow(st, 1.0 / nsteps, nsteps,
-                    bc=BoundaryCondition(mode="frozen"),
+    dt, nsteps = step_plan(sum3, delta, 1.0)
+    hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     record_every=max(1, nsteps // 20))
     sup = hist.sup_deviation(sigma, window=4.0)
     slope = float(np.polyfit(hist.times, np.log(sup), 1)[0])
@@ -216,10 +231,8 @@ def test_rr_z_tail_on_bowl(sum3):
     ref = translating_bowl_reference(bowl, tip_speed=0.5)
     st = state_from_reference(sum3, ref, 200.0, 400.0, 0.1)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    dt0 = 0.4 * 0.1 ** 2 / 2.0
-    nsteps = int(math.ceil(0.5 / dt0))
-    hist = run_flow(st, 0.5 / nsteps, nsteps, bc=bc,
-                    record_every=max(1, nsteps // 20))
+    dt, nsteps = step_plan(sum3, 0.1, 0.5)
+    hist = run_flow(st, dt, nsteps, bc=bc, record_every=max(1, nsteps // 20))
     diag = tip_neck_diagnostics(hist, window=(220.0, 380.0))
     # tip speed 1/2 means the tail limit is F(0,1)/G = 2 F(0,1) = 4
     assert diag.rr_z_tail == pytest.approx(2.0 * sum3.F01, rel=0.02)

@@ -222,10 +222,8 @@ def test_c_lower_positive(all_speeds):
 
 # -- upper bound and convergence to the bowl -----------------------------------
 
-def test_upper_bound_fit_sweep(sum3):
-    profs = [gf.solve_shrinker(sum3, a, tol=1e-8)
-             for a in (50.0, 100.0, 200.0, 400.0)]
-    rep = gf.shrinker_upper_bound_check(profs, L=15.0)
+def test_upper_bound_fit_sweep(shrinker_sum3_sweep):
+    rep = gf.shrinker_upper_bound_check(shrinker_sum3_sweep, L=15.0)
     assert rep["stable"]
     cs = [r["C_fit"] for r in rep["rows"]]
     assert all(c > 0 for c in cs)

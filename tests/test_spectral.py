@@ -8,7 +8,8 @@ import sympy
 
 import gflowlab as gf
 from gflowlab.errors import TruncationWarning, WindowTooShort
-from gflowlab.flow import BoundaryCondition, RadialFlowState, cylinder_radius, run_flow
+from gflowlab.flow import (BoundaryCondition, RadialFlowState, cylinder_radius,
+                           run_flow, step_plan)
 from gflowlab.spectral import (GammaTrace, build_basis, decompose, eigen_table,
                                eigenvalue, hermite_h, mode_sign, plus_decay_rate,
                                smooth_cutoff)
@@ -185,10 +186,8 @@ def trace_setup():
 
     def run(u0, T=9.0):
         st = RadialFlowState("rescaled", z, sigma + u0, 0.0, sp)
-        dt0 = 0.4 * delta ** 2 / 2.0
-        nsteps = int(math.ceil(T / dt0))
-        return run_flow(st, T / nsteps, nsteps,
-                        bc=BoundaryCondition(mode="frozen"),
+        dt, nsteps = step_plan(sp, delta, T)
+        return run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                         record_every=max(1, int(nsteps // (T * 8))))
 
     return sp, basis, z, run
