@@ -2,8 +2,9 @@
 graph-flow stepping loops, in numpy and scipy.
 
 The speed algebra works elementwise on arrays and scalars.  Profiles are
-integrated with scipy's LSODA; the explicit flow step is Heun's method and
-the semi-implicit step solves one tridiagonal system per step with
+integrated by stepping scipy's ``LSODA`` solver class directly, with the
+height stop tested after each step; the explicit flow step is Heun's method
+and the semi-implicit step solves one tridiagonal system per step with
 ``scipy.linalg.solve_banded``.
 
 Speed kinds are encoded as integers:
@@ -17,18 +18,19 @@ with per-kind constants (p0, p1, p2) prepared by ``speeds.SpeedFunction``.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA
 from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 # integrate_profile: internal tolerance relative to the profile's, the
 # smallest rtol scipy accepts without clamping it, and the sample spacing
 # in units of the fast time scale 1/|d psi''/d psi'|
 INNER_TOL = 1e-3
-RTOL_FLOOR = 100.0 * np.finfo(float).eps
+EPS = np.finfo(float).eps
+RTOL_FLOOR = 100.0 * EPS
 SAMPLE_STIFF = 8.0
 
 KIND_SUM = 0
@@ -110,21 +112,65 @@ def _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip):
     return j21, j22
 
 
+def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
+    """Step scipy's LSODA from rho0 towards rho_end, stopping where psi
+    first rises through psi_stop.
+
+    The loop keeps ``solve_ivp``'s rules for one terminal, increasing event:
+    the crossing test g_old <= 0 <= g_new on g = psi - psi_stop, the root
+    found by ``brentq`` on the step's dense output at 4 eps, and a step
+    that ends exactly at the previous rho is dropped.
+
+    Returns (status, message, rho, states, pieces): status STATUS_OK,
+    STATUS_STOP or STATUS_SOLVER, the last message of ``LSODA.step`` (None
+    unless it failed); rho and states are the step ends, starting at rho0;
+    pieces[i] is the ``LsodaDenseOutput`` on [rho[i], rho[i + 1]].
+    """
+    solver = LSODA(rhs, rho0, [psi0, psip0], rho_end, jac=jac, rtol=rtol,
+                   atol=atol)
+    ts, ys, pieces = [rho0], [[psi0, psip0]], []
+    g = psi0 - psi_stop
+    status = None
+    while status is None:
+        message = solver.step()
+        if solver.status == "failed":
+            return STATUS_SOLVER, message, ts, ys, pieces
+        if solver.status == "finished":
+            status = STATUS_OK
+        t, y = solver.t, solver.y
+        piece = solver.dense_output()
+        g_new = y[0] - psi_stop
+        if g <= 0.0 <= g_new:
+            t = brentq(lambda r: piece(r)[0] - psi_stop, solver.t_old, t,
+                       xtol=4.0 * EPS, rtol=4.0 * EPS)
+            y = piece(t)
+            status = STATUS_STOP
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            continue
+        ts.append(t)
+        ys.append(y)
+        pieces.append(piece)
+    return status, message, ts, ys, pieces
+
+
 def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
                       rho0, psi0, psip0, rho_end, psi_stop,
                       rtol, atol, h_rho_cap, h_z_cap):
     """Stiff (LSODA) integration of a rotation-profile ODE, resampled densely.
 
     inv_a2 = 1/a^2 selects the self-shrinking profile; inv_a2 = 0 gives the
-    translating one.  Stops at rho_end or once psi reaches psi_stop.  The
-    solve runs at ``INNER_TOL`` times (rtol, atol), with rtol floored at
-    ``RTOL_FLOOR``; its dense output is sampled on every step at spacing
+    translating one.  Stops at rho_end or once psi reaches psi_stop (see
+    ``_lsoda_steps``).  The solve runs at ``INNER_TOL`` times (rtol, atol),
+    with rtol floored at ``RTOL_FLOOR``; each step's dense output (the
+    ``LsodaDenseOutput`` Nordsieck array) is sampled at spacing
     min(SAMPLE_STIFF/|d psi''/d psi'|, h_rho_cap (1 + rho), h_z_cap/psi'), so
     that quadrature checks on consecutive samples resolve the fast direction.
 
     Returns (status, n_samples, (rho, psi, psi', psi''), rho_reached,
     message) with status one of the STATUS_* codes; on STATUS_CONE,
     n_samples counts the admissible samples before the first that is not.
+    message is empty unless the status is STATUS_SOLVER.
     """
     def rhs(rho, y):
         return [y[1], _profile_slope(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])]
@@ -133,28 +179,20 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
         j21, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])
         return [[0.0, 1.0], [j21, j22]]
 
-    events = None
-    if math.isfinite(psi_stop):
-        def reach_stop(rho, y):
-            return y[0] - psi_stop
-        reach_stop.terminal = True
-        reach_stop.direction = 1.0
-        events = reach_stop
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        sol = solve_ivp(rhs, (rho0, rho_end), [psi0, psip0], method="LSODA",
-                        jac=jac, dense_output=True, events=events,
-                        rtol=max(INNER_TOL * rtol, RTOL_FLOOR),
-                        atol=INNER_TOL * atol)
-    if sol.status < 0:  # the solver's own diagnosis arrives as a warning
-        detail = "; ".join([sol.message] + [str(w.message) for w in caught])
-        return STATUS_SOLVER, 0, None, float(sol.t[-1]), detail
+        status, message, ts, ys, pieces = _lsoda_steps(
+            rhs, jac, rho0, psi0, psip0, rho_end, psi_stop,
+            max(INNER_TOL * rtol, RTOL_FLOOR), INNER_TOL * atol)
+    if status == STATUS_SOLVER:  # LSODA's own diagnosis arrives as a warning
+        detail = "; ".join([message] + [str(w.message) for w in caught])
+        return STATUS_SOLVER, 0, None, float(ts[-1]), detail
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
     # sample spacing per solver step, from the stiffer end of the step
-    t, (psi_t, psip_t) = sol.t, sol.y
+    t = np.array(ts)
+    psi_t, psip_t = np.vstack(ys).T
     _, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, t, psi_t, psip_t)
     cap = np.minimum(SAMPLE_STIFF / np.abs(j22), h_rho_cap * (1.0 + t))
     if h_z_cap > 0.0:
@@ -168,7 +206,6 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
     # evaluated by Horner on the terms past the constant one so that each
     # sample is rounded once: the Simpson check multiplies the rounding of
     # psi by |d psi''/d psi'| (~2 rho for bh n=3)
-    pieces = sol.sol.interpolants
     yh = np.zeros((len(pieces), max(p.yh.shape[1] for p in pieces), 2))
     origin, scale = np.empty((2, len(pieces)))
     for i, piece in enumerate(pieces):
@@ -179,7 +216,7 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
     corr = yh[step, -1]
     for j in range(yh.shape[1] - 2, 0, -1):
         corr = corr * s + yh[step, j]
-    states = np.vstack([sol.y[:, :1].T, yh[step, 0] + corr * s])
+    states = np.vstack([ys[0], yh[step, 0] + corr * s])
     psi, psip = np.ascontiguousarray(states.T)
     psipp = _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip)
 
@@ -189,8 +226,7 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
     samples = (rho, psi, psip, psipp)
     if bad.size:
         return STATUS_CONE, int(bad[0]), samples, float(rho[bad[0]]), ""
-    status = STATUS_STOP if sol.status == 1 else STATUS_OK
-    return status, rho.size, samples, float(rho[-1]), sol.message
+    return status, rho.size, samples, float(rho[-1]), ""
 
 
 def _discrete_pair(v, dz, cfac):
@@ -241,7 +277,8 @@ def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every, rec, rec_t):
 
     Aborts with the step's status when it is not STATUS_OK, and with
     STATUS_PINCH once a value reaches r_floor.  Snapshots land in rec /
-    rec_t every rec_every steps (plus the initial state) while rows last.
+    rec_t every rec_every steps (plus the initial state) while rows last;
+    the time after step s is (s + 1) dt, so no rounding accumulates.
 
     Returns (status, n_recorded, n_steps_done).
     """
@@ -252,18 +289,16 @@ def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every, rec, rec_t):
         rec_t[0] = 0.0
         nrec = 1
 
-    t = 0.0
     for s in range(nsteps):
         status = step(v, s)
         if status != STATUS_OK:
             return status, nrec, s
-        t = t + dt
         if np.min(v) <= r_floor:
             return STATUS_PINCH, nrec, s + 1
         if (rec_every > 0 and (s + 1) % rec_every == 0
                 and nrec < rec.shape[0]):
             rec[nrec] = v
-            rec_t[nrec] = t
+            rec_t[nrec] = (s + 1) * dt
             nrec += 1
     return STATUS_OK, nrec, nsteps
 

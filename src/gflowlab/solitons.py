@@ -327,6 +327,48 @@ def _barrier_checks(speed, a, theta, Theta, rho, psi, psip):
                                f"W = {Theta:.3g} rho^2 / (4 F(1,1))")
 
 
+def _monotone_inverse(spline, x, y, targets):
+    """The x with spline(x) = target for every target, for a spline through
+    the increasing nodes (x, y).
+
+    One safeguarded Newton pass over all targets at once: each starts from
+    linear interpolation in the node interval that brackets it, and a Newton
+    step that leaves the (shrinking) bracket bisects it instead.  A target
+    stops once its step is at most 1e-13 + 1e-15 |x|, brentq's xtol/rtol.
+    Raises ValueError for a target outside [y[0], y[-1]].
+    """
+    targets = np.asarray(targets, dtype=float)
+    outside = ~((targets >= y[0]) & (targets <= y[-1]))
+    if np.any(outside):
+        raise ValueError(
+            f"inversion target {targets[outside][0]:.17g} lies outside the "
+            f"profile's range [{y[0]:.17g}, {y[-1]:.17g}]")
+    j = np.clip(np.searchsorted(y, targets), 1, x.size - 1)
+    lo, hi = x[j - 1], x[j]
+    root = lo + (targets - y[j - 1]) / (y[j] - y[j - 1]) * (hi - lo)
+    todo = np.arange(targets.size)
+    for _ in range(200):
+        if not todo.size:
+            break
+        r, t = root[todo], targets[todo]
+        f = spline(r) - t
+        lo[todo] = np.where(f < 0.0, r, lo[todo])
+        hi[todo] = np.where(f > 0.0, r, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = r - f / spline(r, 1)
+        # strict test, so an iterate converged onto a bracket end stays
+        # there; NaN (a zero slope) bisects
+        leave = ~((new >= lo[todo]) & (new <= hi[todo]))
+        new[leave] = 0.5 * (lo[todo][leave] + hi[todo][leave])
+        new[f == 0.0] = r[f == 0.0]
+        root[todo] = new
+        done = np.abs(new - r) <= 1e-13 + 1e-15 * np.abs(new)
+        todo = todo[~done]
+    if todo.size:
+        raise NonConvergence(f"{todo.size} inversion targets did not converge")
+    return root
+
+
 def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
                    Theta: float | None = None,
                    rho_k: Sequence[float] = DEFAULT_RHO_K,
@@ -396,21 +438,21 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
         _barrier_checks(speed, a, theta, Theta, rho, psi, psip)
         if cmp_grid is None:
             cmp_grid = np.geomspace(rho_k[0], rho[-1] * (1.0 - 1e-3), 400)
-        cur = CubicHermiteSpline(rho, psi, psip)(cmp_grid)
+        psi_interp = CubicHermiteSpline(rho, psi, psip)
+        cur = psi_interp(cmp_grid)
+        result = (idx, rho, psi, psip, psipp, psi_interp)
         if prev is not None:
             gap = float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))))
             if gap < tol:
                 converged = True
-                result = (idx, rho, psi, psip, psipp)
                 break
         prev = cur
-        result = (idx, rho, psi, psip, psipp)
     if not converged:
         raise NonConvergence(
             f"successive profiles still differ by {gap:.3g} > tol = {tol:.3g} "
             f"after {len(rho_k)} initial radii")
 
-    idx, rho, psi, psip, psipp = result
+    idx, rho, psi, psip, psipp, psi_interp = result
     monitor = EllipticityMonitor.from_profile(speed, rho, psi, psip, psipp,
                                               inv_a2)
     # the subsolution start heals like (rho_k/rho)^3, so a station at
@@ -421,21 +463,14 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     # data there sits on the subsolution, not on the limit profile); the
     # z-side grid carries the exact tip node (z = a, v = 0) instead
 
-    # z-representation on a uniform grid by monotone inversion of psi
+    # z-representation on a uniform grid by monotone inversion of psi on
+    # its Hermite spline, all grid nodes in one vectorized Newton pass
     z_lo = max(z_min, a - psi[-1] * (1.0 - 1e-12) / a)
     z_grid = np.arange(z_lo, a - 0.5 * dz_target, dz_target)
     psi_targets = np.minimum(a * (a - z_grid), psi[-1])
-    rho_of_z = np.empty_like(z_grid)
-    inv_err = 0.0
-    psi_interp = CubicHermiteSpline(rho, psi, psip)
-    for i, pt in enumerate(psi_targets):
-        j = int(np.searchsorted(psi, pt))
-        j = min(max(j, 1), rho.size - 1)
-        lo_r, hi_r = rho[j - 1], rho[j]
-        root = brentq(lambda r: float(psi_interp(r)) - pt, lo_r, hi_r,
-                      xtol=1e-13, rtol=1e-15)
-        rho_of_z[i] = root
-        inv_err = max(inv_err, abs(float(psi_interp(root)) - pt) / a)
+    rho_of_z = _monotone_inverse(psi_interp, rho, psi, psi_targets)
+    inv_err = float(np.max(np.abs(psi_interp(rho_of_z) - psi_targets),
+                           initial=0.0)) / a
 
     psip_interp = CubicHermiteSpline(rho, psip, psipp)
     psip_at = np.asarray(psip_interp(rho_of_z))

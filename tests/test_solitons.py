@@ -154,6 +154,51 @@ def test_shrinker_inversion_round_trip(shrinker_sum3_a50):
     assert shrinker_sum3_a50.inversion_error <= 1e-10
 
 
+def test_shrinker_vectorized_inversion(shrinker_sum3_a50):
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.optimize import brentq
+    p = shrinker_sum3_a50
+    assert np.all(np.diff(p.rho_of_z) < 0.0)  # z up, rho down to the tip
+    targets = np.minimum(p.a * (p.a - p.z[:-1]), p.psi[-1])
+    back = p.psi_at(p.rho_of_z[:-1])
+    assert np.max(np.abs(back - targets)) <= 1e-12 * p.a
+    # scalar brentq per node is the reference, within twice its xtol
+    spline = CubicHermiteSpline(p.rho, p.psi, p.psi_rho)
+    j = np.clip(np.searchsorted(p.psi, targets), 1, p.rho.size - 1)
+    ref = [brentq(lambda r: float(spline(r)) - t, p.rho[i - 1], p.rho[i],
+                  xtol=1e-13, rtol=1e-15) for t, i in zip(targets, j)]
+    np.testing.assert_allclose(p.rho_of_z[:-1], ref, rtol=0.0, atol=2e-13)
+
+
+def test_monotone_inverse_flat_nodes():
+    # zero slopes at the nodes throw Newton out of its bracket near them and
+    # put some targets exactly on a node; brentq per target is the reference
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.optimize import brentq
+    from gflowlab.solitons import _monotone_inverse
+    x, y = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.5, 10.0])
+    spline = CubicHermiteSpline(x, y, [0.0, 0.0, 0.0, 30.0])
+    targets = np.linspace(0.0, 10.0, 401)
+    roots = _monotone_inverse(spline, x, y, targets)
+    j = np.clip(np.searchsorted(y, targets), 1, 3)
+    ref = [brentq(lambda r: float(spline(r)) - t, x[i - 1], x[i],
+                  xtol=1e-13, rtol=1e-15) for t, i in zip(targets, j)]
+    np.testing.assert_allclose(roots, ref, rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(spline(roots) - targets)) <= 1e-13
+
+
+def test_monotone_inverse_rejects_outside_targets(shrinker_sum3_a50):
+    from scipy.interpolate import CubicHermiteSpline
+    from gflowlab.solitons import _monotone_inverse
+    p = shrinker_sum3_a50
+    spline = CubicHermiteSpline(p.rho, p.psi, p.psi_rho)
+    ends = _monotone_inverse(spline, p.rho, p.psi, [p.psi[0], p.psi[-1]])
+    np.testing.assert_allclose(ends, [p.rho[0], p.rho[-1]], rtol=1e-13)
+    for bad in (0.5 * p.psi[0], 1.001 * p.psi[-1], np.nan):
+        with pytest.raises(ValueError, match="outside the profile's range"):
+            _monotone_inverse(spline, p.rho, p.psi, [p.psi[1], bad])
+
+
 def test_shrinker_mesh_refinement(sum3):
     coarse = solve_shrinker(sum3, 25.0, tol=1e-6)
     fine = solve_shrinker(sum3, 25.0, tol=5e-7)
