@@ -132,7 +132,7 @@ def cmd_shrinker(args, cfg) -> int:
                           "w": prof.w}, meta)
         diag = solitons.shrinker_w_diagnostic(prof)
         margin = prof.lower_bound_margin()
-        row = {"a": a, "k_used": prof.k_used, "cauchy_gap": prof.cauchy_gap,
+        row = {"a": a, "cauchy_gap": prof.cauchy_gap,
                "tip_curvature": prof.tip_curvature,
                "w_min": float(np.min(diag.w)), "w_lower_ok": diag.lower_ok,
                "w_tip": diag.tip_limit, "w_tip_target": diag.tip_target,

@@ -126,13 +126,3 @@ def measure_rescaled_decay(history: FlowHistory, L: float,
     slope, _, rms = line_fit(history.times[valid], np.log(sup[valid]))
     return {"fixed_point": False, "slope": slope, "rms": rms,
             "sup_final": float(sup[-1])}
-
-
-def fit_resolution_stability(fit_fn, resolutions, rel_tol: float = 0.01):
-    """Run a fit at several resolutions; report max relative coefficient
-    drift (fits should be grid-converged to ~1%)."""
-    vals = [fit_fn(r) for r in resolutions]
-    base = vals[-1]
-    drift = max(abs(v - base) / max(abs(base), 1e-300) for v in vals)
-    return {"values": vals, "max_relative_drift": drift,
-            "stable": drift < rel_tol}

@@ -67,10 +67,6 @@ class RadialFlowState:
     def dz(self) -> float:
         return float(self.z[1] - self.z[0])
 
-    def with_values(self, values, t):
-        return RadialFlowState(self.representation, self.z, values, t,
-                               self.speed)
-
 
 @dataclass
 class BoundaryCondition:
@@ -249,17 +245,6 @@ def step_plan(speed: SpeedFunction, delta: float, t_end: float,
     dt0 = safety * delta ** 2 / (2.0 * max(fx, 1.0))
     nsteps = int(math.ceil(t_end / dt0))
     return t_end / nsteps, nsteps
-
-
-def cfl_timestep(state: RadialFlowState, safety: float = 0.4) -> float:
-    """Largest admissible explicit dt, safety * dz^2 / (2 max dF/dx)."""
-    v = state.values
-    dz = state.dz
-    vz = (v[2:] - v[:-2]) / (2 * dz)
-    vzz = (v[2:] - 2 * v[1:-1] + v[:-2]) / dz ** 2
-    x = -vzz / (1 + vz ** 2)
-    fx = np.asarray(state.speed.Fx(x, 1.0 / v[1:-1]))
-    return float(safety * dz ** 2 / (2.0 * np.max(fx)))
 
 
 # -- reference solutions ----------------------------------------------------

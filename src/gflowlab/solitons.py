@@ -6,10 +6,13 @@ Both profiles solve
     psi'' = (1 + psi'^2) f(psi'/rho, 1/2 + (rho psi' - psi) / (2 a^2)),
 
 with 1/a^2 = 0 for the bowl (profile zeta) and a > 0 for the shrinker
-family.  The shrinker is built the way its existence proof suggests: a
-sequence of initial value problems started on the subsolution
-w = theta rho^2 / (4 F(1,1)) at radii rho_k -> 0, declared converged once
-successive solutions pass a Cauchy test in sup norm.
+family.  Both start from the two-term tip series psi = rho^2/(4 F(1,1)),
+psi' = rho/(2 F(1,1)), which matches the regular solution to second order:
+the shrinker's z-term (rho psi' - psi)/(2 a^2) vanishes at the tip.  A
+shrinker cap is solved twice, from two starting radii at two tolerances, and
+accepted once the two solutions pass a Cauchy test in sup norm.  The
+existence proof's subsolution w = theta rho^2/(4 F(1,1)) is kept as a
+barrier check on both solutions.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from . import _accel
 from .errors import (BarrierViolation, ConeExit, NonConvergence,
                      ToleranceFailure)
 from .speeds import SpeedFunction
-
-DEFAULT_RHO_K = tuple(2.0 ** -k for k in range(4, 15))
 
 
 def estimate_c_lower(speed: SpeedFunction) -> float:
@@ -263,7 +264,6 @@ class ShrinkerProfile:
     K: float
     c_lower: float
     monitor: EllipticityMonitor
-    k_used: int
     cauchy_gap: float
     inversion_error: float
     tip_curvature: float
@@ -371,7 +371,6 @@ def _monotone_inverse(spline, x, y, targets):
 
 def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
                    Theta: float | None = None,
-                   rho_k: Sequence[float] = DEFAULT_RHO_K,
                    tol: float = 1e-8,
                    z_min: float | None = None,
                    rho_max: float | None = None,
@@ -379,18 +378,24 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
                    rtol: float | None = None) -> ShrinkerProfile:
     """Construct the self-shrinking cap profile for parameter ``a``.
 
-    For each rho_k the IVP is integrated from data on the subsolution,
-    (psi, psi')(rho_k) = (w, w')(rho_k) with w = theta rho^2/(4 F(1,1)),
-    outward until the height coordinate z = a - psi/a drops to ``z_min``
-    (default: the neck constant L0) or rho reaches ``rho_max``.  Successive
-    solutions must agree to ``tol`` in sup norm on the shared window;
-    the deepest converged run is returned, with barrier-sandwich checks
-    enforced along the way.
+    The ODE is singular at rho = 0, so it is integrated outward from the
+    two-term tip series psi = rho^2/(4 F(1,1)), psi' = rho/(2 F(1,1)) until
+    the height coordinate z = a - psi/a drops to ``z_min`` (default: the
+    neck constant L0) or rho reaches ``rho_max``.  The series matches the
+    regular solution to second order (the z-term (rho psi' - psi)/(2 a^2)
+    vanishes at the tip), so its start error is far below the solver's.
+    Two solves are made: a primary one from rho = 2^-8 at ``rtol`` and a
+    check one from 2^-10 at ``rtol``/10.  The tighter check makes their
+    gap, the Cauchy test against ``tol`` in sup norm, bound the primary
+    solve's own error too; the check solve is returned.  Both must stay
+    between the subsolution theta rho^2/(4 F(1,1)) and the supersolution
+    Theta rho^2/(4 F(1,1)) of the existence proof.
 
-    Each IVP is solved at (1e-3 rtol, 1e-5 rtol), with ``rtol`` defaulting
-    to 1e-2 tol; the internal relative tolerance is floored at 100 machine
-    epsilons (~2.2e-14).  Tighter requests solve at the floor; a ``tol``
-    that this accuracy cannot meet fails the Cauchy test (NonConvergence).
+    Each IVP is solved at (1e-3, 1e-5) times its relative tolerance, with
+    ``rtol`` defaulting to 1e-2 tol; the internal relative tolerance is
+    floored at 100 machine epsilons (~2.2e-14).  Tighter requests solve at
+    the floor; a ``tol`` that this accuracy cannot meet fails the Cauchy
+    test (NonConvergence).
     """
     F01, f11, Q = speed.F01, speed.F11, speed.Q
     lo = f11 / Q if math.isfinite(Q) else 0.0
@@ -422,45 +427,32 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     dz_target = min(0.01 * a, 0.05)
     h_z_cap = dz_target * a
 
-    rho_k = sorted(rho_k, reverse=True)
     inv_a2 = 1.0 / a ** 2
-    prev = None
-    converged = False
-    result = None
-    gap = math.inf
-    cmp_grid = None
-    for idx, rk in enumerate(rho_k):
-        w0 = theta * rk ** 2 / (4.0 * f11)
-        w0p = theta * rk / (2.0 * f11)
-        rho, psi, psip, psipp = _integrate(
-            speed, inv_a2, rk, w0, w0p, rho_end, psi_stop,
-            rtol=rtol, atol=rtol * 1e-2, h_rho_cap=0.05, h_z_cap=h_z_cap)
-        _barrier_checks(speed, a, theta, Theta, rho, psi, psip)
-        if cmp_grid is None:
-            cmp_grid = np.geomspace(rho_k[0], rho[-1] * (1.0 - 1e-3), 400)
-        psi_interp = CubicHermiteSpline(rho, psi, psip)
-        cur = psi_interp(cmp_grid)
-        result = (idx, rho, psi, psip, psipp, psi_interp)
-        if prev is not None:
-            gap = float(np.max(np.abs(cur - prev) / (1.0 + np.abs(cur))))
-            if gap < tol:
-                converged = True
-                break
-        prev = cur
-    if not converged:
+    rho_s = 2.0 ** -8
+    solves = []
+    for start, solve_rtol in ((rho_s, rtol), (0.25 * rho_s, 0.1 * rtol)):
+        solve = _integrate(
+            speed, inv_a2, start, start ** 2 / (4.0 * f11),
+            start / (2.0 * f11), rho_end, psi_stop, rtol=solve_rtol,
+            atol=solve_rtol * 1e-2, h_rho_cap=0.05, h_z_cap=h_z_cap)
+        _barrier_checks(speed, a, theta, Theta, *solve[:3])
+        solves.append(solve)
+    (rho1, psi1, psip1, _), (rho, psi, psip, psipp) = solves
+    psi_interp = CubicHermiteSpline(rho, psi, psip)
+    cmp_grid = np.geomspace(rho_s, min(rho1[-1], rho[-1]) * (1.0 - 1e-3), 400)
+    check = psi_interp(cmp_grid)
+    primary = CubicHermiteSpline(rho1, psi1, psip1)(cmp_grid)
+    gap = float(np.max(np.abs(check - primary) / (1.0 + np.abs(check))))
+    if not gap < tol:
         raise NonConvergence(
-            f"successive profiles still differ by {gap:.3g} > tol = {tol:.3g} "
-            f"after {len(rho_k)} initial radii")
+            f"primary and check solves differ by {gap:.3g} >= tol = "
+            f"{tol:.3g}")
 
-    idx, rho, psi, psip, psipp, psi_interp = result
     monitor = EllipticityMonitor.from_profile(speed, rho, psi, psip, psipp,
                                               inv_a2)
-    # the subsolution start heals like (rho_k/rho)^3, so a station at
-    # rho = 0.05 sees none of it; Richardson in the station kills the rho^2
-    # variation of the true profile
+    # Richardson in the station kills the rho^2 variation of the true profile
     tip_curv = _tip_curvature(rho, psip, psipp, at=0.05)
-    # the rho-side arrays keep the construction's own start at rho_k (the
-    # data there sits on the subsolution, not on the limit profile); the
+    # the rho-side arrays start at the check solve's series start; the
     # z-side grid carries the exact tip node (z = a, v = 0) instead
 
     # z-representation on a uniform grid by monotone inversion of psi on
@@ -511,7 +503,7 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
         rho=rho, psi=psi, psi_rho=psip, psi_rhorho=psipp,
         z=z_full, v=v_full, v_z=vz_full, w=w_full, rho_of_z=rho_full,
         L0=L0, K=consts["K"], c_lower=consts["c"], monitor=monitor,
-        k_used=idx, cauchy_gap=gap, inversion_error=inv_err,
+        cauchy_gap=gap, inversion_error=inv_err,
         tip_curvature=tip_curv, w_tip=w_tip, M_knob=M, z_Ma=z_Ma,
         w_bar_holds=holds)
 

@@ -278,10 +278,6 @@ class ImplicitInverse:
     speed: SpeedFunction
     tol: float = 1e-12
 
-    def domain_cone(self) -> dict:
-        return {"lower": self.speed.F01, "upper": self.speed.Q,
-                "description": "F(0,1) < z/y < Q"}
-
     def __call__(self, y: float, z: float) -> float:
         y = float(y)
         z = float(z)

@@ -76,6 +76,19 @@ def test_shrinker_neck_report(shrinker_sum3_sweep):
     assert max(cs[-3:]) <= 2.0 * min(cs[-3:])
 
 
+def test_shrinker_neck_sweep_to_1600(sum3, shrinker_sum3_sweep):
+    # the neck bounds hold further out in a, and the fitted upper-bound
+    # constant settles as a grows
+    profiles = [*shrinker_sum3_sweep[2:],
+                *(gf.solve_shrinker(sum3, a, tol=1e-8)
+                  for a in (800.0, 1600.0))]
+    rep = fit_shrinker_neck(profiles, L=15.0)
+    assert rep["lower_ok"]
+    assert rep["upper"]["stable"]
+    cs = [row["C_fit"] for row in rep["upper"]["rows"]]
+    assert all(hi >= lo for hi, lo in zip(cs, cs[1:])), cs
+
+
 def test_shrinker_neck_sweep_guard(sum3, shrinker_sum3_sweep):
     profiles = [*shrinker_sum3_sweep[:2],
                 gf.solve_shrinker(sum3, 150.0, tol=1e-8),

@@ -108,9 +108,12 @@ def test_lambda_ceiling_finite(all_speeds):
 
 # -- shrinker -----------------------------------------------------------------
 
-def test_shrinker_tip_curvature(shrinker_sum3_a50, sum3):
-    assert shrinker_sum3_a50.tip_curvature == pytest.approx(
-        1.0 / (2.0 * sum3.F11), rel=1e-6)
+def test_shrinker_tip_curvature(shrinker_sum3_sweep, sum3):
+    # the tip series is exact to second order, so the Richardson estimate
+    # sees only the solver's error
+    for prof in shrinker_sum3_sweep:
+        assert prof.tip_curvature == pytest.approx(
+            1.0 / (2.0 * sum3.F11), rel=1e-9), prof.a
 
 
 def test_shrinker_lower_bound(shrinker_sum3_a50, sum3):
@@ -213,8 +216,42 @@ def test_shrinker_nonconvergence_raises(sum3):
     # tolerance substituted by the solver
     with pytest.raises(NonConvergence), warnings.catch_warnings():
         warnings.simplefilter("error")
-        solve_shrinker(sum3, 25.0, tol=1e-16,
-                       rho_k=[2.0 ** -k for k in range(4, 8)])
+        solve_shrinker(sum3, 25.0, tol=1e-16)
+
+
+@pytest.mark.parametrize("a", [25.0, 400.0])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind, k", [("sum", None), ("bh", None),
+                                     ("sigma_ratio", 2)])
+def test_shrinker_two_solves_converge(kind, k, n, a):
+    # primary and check solves pass the Cauchy test across the speed
+    # families, and the returned profile meets its own diagnostics
+    prof = solve_shrinker(gf.SpeedFunction(kind, n, k), a)
+    assert prof.cauchy_gap < prof.tol
+    assert prof.monitor.bounded
+    assert float(np.max(prof.residual_norms())) <= 10.0
+
+
+def test_shrinker_matches_subsolution_start(sum3, shrinker_sum3_a50):
+    # the existence proof's construction as an oracle: one IVP started on
+    # the subsolution theta rho^2/(4 F(1,1)) at rho_k = 2^-12 heals like
+    # (rho_k/rho)^3 and lands within tol of the series-started profile
+    from scipy.interpolate import CubicHermiteSpline
+    from gflowlab.solitons import _integrate
+    p = shrinker_sum3_a50
+    rk = 2.0 ** -12
+    rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sum3.F01) * p.a
+    rho, psi, psip, _ = _integrate(
+        sum3, 1.0 / p.a ** 2, rk, p.theta * rk ** 2 / (4.0 * sum3.F11),
+        p.theta * rk / (2.0 * sum3.F11), rho_end, p.a * (p.a - p.L0),
+        rtol=p.rtol, atol=p.rtol * 1e-2, h_rho_cap=0.05,
+        h_z_cap=0.05 * p.a)
+    grid = np.geomspace(2.0 ** -8, min(rho[-1], p.rho[-1]) * (1.0 - 1e-3),
+                        400)
+    oracle = CubicHermiteSpline(rho, psi, psip)(grid)
+    series = p.psi_at(grid)
+    gap = np.max(np.abs(oracle - series) / (1.0 + np.abs(series)))
+    assert gap < p.tol
 
 
 def test_shrinker_theta_window_checked(sum3, bh3):
