@@ -4,8 +4,8 @@ graph-flow stepping loops, in numpy and scipy.
 The speed algebra works elementwise on arrays and scalars.  Profiles are
 integrated by stepping scipy's ``LSODA`` solver class directly, with the
 height stop tested after each step; the explicit flow step is Heun's method
-and the semi-implicit step solves one tridiagonal system per step with
-``scipy.linalg.solve_banded``.
+and the semi-implicit step is the two-stage Rosenbrock method ROS2, with one
+LAPACK tridiagonal factorization (``dgttrf``) per step.
 
 Speed kinds are encoded as integers:
 
@@ -18,11 +18,12 @@ with per-kind constants (p0, p1, p2) prepared by ``speeds.SpeedFunction``.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 from scipy.integrate import LSODA
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
 # integrate_profile: internal tolerance relative to the profile's, the
@@ -32,6 +33,10 @@ INNER_TOL = 1e-3
 EPS = np.finfo(float).eps
 RTOL_FLOOR = 100.0 * EPS
 SAMPLE_STIFF = 8.0
+
+# ROS2's diagonal coefficient 1 + 1/sqrt(2): the value that makes the
+# two-stage method L-stable
+ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 
 KIND_SUM = 0
 KIND_BH = 1
@@ -229,19 +234,36 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
     return status, rho.size, samples, float(rho[-1]), ""
 
 
+def central_differences(v, dz):
+    """(v_z, v_zz) at the interior nodes, second-order central differences
+    along the last axis."""
+    vz = (v[..., 2:] - v[..., :-2]) / (2.0 * dz)
+    vzz = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / (dz * dz)
+    return vz, vzz
+
+
 def _discrete_pair(v, dz, cfac):
     """(ok, v_z, x, y) from central differences at the interior nodes.
 
     x = -v_zz/(1+v_z^2) and y = 1/v; ok is False when some node leaves the
     admissible cone (x + cfac*y <= 0) or has a non-positive radius.
     """
-    vz = (v[2:] - v[:-2]) / (2.0 * dz)
-    vzz = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dz * dz)
+    vz, vzz = central_differences(v, dz)
     core = v[1:-1]
     x = -vzz / (1.0 + vz * vz)
     y = 1.0 / core
     ok = not (np.min(x + cfac * y) <= 0.0 or np.min(core) <= 0.0)
     return ok, vz, x, y
+
+
+def _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y):
+    """(rhs, F, F_x) at the interior nodes from the discrete curvature pair."""
+    g = speed_F(kind, p0, p1, p2, x, y)
+    fx = speed_Fx(kind, p0, p1, p2, x, y)
+    rhs = -g
+    if mode == 1:
+        rhs = rhs + 0.5 * (v[1:-1] - z[1:-1] * vz)
+    return rhs, g, fx
 
 
 def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
@@ -253,13 +275,33 @@ def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
     ok, vz, x, y = _discrete_pair(v, dz, cfac)
     if not ok:
         return False, 0.0 * v[1:-1], 0.0
-    g = speed_F(kind, p0, p1, p2, x, y)
-    fx = speed_Fx(kind, p0, p1, p2, x, y)
-    if mode == 0:
-        rhs = -g
-    else:
-        rhs = -g + 0.5 * (v[1:-1] - z[1:-1] * vz)
+    rhs, _, fx = _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y)
     return True, rhs, np.max(fx)
+
+
+def graph_jacobian(mode, z, dz, vz, x, y, g, fx):
+    """Closed-form tridiagonal Jacobian of ``graph_rhs``.
+
+    Returns (lower, main, upper): the derivatives of the rhs at interior
+    node i by v[i-1], v[i] and v[i+1], from the curvature pair (x, y), the
+    slope v_z and F, F_x at the interior nodes.  With q = 1/(1+v_z^2),
+    x = -q v_zz gives dx/dv[i+-1] = -q/dz^2 -+ x v_z q/dz and
+    dx/dv[i] = 2q/dz^2; y = 1/v gives dy/dv[i] = -y^2, and Euler's relation
+    F_y = (F - x F_x)/y closes the chain rule.  The rescaled drift
+    (v - z v_z)/2 adds 1/2 to the diagonal and -+ z/(4 dz) beside it.
+    """
+    q = 1.0 / (1.0 + vz * vz)
+    diff = fx * q / (dz * dz)
+    adv = fx * q * x * vz / dz
+    lower = diff - adv
+    upper = diff + adv
+    main = (g - x * fx) * y - 2.0 * diff
+    if mode == 1:
+        drift = z[1:-1] / (4.0 * dz)
+        lower = lower + drift
+        upper = upper - drift
+        main = main + 0.5
+    return lower, main, upper
 
 
 def _apply_bc(v, bc_mode, bl, br):
@@ -341,40 +383,69 @@ def flow_run(kind, p0, p1, p2, cfac, mode,
 def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
                              v0, z, dz, dt, nsteps,
                              bc_mode, bcl, bcr,
-                             r_floor, rec_every, rec, rec_t):
-    """Semi-implicit stepping of the radial flow, first order in time.
+                             r_floor, rec_every, rec, rec_t, mode):
+    """Linearly implicit stepping of the radial (mode 0) or rescaled
+    (mode 1) flow: the two-stage L-stable Rosenbrock method ROS2 of Verwer,
+    Spee, Blom & Hundsdorfer (1999), second order in time.
 
-    The speed is linearized in x about the current state, with the
-    coefficient dF/dx frozen there, and the resulting diffusion is taken
-    implicitly (one tridiagonal solve per step); this removes the explicit
-    CFL restriction in stiff small-radius regimes.  bc_mode 0 takes the
-    Dirichlet tables bcl / bcr; any other mode keeps the boundary values
-    frozen.  z is unused (the radial flow has no drift term).
+    On the interior nodes, with J the closed-form tridiagonal Jacobian
+    (``graph_jacobian``) at the step's start, gamma = ``ROS2_GAMMA`` and
+    W = I - gamma dt J factored once by LAPACK ``dgttrf``:
+
+        W k1 = f(t, v) + gamma dt f_t
+        W k2 = f(t + dt, v + dt k1) - 2 k1 - gamma dt f_t
+        v   += dt (3 k1 + k2) / 2
+
+    bc_mode 0 takes the Dirichlet tables bcl / bcr; f_t, the rhs's time
+    derivative through the boundary data, is J's coupling to each boundary
+    node times the data's time derivative (central differences of the
+    tables), so it is nonzero at the two end rows only.  Without it
+    the time-dependent data cost the method its order near the boundary
+    (Lubich & Ostermann 1995).  bc_mode 1 keeps the boundary values frozen
+    (f_t = 0); extrapolated boundaries (bc_mode 2) are not supported.  No
+    CFL limit applies.  A step or stage state outside the admissible cone
+    stops the run with STATUS_CONE, a singular W with STATUS_SOLVER.  z is
+    only read by the rescaled drift.
 
     Returns (status, n_recorded, n_steps_done).
     """
-    m = v0.shape[0]
-    # (upper, main, lower) diagonals in solve_banded's layout; the boundary
-    # rows are the identity
-    bands = np.zeros((3, m))
-    bands[1] = 1.0
+    gdt = ROS2_GAMMA * dt
+    dirichlet = bc_mode == 0
+    if dirichlet and bcl.size > 1:
+        dbl = np.gradient(bcl, dt)
+        dbr = np.gradient(bcr, dt)
 
-    def implicit(v, s):
+    def ros2(v, s):
         ok, vz, x, y = _discrete_pair(v, dz, cfac)
         if not ok:
             return STATUS_CONE
-        fx = speed_Fx(kind, p0, p1, p2, x, y)
-        mu = dt * fx / ((1.0 + vz * vz) * dz * dz)
-        bands[0, 2:] = -mu
-        bands[1, 1:-1] = 1.0 + 2.0 * mu
-        bands[2, :-2] = -mu
-        b = v.copy()
-        b[1:-1] = v[1:-1] - dt * (speed_F(kind, p0, p1, p2, x, y) - fx * x)
-        if bc_mode == 0:
-            b[0] = bcl[s + 1]
-            b[-1] = bcr[s + 1]
-        v[:] = solve_banded((1, 1), bands, b)
+        f1, g, fx = _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y)
+        lower, main, upper = graph_jacobian(mode, z, dz, vz, x, y, g, fx)
+        dl, d, du, du2, ipiv, info = dgttrf(-gdt * lower[1:],
+                                            1.0 - gdt * main,
+                                            -gdt * upper[:-1])
+        if info != 0:
+            return STATUS_SOLVER
+        if dirichlet:  # gamma dt f_t
+            ftl = gdt * lower[0] * dbl[s]
+            ftr = gdt * upper[-1] * dbr[s]
+            f1[0] += ftl
+            f1[-1] += ftr
+        k1, _ = dgttrs(dl, d, du, du2, ipiv, f1)
+        stage = v.copy()
+        stage[1:-1] += dt * k1
+        _apply_bc(stage, bc_mode, bcl[s + 1], bcr[s + 1])
+        ok, f2, _ = graph_rhs(kind, p0, p1, p2, cfac, mode, stage, z, dz)
+        if not ok:
+            return STATUS_CONE
+        f2 = f2 - 2.0 * k1
+        if dirichlet:
+            f2[0] -= ftl
+            f2[-1] -= ftr
+        k2, _ = dgttrs(dl, d, du, du2, ipiv, f2)
+        v[1:-1] += dt * (1.5 * k1 + 0.5 * k2)
+        _apply_bc(v, bc_mode, bcl[s + 1], bcr[s + 1])
         return STATUS_OK
 
-    return _stepping_loop(implicit, v0, dt, nsteps, r_floor, rec_every, rec,
+    return _stepping_loop(ros2, v0, dt, nsteps, r_floor, rec_every, rec,
                           rec_t)

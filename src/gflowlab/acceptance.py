@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf
 
-from . import fits, flow, geometry, solitons, spectral, speeds
+from . import _accel, fits, flow, geometry, solitons, spectral, speeds
 from .flow import (BoundaryCondition, RadialFlowState, run_flow,
                    cylinder_radius, shrinking_cylinder_reference,
                    state_from_reference, step_plan,
@@ -197,8 +197,7 @@ def criterion_8():
     delta = 0.05
     z = np.linspace(-12.0, 12.0, int(round(24 / delta)) + 1)
     u = z ** 2 / a - 2.0
-    uz = (u[2:] - u[:-2]) / (2 * delta)
-    uzz = (u[2:] - 2 * u[1:-1] + u[:-2]) / delta ** 2
+    uz, uzz = _accel.central_differences(u, delta)
     lu = a * uzz - 0.5 * z[1:-1] * uz + u[1:-1]
     zero_action = float(np.max(np.abs(lu)))
     basis = spectral.build_basis(a, K=8, quad_order=60)

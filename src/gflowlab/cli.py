@@ -26,6 +26,11 @@ from .flow import (BoundaryCondition, RadialFlowState, run_flow,
                    translating_bowl_reference, translation_speed)
 from .speeds import SpeedFunction
 
+# steps of the linearly implicit (ROS2) runs of `rescaled` and `spectral`:
+# one per recorded snapshot
+RESCALED_STEPS = 100
+SPECTRAL_STEPS_PER_UNIT = 8
+
 
 def parse_config(path: str) -> dict:
     with open(path) as fh:
@@ -247,13 +252,14 @@ def cmd_rescaled(args, cfg) -> int:
     z = np.linspace(-window, window, n)
     st = RadialFlowState("rescaled", z, _rescaled_seed(seed_mode, amp, sp,
                                                        basis, z), 0.0, sp)
-    dt, nsteps = step_plan(sp, delta, tau_end)
+    nsteps = RESCALED_STEPS
+    dt = tau_end / nsteps
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
-                    record_every=max(1, nsteps // 100))
+                    scheme="semi_implicit", record_every=1)
     manifest = {"speed": sp.to_config(), "seed_mode": seed_mode, "amp": amp,
                 "grid": {"window": window, "delta": delta},
-                "scheme": "rk2", "tau_end": tau_end,
-                "boundary": "frozen", "seed": None}
+                "scheme": hist.scheme, "dt": dt, "nsteps": nsteps,
+                "tau_end": tau_end, "boundary": "frozen", "seed": None}
     if seed_mode == "cylinder":
         manifest["max_drift"] = float(
             np.max(np.abs(hist.snapshots - cylinder_radius(sp))))
@@ -306,9 +312,10 @@ def cmd_spectral(args, cfg) -> int:
                          _rescaled_seed(seed_mode, amp, sp, basis, z),
                          0.0, sp)
     tau_end = float(windows + 1)
-    dt, nsteps = step_plan(sp, delta, tau_end)
+    nsteps = int(SPECTRAL_STEPS_PER_UNIT * tau_end)
+    dt = tau_end / nsteps
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
-                    record_every=max(1, int(nsteps // (tau_end * 8))))
+                    scheme="semi_implicit", record_every=1)
     trace = spectral.gamma_trace_from_run(hist, basis, r=r_exp, L=big_l)
     verdict = spectral.merle_zaag_classifier(trace)
     output.write_csv(os.path.join(outdir, "gamma_trace.csv"),
@@ -324,6 +331,7 @@ def cmd_spectral(args, cfg) -> int:
     manifest = {"speed": sp.to_config(), "seed_mode": seed_mode,
                 "windows": windows, "r": r_exp, "L": big_l, "amp": amp,
                 "sandwich_constant": trace.sandwich_constant,
+                "scheme": hist.scheme, "dt": dt, "nsteps": nsteps,
                 "verdict": verdict, "seed": None, "pass": True}
     output.write_json(os.path.join(outdir, "spectral_manifest.json"),
                       manifest)

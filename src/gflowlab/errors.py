@@ -34,7 +34,8 @@ class Pinch(GFlowError, RuntimeError):
 
 
 class StabilityViolation(GFlowError, RuntimeError):
-    """A time step violates the CFL-type constraint of the explicit scheme."""
+    """A time step violates the CFL-type constraint of the explicit scheme,
+    or makes the linearly implicit step matrix singular."""
 
 
 class InsufficientTail(GFlowError, RuntimeError):

@@ -8,8 +8,8 @@ Two scalar 1D reductions are evolved on uniform grids:
 The rescaled form is the graph reduction of motion with normal velocity
 -(G - <x, nu>/2); its stationary points are the cylinder v = sqrt(2 F(0,1))
 and the shrinker caps, which the test suite uses as regressions.  Schemes:
-explicit Heun with a CFL guard (default) and a semi-implicit variant for
-stiff small-radius regimes.
+explicit Heun with a CFL guard (default) and the linearly implicit
+Rosenbrock method ROS2, second order in time with no CFL limit.
 """
 
 from __future__ import annotations
@@ -71,32 +71,36 @@ class RadialFlowState:
 @dataclass
 class BoundaryCondition:
     """Boundary handling for a run: Dirichlet callables, frozen, or
-    one-sided quadratic extrapolation from the interior."""
+    one-sided quadratic extrapolation from the interior.
+
+    Dirichlet callables take an array of times and return the boundary
+    values at those times (a scalar broadcasts to all of them)."""
 
     mode: str = "frozen"
-    left: Callable[[float], float] | None = None
-    right: Callable[[float], float] | None = None
+    left: Callable[[np.ndarray], np.ndarray] | None = None
+    right: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
-    def dirichlet(cls, left: Callable[[float], float],
-                  right: Callable[[float], float]):
+    def dirichlet(cls, left: Callable[[np.ndarray], np.ndarray],
+                  right: Callable[[np.ndarray], np.ndarray]):
         return cls(mode="dirichlet", left=left, right=right)
 
     @classmethod
-    def from_reference(cls, ref: Callable[[np.ndarray, float], np.ndarray],
+    def from_reference(cls, ref: Callable[[np.ndarray, np.ndarray],
+                                          np.ndarray],
                        z_left: float, z_right: float):
-        return cls(mode="dirichlet",
-                   left=lambda t: float(ref(np.array([z_left]), t)[0]),
-                   right=lambda t: float(ref(np.array([z_right]), t)[0]))
+        return cls(mode="dirichlet", left=lambda t: ref(z_left, t),
+                   right=lambda t: ref(z_right, t))
 
     def tables(self, z, t0, dt, nsteps):
+        """(left, right) boundary values at t0 + dt * (0, ..., nsteps), one
+        callback call per side."""
         times = t0 + dt * np.arange(nsteps + 1)
+        bl = np.zeros(nsteps + 1)
+        br = np.zeros(nsteps + 1)
         if self.mode == "dirichlet":
-            bl = np.array([self.left(t) for t in times])
-            br = np.array([self.right(t) for t in times])
-        else:
-            bl = np.zeros(nsteps + 1)
-            br = np.zeros(nsteps + 1)
+            bl = bl + self.left(times)
+            br = br + self.right(times)
         return bl, br
 
 
@@ -144,6 +148,10 @@ def _raise_for_status(status, nsteps_done, dt):
     if status == _accel.STATUS_CFL:
         raise StabilityViolation(
             "dt violates the CFL constraint safety*dz^2/(2 max dF/dx)")
+    if status == _accel.STATUS_SOLVER:
+        raise StabilityViolation(
+            f"singular linearly implicit step matrix at step {nsteps_done}; "
+            "reduce dt")
 
 
 def run_flow(state: RadialFlowState, dt: float, nsteps: int,
@@ -155,9 +163,11 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     """Advance a radial/rescaled state by ``nsteps`` steps of size ``dt``.
 
     ``scheme="rk2"`` is Heun's method (second order in time) under a CFL
-    guard.  ``scheme="semi_implicit"`` is first order in time, radial only,
-    and takes Dirichlet or frozen boundaries; it raises ValueError for any
-    other representation or boundary mode.  Snapshots are recorded every
+    guard; it steps both representations with any boundary mode.
+    ``scheme="semi_implicit"`` is the linearly implicit Rosenbrock method
+    ROS2 (second order in time, L-stable, no CFL limit); it steps both
+    representations with Dirichlet or frozen boundaries and raises
+    ValueError for ``extrapolate``.  Snapshots are recorded every
     ``record_every`` steps (default: ~200 records per run).  Raises
     ConeExit / Pinch / StabilityViolation as the corresponding invariant
     fails.
@@ -181,8 +191,6 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
             _BC_CODES[bc.mode], bl, br, float(r_floor), float(cfl_limit),
             int(record_every), rec, rec_t)
     elif scheme == "semi_implicit":
-        if mode != 0:
-            raise ValueError("semi-implicit stepping is for the radial flow")
         if bc.mode not in ("dirichlet", "frozen"):
             raise ValueError("semi-implicit stepping takes dirichlet or "
                              f"frozen boundaries, not {bc.mode!r}")
@@ -190,7 +198,7 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
             state.speed.code, p0, p1, p2, state.speed.cone_factor,
             state.values, state.z, state.dz, float(dt), int(nsteps),
             _BC_CODES[bc.mode], bl, br, float(r_floor),
-            int(record_every), rec, rec_t)
+            int(record_every), rec, rec_t, mode)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     _raise_for_status(status, ndone, dt)
@@ -250,12 +258,14 @@ def step_plan(speed: SpeedFunction, delta: float, t_end: float,
 # -- reference solutions ----------------------------------------------------
 
 def shrinking_cylinder_reference(speed: SpeedFunction, r0: float):
-    """Exact shrinking cylinder r(t) = sqrt(r0^2 - 2 F(0,1) t)."""
+    """Exact shrinking cylinder r(t) = sqrt(r0^2 - 2 F(0,1) t); z and t
+    broadcast against each other."""
     f01 = speed.F01
 
     def ref(z, t):
-        z = np.asarray(z, dtype=float)
-        return np.full_like(z, math.sqrt(r0 ** 2 - 2.0 * f01 * t))
+        r = np.sqrt(r0 ** 2 - 2.0 * f01 * np.asarray(t, dtype=float))
+        return np.broadcast_to(r, np.broadcast_shapes(np.shape(z),
+                                                      r.shape)).copy()
 
     return ref
 
@@ -263,12 +273,14 @@ def shrinking_cylinder_reference(speed: SpeedFunction, r0: float):
 def translating_bowl_reference(bowl: BowlProfile, tip_speed: float = 0.5):
     """Radial graph r(z, t) of the bowl translating vertically.
 
-    The tip sits at height 0 at t = 0, so r(z, t) = zeta^{-1}(z - tip_speed*t).
+    The tip sits at height 0 at t = 0, so r(z, t) = zeta^{-1}(z - tip_speed*t);
+    z and t broadcast against each other.
     """
     inverse = bowl.radius_of_height()
 
     def ref(z, t):
-        return np.asarray(inverse(np.asarray(z, dtype=float) - tip_speed * t))
+        return inverse(np.asarray(z, dtype=float)
+                       - tip_speed * np.asarray(t, dtype=float))
 
     return ref
 
@@ -374,13 +386,10 @@ def tip_neck_diagnostics(history: FlowHistory,
     sel = (z[1:-1] >= window[0]) & (z[1:-1] <= window[1])
     if np.count_nonzero(sel) < 8:
         raise InsufficientTail("fewer than 8 interior nodes in the window")
-    vals = []
     half = max(1, history.snapshots.shape[0] // 2)
-    for snap in history.snapshots[-half:]:
-        rz = (snap[2:] - snap[:-2]) / (2 * dz)
-        rrz = snap[1:-1] * rz
-        vals.append(rrz[sel])
-    vals = np.asarray(vals)
+    snaps = history.snapshots[-half:]
+    rz, _ = _accel.central_differences(snaps, dz)
+    vals = (snaps[:, 1:-1] * rz)[:, sel]
     est = float(np.mean(vals))
     spread = float(np.max(vals) - np.min(vals))
     if spread > max(0.5 * abs(est), 1e-4 * (1.0 + abs(est))):
@@ -445,8 +454,7 @@ def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
             return np.asarray(rhs)
 
         d_num = (nonlinear(sigma + eps * u) - nonlinear(sigma - eps * u)) / (2 * eps)
-        uz = (u[2:] - u[:-2]) / (2 * delta)
-        uzz = (u[2:] - 2 * u[1:-1] + u[:-2]) / delta ** 2
+        uz, uzz = _accel.central_differences(u, delta)
         lu = a * uzz - 0.5 * z[1:-1] * uz + u[1:-1]
         scale = max(1.0, float(np.max(np.abs(lu))))
         dev.append(float(np.max(np.abs(d_num - lu)) / scale))

@@ -23,7 +23,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
+# not called in this module: a module attribute for perfbench/tracer.py,
+# which counts scalar inversions under this name
+from scipy.optimize import brentq  # noqa: F401
 
 from . import _accel
 from .errors import (BarrierViolation, ConeExit, NonConvergence,
@@ -160,19 +162,15 @@ class BowlProfile:
     def radius_of_height(self):
         """Monotone inverse rho(zeta), for building radial graphs r(z).
 
-        Solves zeta(rho) = z per point on the Hermite spline, so the
-        inverse inherits the spline's accuracy."""
+        Inverts the Hermite spline of zeta at all requested heights in one
+        vectorized pass (``_monotone_inverse``), so the inverse inherits
+        the spline's accuracy; the result has the shape of the heights."""
         spline = self._hermite("zeta", self.zeta, self.zeta_rho)
-        zeta, rho = self.zeta, self.rho
 
         def inverse(zvals):
-            zvals = np.atleast_1d(np.asarray(zvals, dtype=float))
-            out = np.empty_like(zvals)
-            for i, zt in enumerate(zvals):
-                j = int(np.clip(np.searchsorted(zeta, zt), 1, rho.size - 1))
-                out[i] = brentq(lambda r: float(spline(r)) - zt,
-                                rho[j - 1], rho[j], xtol=1e-13, rtol=1e-15)
-            return out
+            zvals = np.asarray(zvals, dtype=float)
+            return _monotone_inverse(spline, self.rho, self.zeta,
+                                     zvals.ravel()).reshape(zvals.shape)
 
         return inverse
 

@@ -68,3 +68,39 @@ def test_stepping_loop_time_stamps_exact():
         rec, rec_t)
     assert (status, nrec, nsteps) == (_accel.STATUS_OK, 2, 12000)
     assert rec_t[-1] == 6.0
+
+
+@pytest.mark.parametrize("kind,n,k", [("sum", 3, None), ("bh", 3, None),
+                                      ("sigma_ratio", 4, 2)])
+@pytest.mark.parametrize("mode", [0, 1])
+def test_graph_jacobian_matches_finite_differences(kind, n, k, mode):
+    sp = SpeedFunction(kind, n, k)
+    p0, p1, p2 = sp.params
+    z = np.linspace(-3.0, 3.0, 31)
+    dz = z[1] - z[0]
+    v = 2.0 + 0.3 * np.sin(z) + 0.1 * z
+
+    def rhs(vals):
+        ok, out, _ = _accel.graph_rhs(sp.code, p0, p1, p2, sp.cone_factor,
+                                      mode, vals, z, dz)
+        assert ok
+        return out
+
+    ok, vz, x, y = _accel._discrete_pair(v, dz, sp.cone_factor)
+    f, g, fx = _accel._rhs_terms(sp.code, p0, p1, p2, mode, v, z, vz, x, y)
+    np.testing.assert_array_equal(f, rhs(v))
+    bands = _accel.graph_jacobian(mode, z, dz, vz, x, y, g, fx)
+    h = 1e-6
+    fd = np.empty((v.size - 2, v.size))
+    for j in range(v.size):
+        e = np.zeros(v.size)
+        e[j] = h
+        fd[:, j] = (rhs(v + e) - rhs(v - e)) / (2.0 * h)
+    rows = np.arange(v.size - 2)
+    scale = np.max(np.abs(fd))
+    for offset, band in enumerate(bands):
+        np.testing.assert_allclose(band, fd[rows, rows + offset], rtol=0.0,
+                                   atol=1e-8 * scale)
+    # nothing outside the three bands
+    fd[rows, rows] = fd[rows, rows + 1] = fd[rows, rows + 2] = 0.0
+    assert np.max(np.abs(fd)) == 0.0

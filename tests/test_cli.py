@@ -69,6 +69,10 @@ def test_rescaled_k2_preset(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "rescaled_manifest.json").read_text())
     assert manifest["pass"] is True
+    # one ROS2 step per recorded snapshot
+    assert manifest["scheme"] == "semi_implicit"
+    assert manifest["nsteps"] == 100
+    assert manifest["dt"] == 1.0 / 100
 
 
 def test_spectral_k2_neutral_verdict(tmp_path):
@@ -77,6 +81,10 @@ def test_spectral_k2_neutral_verdict(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "spectral_manifest.json").read_text())
     assert manifest["verdict"]["verdict"] == "neutral-dominated"
+    # 8 ROS2 steps per time unit over windows + 1 = 9 units
+    assert manifest["scheme"] == "semi_implicit"
+    assert manifest["nsteps"] == 72
+    assert manifest["dt"] == 9.0 / 72
     trace, meta = read_csv(tmp_path / "gamma_trace.csv")
     assert "Gamma_plus" in trace
     assert (tmp_path / "eigen_table.csv").exists()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gflowlab as gf
+from gflowlab import _accel
 from gflowlab.errors import (ConeExit, DomainViolation, InsufficientTail,
                              Pinch, StabilityViolation)
 from gflowlab.flow import (BoundaryCondition, RadialFlowState,
@@ -121,7 +122,7 @@ def test_ordering_preserved_semi_implicit(sum3, rng):
 
 
 def test_semi_implicit_matches_explicit(sum3):
-    # on a smooth state both schemes agree to O(dt)
+    # on a smooth state both second-order schemes agree to O(dt^2)
     ref = shrinking_cylinder_reference(sum3, 2.0)
     st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
@@ -132,11 +133,69 @@ def test_semi_implicit_matches_explicit(sum3):
 
 
 def test_semi_implicit_cylinder_error(sum3):
-    # first order in time: at dt = 1.25e-4 the error is the scheme's own
+    # the CLI preset's own check: ROS2 at the preset dt = 1.25e-4
     hist = _cylinder_run(sum3, 2.0, 0.025, 0.25, scheme="semi_implicit")
     exact = math.sqrt(4.0 - 2.0 * sum3.F01 * 0.25)
     err = float(np.max(np.abs(hist.final_state.values - exact)))
-    assert err == pytest.approx(1.038e-5, rel=1e-3)
+    assert err <= 1e-6
+
+
+def test_semi_implicit_stage_cone_exit(sum3):
+    # the start state is admissible; ROS2's stage at dt = 0.01 is not
+    z = np.linspace(-2.0, 2.0, 81)
+    st = RadialFlowState("radial", z, 1.0 - 0.9 * np.exp(-2.0 * z ** 2),
+                         0.0, sum3)
+    assert _accel._discrete_pair(st.values, st.dz, sum3.cone_factor)[0]
+    with pytest.raises(ConeExit, match="step 0"):
+        run_flow(st, 0.01, 1, bc=BoundaryCondition(mode="frozen"),
+                 scheme="semi_implicit")
+
+
+@pytest.fixture(scope="module")
+def bowl_window(sum3):
+    """Criterion 7's window z in [5, 25] on a tight (tol 1e-12) sum n=3
+    bowl: (translating reference, state and Dirichlet data at delta)."""
+    bowl = gf.solve_bowl(sum3, rho_max=60.0, tol=1e-12)
+    ref = translating_bowl_reference(bowl, tip_speed=0.5)
+
+    def at(delta):
+        st = state_from_reference(sum3, ref, 5.0, 25.0, delta)
+        return st, BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
+
+    return ref, at
+
+
+def test_heun_spatial_order_bowl_window(sum3, bowl_window):
+    # z-dependent data: the O(delta^2) stencil error dominates Heun's
+    # O(dt^2) = O(delta^4) time error at the CFL step
+    ref, at = bowl_window
+    t_end = 0.25
+    errs = []
+    for delta in (0.1, 0.05, 0.025):
+        st, bc = at(delta)
+        dt, nsteps = step_plan(sum3, delta, t_end)
+        hist = run_flow(st, dt, nsteps, bc=bc, record_every=nsteps)
+        errs.append(float(np.max(np.abs(hist.final_state.values
+                                        - ref(st.z, t_end)))))
+    assert errs[0] / errs[1] >= 3.5
+    assert errs[1] / errs[2] >= 3.5
+
+
+def test_semi_implicit_second_order_bowl_window(sum3, bowl_window):
+    # fixed delta = 0.05; the reference is Heun at half its CFL step, whose
+    # time error is ~1e-10 against ROS2's >= 6e-8 here
+    _, at = bowl_window
+    st, bc = at(0.05)
+    dt, nsteps = step_plan(sum3, 0.05, 1.0)
+    tight = run_flow(st, dt / 2, 2 * nsteps, bc=bc,
+                     record_every=2 * nsteps).final_state.values
+    errs = []
+    for n in (160, 320, 640):
+        hist = run_flow(st, 1.0 / n, n, bc=bc, scheme="semi_implicit",
+                        record_every=n)
+        errs.append(float(np.max(np.abs(hist.final_state.values - tight))))
+    assert errs[0] / errs[1] >= 3.5
+    assert errs[1] / errs[2] >= 3.5
 
 
 def test_semi_implicit_rejects_extrapolate(sum3):
@@ -156,6 +215,9 @@ def test_cylinder_fixed_point(sum3):
     assert float(np.max(np.abs(rescaled_rhs(st)))) == 0.0
     new = step_rescaled(st, 1e-3, bc=BoundaryCondition(mode="frozen"))
     assert np.max(np.abs(new.values - sigma)) == 0.0
+    hist = run_flow(st, 0.1, 10, bc=BoundaryCondition(mode="frozen"),
+                    scheme="semi_implicit")
+    assert np.max(np.abs(hist.snapshots - sigma)) == 0.0
 
 
 def test_shrinker_stationarity_refinement(sum3, shrinker_sum3_a50):
@@ -185,6 +247,29 @@ def test_k0_mode_growth_rate(sum3):
     assert slope == pytest.approx(1.0, rel=0.05)
 
 
+def test_semi_implicit_k1_rate(sum3):
+    # ROS2 at dt = 0.01, 16x Heun's CFL step, keeps criterion 10's 5% on
+    # the k=1 eigenvalue 1/2 and lands within 1e-3 of Heun's rate
+    sigma = cylinder_radius(sum3)
+    basis = build_basis(sum3.a_lin, K=4, quad_order=40)
+    delta = 0.05
+    z = np.linspace(-14.0, 14.0, int(round(28 / delta)) + 1)
+    st = RadialFlowState("rescaled", z, sigma + 1e-4 * basis.value(1, z),
+                         0.0, sum3)
+    frozen = BoundaryCondition(mode="frozen")
+    dt, nsteps = step_plan(sum3, delta, 1.0)
+    rates = []
+    for hist in (run_flow(st, dt, nsteps, bc=frozen,
+                          record_every=max(1, nsteps // 100)),
+                 run_flow(st, 0.01, 100, bc=frozen, scheme="semi_implicit",
+                          record_every=1)):
+        sup = hist.sup_deviation(sigma, window=4.0)
+        rates.append(float(np.polyfit(hist.times, np.log(sup), 1)[0]))
+    heun, ros2 = rates
+    assert ros2 == pytest.approx(0.5, rel=0.05)
+    assert ros2 == pytest.approx(heun, rel=1e-3)
+
+
 # -- linearization --------------------------------------------------------------
 
 def test_linearize_at_cylinder(sum3, bh3):
@@ -203,8 +288,7 @@ def test_zero_mode_direction(sum3):
     delta = 0.05
     z = np.linspace(-10.0, 10.0, int(round(20 / delta)) + 1)
     u = z ** 2 / a - 2.0
-    uz = (u[2:] - u[:-2]) / (2 * delta)
-    uzz = (u[2:] - 2 * u[1:-1] + u[:-2]) / delta ** 2
+    uz, uzz = _accel.central_differences(u, delta)
     lu = a * uzz - 0.5 * z[1:-1] * uz + u[1:-1]
     assert float(np.max(np.abs(lu))) <= 1e-10
 
@@ -214,8 +298,7 @@ def test_constant_direction_eigenvalue_one(sum3):
     delta = 0.05
     z = np.linspace(-10.0, 10.0, int(round(20 / delta)) + 1)
     u = np.ones_like(z)
-    uz = (u[2:] - u[:-2]) / (2 * delta)
-    uzz = (u[2:] - 2 * u[1:-1] + u[:-2]) / delta ** 2
+    uz, uzz = _accel.central_differences(u, delta)
     lu = a * uzz - 0.5 * z[1:-1] * uz + u[1:-1]
     assert np.allclose(lu, u[1:-1])
 
@@ -364,3 +447,19 @@ def test_extrapolate_boundary_mode(sum3):
                     record_every=nsteps)
     exact = math.sqrt(4.0 - 2.0 * sum3.F01 * nsteps * 2e-4)
     assert float(np.max(np.abs(hist.final_state.values - exact))) <= 1e-6
+
+
+def test_dirichlet_tables_one_call_per_side(sum3, bowl_sum3):
+    calls = []
+
+    def left(t):
+        calls.append(np.shape(t))
+        return 2.5  # a scalar broadcasts over the times
+
+    ref = translating_bowl_reference(bowl_sum3, tip_speed=0.5)
+    bc = BoundaryCondition.dirichlet(left, lambda t: ref(25.0, t))
+    bl, br = bc.tables(None, 0.5, 0.01, 40)
+    assert calls == [(41,)]
+    assert np.all(bl == 2.5)
+    times = 0.5 + 0.01 * np.arange(41)
+    assert np.array_equal(br, [ref(np.array([25.0]), t)[0] for t in times])

@@ -173,6 +173,23 @@ def test_shrinker_vectorized_inversion(shrinker_sum3_a50):
     np.testing.assert_allclose(p.rho_of_z[:-1], ref, rtol=0.0, atol=2e-13)
 
 
+def test_bowl_radius_of_height_matches_brentq(sum3):
+    # the translating-bowl boundary data of `flow --preset bowl-translation`:
+    # 2001 heights z - t/2 at the left end of the window over t in [0, 1]
+    from scipy.interpolate import CubicHermiteSpline
+    from scipy.optimize import brentq
+    bowl = solve_bowl(sum3, rho_max=60.0, tol=1e-10)
+    heights = 5.0 - 0.5 * np.linspace(0.0, 1.0, 2001)
+    grid = bowl.radius_of_height()(heights.reshape(1, -1))
+    assert grid.shape == (1, 2001)
+    spline = CubicHermiteSpline(bowl.rho, bowl.zeta, bowl.zeta_rho)
+    j = np.clip(np.searchsorted(bowl.zeta, heights), 1, bowl.rho.size - 1)
+    ref = [brentq(lambda r: float(spline(r)) - h, bowl.rho[i - 1],
+                  bowl.rho[i], xtol=1e-13, rtol=1e-15)
+           for h, i in zip(heights, j)]
+    np.testing.assert_allclose(grid[0], ref, rtol=0.0, atol=2e-13)
+
+
 def test_monotone_inverse_flat_nodes():
     # zero slopes at the nodes throw Newton out of its bracket near them and
     # put some targets exactly on a node; brentq per target is the reference
