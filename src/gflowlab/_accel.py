@@ -3,7 +3,8 @@ graph-flow stepping loops, in numpy and scipy.
 
 The speed algebra works elementwise on arrays and scalars.  Profiles are
 integrated by stepping scipy's ``LSODA`` solver class directly, with the
-height stop tested after each step; the explicit flow step is Heun's method
+height stop tested after each step, and kept as its steps' Nordsieck
+polynomials (``StepPolynomials``).  The explicit flow step is Heun's method
 and the semi-implicit step is the two-stage Rosenbrock method ROS2, with one
 LAPACK tridiagonal factorization (``dgttrf``) per step.
 
@@ -26,13 +27,13 @@ from scipy.integrate import LSODA
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
-# integrate_profile: internal tolerance relative to the profile's, the
-# smallest rtol scipy accepts without clamping it, and the sample spacing
-# in units of the fast time scale 1/|d psi''/d psi'|
+# integrate_profile: internal tolerance relative to the profile's, and the
+# smallest rtol scipy accepts without clamping it
 INNER_TOL = 1e-3
 EPS = np.finfo(float).eps
 RTOL_FLOOR = 100.0 * EPS
-SAMPLE_STIFF = 8.0
+# 3-point Gauss-Legendre nodes on [0, 1]
+GAUSS3 = 0.5 + 0.5 * np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 
 # ROS2's diagonal coefficient 1 + 1/sqrt(2): the value that makes the
 # two-stage method L-stable
@@ -93,7 +94,7 @@ def _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip):
     Works elementwise on arrays.  The closed-form inverse extends smoothly a
     little below z/y = F(0,1), which trial states of the solver may graze:
     the bowl rides asymptotically along that cone edge.  Membership of the
-    returned samples is checked by ``integrate_profile``.
+    solution's points is checked by ``integrate_profile``.
     """
     zarg = 0.5 + 0.5 * inv_a2 * (rho * psip - psi)
     return (1.0 + psip * psip) * speed_f(kind, p0, p1, p2, psip / rho, zarg)
@@ -159,23 +160,71 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
     return status, message, ts, ys, pieces
 
 
+class StepPolynomials:
+    """A solved profile from ``_lsoda_steps``: the solver's step ends x, its
+    states (psi, psi') there, y, and each step's LSODA Nordsieck polynomial.
+
+    On step i, (x[i], x[i + 1]], component k is sum_j yh[k, j, i] s^j in
+    s = (r - origin[i]) / scale[i], as in the step's ``LsodaDenseOutput``,
+    so a step end gives the solver's own state (s = 0).  Points outside
+    [x[0], x[-1]] take the first or the last step.
+    """
+
+    def __init__(self, ts, ys, pieces):
+        self.x, self.y = np.array(ts), np.vstack(ys)
+        self.origin = np.array([p.t for p in pieces])
+        self.scale = np.array([p.h for p in pieces])
+        self.yh = np.zeros((2, max(3, *(p.yh.shape[1] for p in pieces)),
+                            len(pieces)))
+        for i, piece in enumerate(pieces):
+            self.yh[:, :piece.yh.shape[1], i] = piece.yh
+
+    def prepend_tip(self):
+        """Extend the profile to [0, x[0]] by the parabola of a tip-series
+        start: psi = psi0 (rho/rho0)^2, psi' = psi0' rho/rho0."""
+        r0, (psi0, psip0) = self.x[0], self.y[0]
+        tip = np.zeros(self.yh.shape[:2] + (1,))
+        tip[:, :3, 0] = [[psi0, r0 * psip0, psi0], [psip0, psip0, 0.0]]
+        self.x, self.y = np.append(0.0, self.x), np.vstack([[0, 0], self.y])
+        self.origin = np.append(r0, self.origin)
+        self.scale = np.append(r0, self.scale)
+        self.yh = np.concatenate([tip, self.yh], axis=2)
+
+    def __call__(self, r, nu=0):
+        """psi (nu = 0), psi' (nu = 1) or the derivative of the psi'
+        polynomial (nu = 2) at the points r, in the shape of r."""
+        i = np.clip(np.searchsorted(self.x, r) - 1, 0, self.origin.size - 1)
+        s = (r - self.origin[i]) / self.scale[i]
+        c = self.yh[min(nu, 1)]
+        if nu == 2:
+            c = c[1:] * np.arange(1, len(c))[:, None] / self.scale
+        # Horner past the constant term: s = 0 gives the state itself
+        acc = c[-1][i]
+        for j in range(len(c) - 2, 0, -1):
+            acc = acc * s + c[j][i]
+        return c[0][i] + acc * s
+
+    def gauss_points(self):
+        """The 3 Gauss-Legendre points of each step, shape (steps, 3)."""
+        return self.x[:-1, None] + np.diff(self.x)[:, None] * GAUSS3
+
+
 def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
-                      rho0, psi0, psip0, rho_end, psi_stop,
-                      rtol, atol, h_rho_cap, h_z_cap):
-    """Stiff (LSODA) integration of a rotation-profile ODE, resampled densely.
+                      rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
+    """Stiff (LSODA) integration of a rotation-profile ODE.
 
     inv_a2 = 1/a^2 selects the self-shrinking profile; inv_a2 = 0 gives the
     translating one.  Stops at rho_end or once psi reaches psi_stop (see
     ``_lsoda_steps``).  The solve runs at ``INNER_TOL`` times (rtol, atol),
-    with rtol floored at ``RTOL_FLOOR``; each step's dense output (the
-    ``LsodaDenseOutput`` Nordsieck array) is sampled at spacing
-    min(SAMPLE_STIFF/|d psi''/d psi'|, h_rho_cap (1 + rho), h_z_cap/psi'), so
-    that quadrature checks on consecutive samples resolve the fast direction.
+    or at the larger factor that puts rtol at ``RTOL_FLOOR``, so atol/rtol
+    holds at the floor too.  The solution is the solver's own steps
+    (``StepPolynomials``); admissibility, F(0,1) < z/y < Q, is checked at
+    every step end and Gauss point.
 
-    Returns (status, n_samples, (rho, psi, psi', psi''), rho_reached,
-    message) with status one of the STATUS_* codes; on STATUS_CONE,
-    n_samples counts the admissible samples before the first that is not.
-    message is empty unless the status is STATUS_SOLVER.
+    Returns (status, n_steps, steps, rho_reached, message) with status one
+    of the STATUS_* codes; on STATUS_CONE, n_steps counts the steps before
+    the first inadmissible point and rho_reached is that point.  message is
+    empty unless the status is STATUS_SOLVER.
     """
     def rhs(rho, y):
         return [y[1], _profile_slope(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])]
@@ -184,54 +233,28 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
         j21, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])
         return [[0.0, 1.0], [j21, j22]]
 
+    scale = max(INNER_TOL, RTOL_FLOOR / rtol)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         status, message, ts, ys, pieces = _lsoda_steps(
             rhs, jac, rho0, psi0, psip0, rho_end, psi_stop,
-            max(INNER_TOL * rtol, RTOL_FLOOR), INNER_TOL * atol)
+            max(scale * rtol, RTOL_FLOOR), scale * atol)
     if status == STATUS_SOLVER:  # LSODA's own diagnosis arrives as a warning
         detail = "; ".join([message] + [str(w.message) for w in caught])
         return STATUS_SOLVER, 0, None, float(ts[-1]), detail
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
 
-    # sample spacing per solver step, from the stiffer end of the step
-    t = np.array(ts)
-    psi_t, psip_t = np.vstack(ys).T
-    _, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, t, psi_t, psip_t)
-    cap = np.minimum(SAMPLE_STIFF / np.abs(j22), h_rho_cap * (1.0 + t))
-    if h_z_cap > 0.0:
-        cap = np.minimum(cap, h_z_cap / psip_t)
-    h = np.diff(t)
-    n = np.ceil(h / np.minimum(cap[:-1], cap[1:])).astype(np.int64)
-    first = np.cumsum(n) - n
-    k = np.arange(n.sum()) - np.repeat(first, n)
-    rho = np.append(np.repeat(t[:-1], n) + k * np.repeat(h / n, n), t[-1])
-    # each step's LSODA Nordsieck polynomial about the step's end point,
-    # evaluated by Horner on the terms past the constant one so that each
-    # sample is rounded once: the Simpson check multiplies the rounding of
-    # psi by |d psi''/d psi'| (~2 rho for bh n=3)
-    yh = np.zeros((len(pieces), max(p.yh.shape[1] for p in pieces), 2))
-    origin, scale = np.empty((2, len(pieces)))
-    for i, piece in enumerate(pieces):
-        yh[i, :piece.yh.shape[1]] = piece.yh.T
-        origin[i], scale[i] = piece.t, piece.h
-    step = np.repeat(np.arange(len(pieces)), n)
-    s = ((rho[1:] - origin[step]) / scale[step])[:, None]
-    corr = yh[step, -1]
-    for j in range(yh.shape[1] - 2, 0, -1):
-        corr = corr * s + yh[step, j]
-    states = np.vstack([ys[0], yh[step, 0] + corr * s])
-    psi, psip = np.ascontiguousarray(states.T)
-    psipp = _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip)
-
-    # admissibility of every sample: F(0,1) < z/y < Q
+    steps = StepPolynomials(ts, ys, pieces)
+    # each step's start followed by its Gauss points, then the last end
+    rho = np.append(np.column_stack([steps.x[:-1], steps.gauss_points()]),
+                    steps.x[-1])
+    psi, psip = steps(rho), steps(rho, 1)
     ratio = (0.5 + 0.5 * inv_a2 * (rho * psip - psi)) * rho / psip
     bad = np.flatnonzero(~((psip > 0.0) & (ratio > F01) & (ratio < Q)))
-    samples = (rho, psi, psip, psipp)
     if bad.size:
-        return STATUS_CONE, int(bad[0]), samples, float(rho[bad[0]]), ""
-    return status, rho.size, samples, float(rho[-1]), ""
+        return STATUS_CONE, int(bad[0]) // 4, steps, float(rho[bad[0]]), ""
+    return status, len(pieces), steps, float(steps.x[-1]), ""
 
 
 def central_differences(v, dz):

@@ -93,14 +93,13 @@ class EllipticityMonitor:
 
 
 def _integrate(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
-               rtol, atol, h_rho_cap, h_z_cap):
-    p0, p1, p2 = speed.params
-    status, _, samples, rho_reached, message = _accel.integrate_profile(
-        speed.code, p0, p1, p2, speed.F01,
+               rtol, atol):
+    """The solver's steps of one profile IVP (``_accel.StepPolynomials``)."""
+    status, _, poly, rho_reached, message = _accel.integrate_profile(
+        speed.code, *speed.params, speed.F01,
         speed.Q if math.isfinite(speed.Q) else np.inf, inv_a2,
         float(rho0), float(psi0), float(psip0), float(rho_end),
-        float(psi_stop), float(rtol), float(atol),
-        float(h_rho_cap), float(h_z_cap))
+        float(psi_stop), float(rtol), float(atol))
     if status == _accel.STATUS_CONE:
         raise ConeExit(
             f"profile left the inversion cone near rho = {rho_reached:.6g}")
@@ -108,30 +107,30 @@ def _integrate(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
         raise ToleranceFailure(
             f"profile solver stopped at rho = {rho_reached:.6g} "
             f"of {rho_end:.6g}: {message}")
-    return samples
+    return poly
 
 
-def _simpson_residuals(speed, inv_a2, rho, psi, psip, psipp, rtol, atol):
-    """Per-interval defect of psi' against Simpson quadrature of the RHS.
+def _ode(speed, inv_a2, rho, psi, psip):
+    """(psi'', d psi''/d psi') of the profile ODE at the given states."""
+    args = (speed.code, *speed.params, inv_a2, rho, psi, psip)
+    return _accel._profile_slope(*args), _accel._profile_jacobian(*args)[1]
 
-    Independent of the solver: uses only the stored samples, cubic Hermite
-    mid-states, and the ODE right-hand side.  The defect is normalized by
-    the profile's tolerance promise
-    atol + rtol (1 + |psi'|), so values of order one mean the stored
-    profile satisfies the ODE to within the configured tolerance (a wrong
-    right-hand side inflates this by many orders of magnitude).
+
+def _collocation_defect(speed, inv_a2, poly, rtol, atol):
+    """Per-step collocation defect of a profile's polynomials in the ODE.
+
+    At 3 Gauss points per step, the psi' polynomial's derivative misses
+    g(rho, psi, psi'); times the shorter of the step length and the
+    relaxation length 1/|dg/dpsi'|, that is the error it puts on psi', here
+    in units of the tolerance promise atol + rtol (1 + |psi'|).  Order one
+    means within tolerance; a wrong right-hand side inflates it by orders
+    of magnitude.
     """
-    h = np.diff(rho)
-    rm = rho[:-1] + 0.5 * h
-    # cubic Hermite mid-interval values of psi and psi'
-    pm = 0.5 * (psi[:-1] + psi[1:]) + 0.125 * h * (psip[:-1] - psip[1:])
-    ppm = 1.5 * (psi[1:] - psi[:-1]) / h - 0.25 * (psip[:-1] + psip[1:])
-    yarg = ppm / rm
-    zarg = 0.5 + 0.5 * inv_a2 * (rm * ppm - pm)
-    gm = (1.0 + ppm ** 2) * np.asarray(speed.f_closed(yarg, zarg))
-    defect = psip[1:] - psip[:-1] - (h / 6.0) * (psipp[:-1] + 4.0 * gm + psipp[1:])
-    promise = atol + rtol * (1.0 + np.abs(psip[:-1]))
-    return np.abs(defect) / promise
+    r, h = poly.gauss_points(), np.diff(poly.x)[:, None]
+    psip = poly(r, 1)
+    g, j22 = _ode(speed, inv_a2, r, poly(r), psip)
+    moved = np.abs(poly(r, 2) - g) * np.minimum(h, 1.0 / np.abs(j22))
+    return np.max(moved / (atol + rtol * (1.0 + np.abs(psip))), axis=1)
 
 
 @dataclass
@@ -146,30 +145,23 @@ class BowlProfile:
     tol: float
     tip_curvature: float
     monitor: EllipticityMonitor
-    _interp: dict = field(default_factory=dict, repr=False)
-
-    def _hermite(self, name, values, derivs):
-        if name not in self._interp:
-            self._interp[name] = CubicHermiteSpline(self.rho, values, derivs)
-        return self._interp[name]
+    poly: _accel.StepPolynomials = field(repr=False)
 
     def zeta_at(self, r):
-        return self._hermite("zeta", self.zeta, self.zeta_rho)(r)
+        return self.poly(r)
 
     def zeta_rho_at(self, r):
-        return self._hermite("zeta_rho", self.zeta_rho, self.zeta_rhorho)(r)
+        return self.poly(r, 1)
 
     def radius_of_height(self):
         """Monotone inverse rho(zeta), for building radial graphs r(z).
 
-        Inverts the Hermite spline of zeta at all requested heights in one
+        Inverts the profile's polynomial at all requested heights in one
         vectorized pass (``_monotone_inverse``), so the inverse inherits
-        the spline's accuracy; the result has the shape of the heights."""
-        spline = self._hermite("zeta", self.zeta, self.zeta_rho)
-
+        the solver's accuracy; the result has the shape of the heights."""
         def inverse(zvals):
             zvals = np.asarray(zvals, dtype=float)
-            return _monotone_inverse(spline, self.rho, self.zeta,
+            return _monotone_inverse(self.poly, self.rho, self.zeta,
                                      zvals.ravel()).reshape(zvals.shape)
 
         return inverse
@@ -179,18 +171,14 @@ class BowlProfile:
         return float(ratio.min()), float(ratio.max())
 
     def residual_norms(self):
-        return _simpson_residuals(self.speed, 0.0, self.rho, self.zeta,
-                                  self.zeta_rho, self.zeta_rhorho,
-                                  rtol=self.tol, atol=self.tol * 1e-2)
+        return _collocation_defect(self.speed, 0.0, self.poly, rtol=self.tol,
+                                   atol=self.tol * 1e-2)
 
 
-def _tip_curvature(rho, psip, psipp, at=0.01):
-    """Richardson estimate of psi''(0) = lim psi'(rho)/rho from two stations."""
-    interp = CubicHermiteSpline(rho, psip, psipp)
-    ra, rb = at, 2.0 * at
-    ma = float(interp(ra)) / ra
-    mb = float(interp(rb)) / rb
-    return (ma * rb ** 2 - mb * ra ** 2) / (rb ** 2 - ra ** 2)
+def _tip_curvature(poly, at):
+    """Richardson extrapolation of psi'/rho to rho = 0 from rho = at, 2 at."""
+    ma, mb = poly(np.array([at, 2.0 * at]), 1) / [at, 2.0 * at]
+    return float((4.0 * ma - mb) / 3.0)
 
 
 def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
@@ -204,41 +192,39 @@ def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
 
     The solver runs internally at (1e-3 tol, 1e-5 tol) relative/absolute,
     with the relative part floored at 100 machine epsilons (~2.2e-14), the
-    smallest value scipy accepts without substituting its own.  Samples of
-    its dense output form the profile; ``residual_norms`` measures them in
-    units of tol.  The rounding of zeta sets a floor on that measure which
-    grows like rho^2 (about 2 at rho = 1000 for bh n = 3).
+    smallest value scipy accepts without substituting its own.  The arrays
+    hold its step ends and the tip node, ``poly`` its step polynomials and
+    the tip series; ``residual_norms`` is their collocation defect in units
+    of tol.
     """
     if rho_max <= rho_start:
         raise ValueError("rho_max must exceed the regularized start")
     f11 = speed.F11
     psi0 = rho_start ** 2 / (4.0 * f11)
     psip0 = rho_start / (2.0 * f11)
-    rho, zeta, zeta_rho, zeta_rr = _integrate(
-        speed, 0.0, rho_start, psi0, psip0, rho_max, np.inf,
-        rtol=tol, atol=tol * 1e-2, h_rho_cap=0.05, h_z_cap=0.0)
+    poly = _integrate(speed, 0.0, rho_start, psi0, psip0, rho_max, np.inf,
+                      rtol=tol, atol=tol * 1e-2)
+    rho, (zeta, zeta_rho) = poly.x, poly.y.T
+    zeta_rr, _ = _ode(speed, 0.0, rho, zeta, zeta_rho)
     monitor = EllipticityMonitor.from_profile(speed, rho, zeta, zeta_rho,
                                               zeta_rr, 0.0)
-    # stations inside the solved range: below rho_start the spline would
-    # extrapolate its first interval, which the solver may make tiny
-    tip = _tip_curvature(rho, zeta_rho, zeta_rr,
-                         at=max(min(0.01, 0.003 * rho_max), rho_start))
+    # stations inside the solved range
+    tip = _tip_curvature(poly, at=max(min(0.01, 0.003 * rho_max), rho_start))
     # exact tip node: zeta(0) = zeta_rho(0) = 0, zeta_rr(0) -> measured limit
-    rho = np.concatenate([[0.0], rho])
-    zeta = np.concatenate([[0.0], zeta])
-    zeta_rho = np.concatenate([[0.0], zeta_rho])
-    zeta_rr = np.concatenate([[tip], zeta_rr])
-    return BowlProfile(speed=speed, rho=rho, zeta=zeta, zeta_rho=zeta_rho,
-                       zeta_rhorho=zeta_rr, tol=tol, tip_curvature=tip,
-                       monitor=monitor)
+    poly.prepend_tip()
+    return BowlProfile(speed=speed, rho=poly.x, zeta=poly.y[:, 0],
+                       zeta_rho=poly.y[:, 1],
+                       zeta_rhorho=np.append(tip, zeta_rr), tol=tol,
+                       tip_curvature=tip, monitor=monitor, poly=poly)
 
 
 @dataclass
 class ShrinkerProfile:
     """Solved self-shrinker cap profile for parameter a.
 
-    Carries both the rho-side data (psi, psi') and the z-representation
-    v(z) on a uniform grid in [z_min, a], obtained by monotone inversion of
+    Carries both the rho-side data (psi, psi' at the solver's step ends and
+    their polynomials ``poly``) and the z-representation v(z) on a uniform
+    grid in [z_min, a], obtained by monotone inversion of
     h(r) = a - psi(a r)/a.  The tip (z = a, v = 0) is appended explicitly;
     v_z is -inf there and w carries its extrapolated limit.
     """
@@ -269,24 +255,17 @@ class ShrinkerProfile:
     M_knob: float
     z_Ma: float | None
     w_bar_holds: bool | None
-    _interp: dict = field(default_factory=dict, repr=False)
+    poly: _accel.StepPolynomials = field(repr=False)
 
     def psi_at(self, r):
-        if "psi" not in self._interp:
-            self._interp["psi"] = CubicHermiteSpline(self.rho, self.psi,
-                                                     self.psi_rho)
-        return self._interp["psi"](r)
+        return self.poly(r)
 
     def psi_rho_at(self, r):
-        if "psi_rho" not in self._interp:
-            self._interp["psi_rho"] = CubicHermiteSpline(
-                self.rho, self.psi_rho, self.psi_rhorho)
-        return self._interp["psi_rho"](r)
+        return self.poly(r, 1)
 
     def residual_norms(self):
-        return _simpson_residuals(self.speed, 1.0 / self.a ** 2, self.rho,
-                                  self.psi, self.psi_rho, self.psi_rhorho,
-                                  rtol=self.rtol, atol=self.rtol * 1e-2)
+        return _collocation_defect(self.speed, 1.0 / self.a ** 2, self.poly,
+                                   rtol=self.rtol, atol=self.rtol * 1e-2)
 
     def w_bar(self, z):
         """Comparison barrier 2 + K (1/z^2 + 1/(a^2 - z^2))."""
@@ -300,10 +279,7 @@ class ShrinkerProfile:
 
     def v_interp(self):
         """Interpolant of v on [z_min, a) (tip node excluded)."""
-        if "v" not in self._interp:
-            self._interp["v"] = CubicHermiteSpline(self.z[:-1], self.v[:-1],
-                                                   self.v_z[:-1])
-        return self._interp["v"]
+        return CubicHermiteSpline(self.z[:-1], self.v[:-1], self.v_z[:-1])
 
 
 def _barrier_checks(speed, a, theta, Theta, rho, psi, psip):
@@ -423,7 +399,6 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
         psi_stop = np.inf
     rtol = tol * 1e-2 if rtol is None else rtol
     dz_target = min(0.01 * a, 0.05)
-    h_z_cap = dz_target * a
 
     inv_a2 = 1.0 / a ** 2
     rho_s = 2.0 ** -8
@@ -432,51 +407,50 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
         solve = _integrate(
             speed, inv_a2, start, start ** 2 / (4.0 * f11),
             start / (2.0 * f11), rho_end, psi_stop, rtol=solve_rtol,
-            atol=solve_rtol * 1e-2, h_rho_cap=0.05, h_z_cap=h_z_cap)
-        _barrier_checks(speed, a, theta, Theta, *solve[:3])
+            atol=solve_rtol * 1e-2)
+        _barrier_checks(speed, a, theta, Theta, solve.x, *solve.y.T)
         solves.append(solve)
-    (rho1, psi1, psip1, _), (rho, psi, psip, psipp) = solves
-    psi_interp = CubicHermiteSpline(rho, psi, psip)
-    cmp_grid = np.geomspace(rho_s, min(rho1[-1], rho[-1]) * (1.0 - 1e-3), 400)
-    check = psi_interp(cmp_grid)
-    primary = CubicHermiteSpline(rho1, psi1, psip1)(cmp_grid)
-    gap = float(np.max(np.abs(check - primary) / (1.0 + np.abs(check))))
+    primary, poly = solves
+    rho, (psi, psip) = poly.x, poly.y.T
+    cmp_grid = np.geomspace(rho_s, min(primary.x[-1], rho[-1]) * (1.0 - 1e-3),
+                            400)
+    check = poly(cmp_grid)
+    gap = float(np.max(np.abs(check - primary(cmp_grid))
+                       / (1.0 + np.abs(check))))
     if not gap < tol:
         raise NonConvergence(
             f"primary and check solves differ by {gap:.3g} >= tol = "
             f"{tol:.3g}")
 
+    psipp, _ = _ode(speed, inv_a2, rho, psi, psip)
     monitor = EllipticityMonitor.from_profile(speed, rho, psi, psip, psipp,
                                               inv_a2)
-    # Richardson in the station kills the rho^2 variation of the true profile
-    tip_curv = _tip_curvature(rho, psip, psipp, at=0.05)
+    tip_curv = _tip_curvature(poly, at=0.05)
     # the rho-side arrays start at the check solve's series start; the
     # z-side grid carries the exact tip node (z = a, v = 0) instead
 
-    # z-representation on a uniform grid by monotone inversion of psi on
-    # its Hermite spline, all grid nodes in one vectorized Newton pass
+    # z-representation on a uniform grid by monotone inversion of the psi
+    # polynomial, all grid nodes in one vectorized Newton pass
     z_lo = max(z_min, a - psi[-1] * (1.0 - 1e-12) / a)
     z_grid = np.arange(z_lo, a - 0.5 * dz_target, dz_target)
     psi_targets = np.minimum(a * (a - z_grid), psi[-1])
-    rho_of_z = _monotone_inverse(psi_interp, rho, psi, psi_targets)
-    inv_err = float(np.max(np.abs(psi_interp(rho_of_z) - psi_targets),
+    rho_of_z = _monotone_inverse(poly, rho, psi, psi_targets)
+    inv_err = float(np.max(np.abs(poly(rho_of_z) - psi_targets),
                            initial=0.0)) / a
 
-    psip_interp = CubicHermiteSpline(rho, psip, psipp)
-    psip_at = np.asarray(psip_interp(rho_of_z))
-    psi_at = psi_targets
+    def w_of(r, psi_r, psip_r):
+        return (2.0 * r * (1.0 - psi_r / a ** 2)
+                / (psip_r * (sigma2 - r ** 2 / a ** 2)))
+
+    psip_at = poly(rho_of_z, 1)
     v = rho_of_z / a
     v_z = -1.0 / psip_at
-    w = (2.0 * rho_of_z * (1.0 - psi_at / a ** 2)
-         / (psip_at * (sigma2 - rho_of_z ** 2 / a ** 2)))
+    w = w_of(rho_of_z, psi_targets, psip_at)
 
-    # w limit at the tip: quadratic-in-rho^2 extrapolation over [0.1, 1]
-    mask = (rho >= 0.1) & (rho <= 1.0)
-    rr, pp, ps = rho[mask], psip[mask], psi[mask]
-    w_nodes = (2.0 * rr * (1.0 - ps / a ** 2)
-               / (pp * (sigma2 - rr ** 2 / a ** 2)))
-    coef = np.polynomial.polynomial.polyfit(rr ** 2, w_nodes, deg=2)
-    w_tip = float(coef[0])
+    # w limit at the tip: quadratic fit in rho^2 on a fixed grid in [0.1, 1]
+    rr = np.linspace(0.1, min(1.0, rho[-1]), 64)
+    w_tip = float(np.polynomial.polynomial.polyfit(
+        rr ** 2, w_of(rr, poly(rr), poly(rr, 1)), deg=2)[0])
 
     # append the exact tip node
     z_full = np.concatenate([z_grid, [a]])
@@ -489,7 +463,7 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     z_Ma = None
     holds = None
     if M < rho[-1]:
-        z_Ma = float(a - psi_interp(M) / a)
+        z_Ma = float(a - poly(M) / a)
         if z_Ma > math.sqrt(consts["K"]):
             wbar = 2.0 + consts["K"] * (1.0 / z_grid ** 2
                                         + 1.0 / (a ** 2 - z_grid ** 2))
@@ -503,7 +477,7 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
         L0=L0, K=consts["K"], c_lower=consts["c"], monitor=monitor,
         cauchy_gap=gap, inversion_error=inv_err,
         tip_curvature=tip_curv, w_tip=w_tip, M_knob=M, z_Ma=z_Ma,
-        w_bar_holds=holds)
+        w_bar_holds=holds, poly=poly)
 
 
 @dataclass

@@ -20,41 +20,43 @@ def _bowl_sum3(rho_end, psi_stop):
     return _accel.integrate_profile(
         sp.code, *sp.params, sp.F01, np.inf, 0.0,
         r0, r0 ** 2 / (4.0 * sp.F11), r0 / (2.0 * sp.F11), rho_end, psi_stop,
-        1e-10, 1e-12, 0.05, 0.0)
+        1e-10, 1e-12)
 
 
 def test_profile_driver_runs_to_rho_end():
-    status, n, (rho, psi, psip, psipp), rho_reached, _ = _bowl_sum3(
-        20.0, np.inf)
+    status, n, steps, rho_reached, _ = _bowl_sum3(20.0, np.inf)
     assert status == _accel.STATUS_OK
-    assert n == rho.size
-    assert rho_reached == rho[-1] == 20.0
+    assert n == steps.x.size - 1
+    assert rho_reached == steps.x[-1] == 20.0
+    # a step end evaluates to the solver's own state
+    np.testing.assert_array_equal(steps(steps.x[1:]), steps.y[1:, 0])
+    np.testing.assert_array_equal(steps(steps.x[1:], 1), steps.y[1:, 1])
 
 
 def test_profile_driver_stops_at_psi_stop():
     psi_stop = 30.0
-    status, n, (rho, psi, psip, psipp), rho_reached, _ = _bowl_sum3(
-        20.0, psi_stop)
+    status, n, steps, rho_reached, _ = _bowl_sum3(20.0, psi_stop)
+    psi = steps.y[:, 0]
     assert status == _accel.STATUS_STOP
-    assert rho_reached == rho[-1] < 20.0
+    assert rho_reached == steps.x[-1] < 20.0
     assert np.all(psi[:-1] < psi_stop)
     assert abs(psi[-1] - psi_stop) <= 4.0 * np.finfo(float).eps * psi_stop
 
 
 def test_lsoda_dense_output_fields():
-    # integrate_profile samples each step's Nordsieck array itself
+    # StepPolynomials reads each step's Nordsieck array itself
     from scipy.integrate import LSODA
     from scipy.integrate._ivp.lsoda import LsodaDenseOutput
     solver = LSODA(lambda t, y: -y, 0.0, [1.0, 2.0], 1.0)
     solver.step()
     piece = solver.dense_output()
     assert isinstance(piece, LsodaDenseOutput), (
-        "scipy's LSODA dense output changed class; integrate_profile's "
-        "sampler reads LsodaDenseOutput.yh, .t and .h")
+        "scipy's LSODA dense output changed class; StepPolynomials "
+        "reads LsodaDenseOutput.yh, .t and .h")
     for name in ("yh", "t", "h"):
         assert hasattr(piece, name), (
             f"scipy's LsodaDenseOutput lost .{name}, which "
-            "integrate_profile's sampler reads")
+            "StepPolynomials reads")
     assert piece.t == solver.t
     assert piece.yh.shape[0] == 2
     np.testing.assert_array_equal(piece.yh[:, 0], solver.y)

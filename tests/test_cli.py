@@ -33,6 +33,17 @@ def test_bowl_output_deterministic(tmp_path):
         (b / "bowl_fit.json").read_bytes()
 
 
+def test_bowl_far_tail_passes(tmp_path):
+    # bh n=3 to rho = 3000 passes the residual gate of 10, which a residual
+    # whose rounding floor grows like rho^2 does not; the output holds one
+    # row per solver step
+    assert _run(tmp_path, "bowl", "--speed", "bh", "--rho-max", "3000") == 0
+    report = json.loads((tmp_path / "bowl_fit.json").read_text())
+    assert report["residual_max"] <= 10.0
+    data, _ = read_csv(tmp_path / "bowl.csv")
+    assert len(data["rho"]) < 4000
+
+
 def test_bowl_rejects_degenerate_speed(tmp_path, capsys):
     code = _run(tmp_path, "bowl", "--speed", "bh", "--n", "2")
     assert code == 1

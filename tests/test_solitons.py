@@ -51,10 +51,9 @@ def test_bowl_residuals(bowl_sum3, bowl_bh3):
 def test_residual_detects_wrong_equation(shrinker_sum3_a50):
     # evaluating the shrinker data against the a = inf right-hand side
     # must blow the defect up by many orders of magnitude
-    from gflowlab.solitons import _simpson_residuals
+    from gflowlab.solitons import _collocation_defect
     p = shrinker_sum3_a50
-    wrong = _simpson_residuals(p.speed, 0.0, p.rho, p.psi, p.psi_rho,
-                               p.psi_rhorho, p.rtol, p.rtol * 1e-2)
+    wrong = _collocation_defect(p.speed, 0.0, p.poly, p.rtol, p.rtol * 1e-2)
     assert float(np.max(wrong)) > 1e6
 
 
@@ -63,13 +62,17 @@ def test_bowl_monitor_identity(bowl_sum3):
     assert bowl_sum3.monitor.bounded
 
 
-@pytest.mark.parametrize("name, rho_max", [("bh3", 2000.0), ("sum3", 5000.0)])
+@pytest.mark.parametrize("name, rho_max", [("bh3", 2000.0), ("sum3", 5000.0),
+                                           ("bh3", 1e4), ("bh3", 1e5),
+                                           ("sum3", 1e5)])
 def test_bowl_long_tail(request, name, rho_max):
-    # the stiff tail: no node ceiling, and the residual stays within
-    # tolerance (bh n=3 at rho = 2000 sits near its rounding floor of ~7)
+    # the stiff tail: no node ceiling, the residual stays within tolerance
+    # however far out, and the profile is O(steps) in memory: LSODA takes
+    # ~1,500 steps to rho = 1e5
     speed = request.getfixturevalue(name)
     bowl = solve_bowl(speed, rho_max=rho_max, tol=1e-10)
     assert bowl.rho[-1] == rho_max
+    assert bowl.rho.size < 4000
     assert float(np.max(bowl.residual_norms())) <= 10.0
     assert bowl.monitor.bounded
     assert bowl.tip_curvature == pytest.approx(1.0 / (2.0 * speed.F11),
@@ -90,7 +93,7 @@ def test_profile_solver_failure_names_cause(sum3):
     from gflowlab.solitons import _integrate
     with pytest.raises(ToleranceFailure, match=r"rho = 1 of 50: .*lsoda"):
         _integrate(sum3, 0.0, 1.0, 0.0, 0.3, 50.0, np.inf,
-                   rtol=1e-10, atol=0.0, h_rho_cap=0.05, h_z_cap=0.0)
+                   rtol=1e-10, atol=0.0)
 
 
 def test_bowl_tolerance_study(sum3):
@@ -158,17 +161,16 @@ def test_shrinker_inversion_round_trip(shrinker_sum3_a50):
 
 
 def test_shrinker_vectorized_inversion(shrinker_sum3_a50):
-    from scipy.interpolate import CubicHermiteSpline
     from scipy.optimize import brentq
     p = shrinker_sum3_a50
     assert np.all(np.diff(p.rho_of_z) < 0.0)  # z up, rho down to the tip
     targets = np.minimum(p.a * (p.a - p.z[:-1]), p.psi[-1])
     back = p.psi_at(p.rho_of_z[:-1])
     assert np.max(np.abs(back - targets)) <= 1e-12 * p.a
-    # scalar brentq per node is the reference, within twice its xtol
-    spline = CubicHermiteSpline(p.rho, p.psi, p.psi_rho)
+    # scalar brentq per node on the profile polynomial is the reference,
+    # within twice its xtol
     j = np.clip(np.searchsorted(p.psi, targets), 1, p.rho.size - 1)
-    ref = [brentq(lambda r: float(spline(r)) - t, p.rho[i - 1], p.rho[i],
+    ref = [brentq(lambda r: float(p.poly(r)) - t, p.rho[i - 1], p.rho[i],
                   xtol=1e-13, rtol=1e-15) for t, i in zip(targets, j)]
     np.testing.assert_allclose(p.rho_of_z[:-1], ref, rtol=0.0, atol=2e-13)
 
@@ -176,15 +178,13 @@ def test_shrinker_vectorized_inversion(shrinker_sum3_a50):
 def test_bowl_radius_of_height_matches_brentq(sum3):
     # the translating-bowl boundary data of `flow --preset bowl-translation`:
     # 2001 heights z - t/2 at the left end of the window over t in [0, 1]
-    from scipy.interpolate import CubicHermiteSpline
     from scipy.optimize import brentq
     bowl = solve_bowl(sum3, rho_max=60.0, tol=1e-10)
     heights = 5.0 - 0.5 * np.linspace(0.0, 1.0, 2001)
     grid = bowl.radius_of_height()(heights.reshape(1, -1))
     assert grid.shape == (1, 2001)
-    spline = CubicHermiteSpline(bowl.rho, bowl.zeta, bowl.zeta_rho)
     j = np.clip(np.searchsorted(bowl.zeta, heights), 1, bowl.rho.size - 1)
-    ref = [brentq(lambda r: float(spline(r)) - h, bowl.rho[i - 1],
+    ref = [brentq(lambda r: float(bowl.poly(r)) - h, bowl.rho[i - 1],
                   bowl.rho[i], xtol=1e-13, rtol=1e-15)
            for h, i in zip(heights, j)]
     np.testing.assert_allclose(grid[0], ref, rtol=0.0, atol=2e-13)
@@ -208,15 +208,13 @@ def test_monotone_inverse_flat_nodes():
 
 
 def test_monotone_inverse_rejects_outside_targets(shrinker_sum3_a50):
-    from scipy.interpolate import CubicHermiteSpline
     from gflowlab.solitons import _monotone_inverse
     p = shrinker_sum3_a50
-    spline = CubicHermiteSpline(p.rho, p.psi, p.psi_rho)
-    ends = _monotone_inverse(spline, p.rho, p.psi, [p.psi[0], p.psi[-1]])
+    ends = _monotone_inverse(p.poly, p.rho, p.psi, [p.psi[0], p.psi[-1]])
     np.testing.assert_allclose(ends, [p.rho[0], p.rho[-1]], rtol=1e-13)
     for bad in (0.5 * p.psi[0], 1.001 * p.psi[-1], np.nan):
         with pytest.raises(ValueError, match="outside the profile's range"):
-            _monotone_inverse(spline, p.rho, p.psi, [p.psi[1], bad])
+            _monotone_inverse(p.poly, p.rho, p.psi, [p.psi[1], bad])
 
 
 def test_shrinker_mesh_refinement(sum3):
@@ -253,22 +251,39 @@ def test_shrinker_matches_subsolution_start(sum3, shrinker_sum3_a50):
     # the existence proof's construction as an oracle: one IVP started on
     # the subsolution theta rho^2/(4 F(1,1)) at rho_k = 2^-12 heals like
     # (rho_k/rho)^3 and lands within tol of the series-started profile
-    from scipy.interpolate import CubicHermiteSpline
     from gflowlab.solitons import _integrate
     p = shrinker_sum3_a50
     rk = 2.0 ** -12
     rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sum3.F01) * p.a
-    rho, psi, psip, _ = _integrate(
+    poly = _integrate(
         sum3, 1.0 / p.a ** 2, rk, p.theta * rk ** 2 / (4.0 * sum3.F11),
         p.theta * rk / (2.0 * sum3.F11), rho_end, p.a * (p.a - p.L0),
-        rtol=p.rtol, atol=p.rtol * 1e-2, h_rho_cap=0.05,
-        h_z_cap=0.05 * p.a)
-    grid = np.geomspace(2.0 ** -8, min(rho[-1], p.rho[-1]) * (1.0 - 1e-3),
+        rtol=p.rtol, atol=p.rtol * 1e-2)
+    grid = np.geomspace(2.0 ** -8, min(poly.x[-1], p.rho[-1]) * (1.0 - 1e-3),
                         400)
-    oracle = CubicHermiteSpline(rho, psi, psip)(grid)
+    oracle = poly(grid)
     series = p.psi_at(grid)
     gap = np.max(np.abs(oracle - series) / (1.0 + np.abs(series)))
     assert gap < p.tol
+
+
+def test_floored_tolerances_solve_alike(sum3):
+    # rtol 5e-12, 3e-12 and 2e-12 all put the internal rtol at its floor;
+    # atol follows it there, so the three requests make the same solve up
+    # to the rounding of atol (with atol shrinking past the floor instead,
+    # they differed by 1e-9)
+    from gflowlab.solitons import _integrate, neck_constants
+    a, r0 = 50.0, 2.0 ** -8
+    rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sum3.F01) * a
+    psi_stop = a * (a - neck_constants(sum3)["L0"])
+    polys = [_integrate(sum3, 1.0 / a ** 2, r0, r0 ** 2 / (4.0 * sum3.F11),
+                        r0 / (2.0 * sum3.F11), rho_end, psi_stop, rtol=rtol,
+                        atol=rtol * 1e-2)
+             for rtol in (5e-12, 3e-12, 2e-12)]
+    grid = np.geomspace(r0, 0.999 * min(p.x[-1] for p in polys), 400)
+    ref = polys[0](grid)
+    for poly in polys[1:]:
+        assert np.max(np.abs(poly(grid) - ref) / (1.0 + ref)) <= 1e-12
 
 
 def test_shrinker_theta_window_checked(sum3, bh3):
