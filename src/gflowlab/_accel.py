@@ -8,6 +8,11 @@ polynomials (``StepPolynomials``).  The explicit flow step is Heun's method
 and the semi-implicit step is the two-stage Rosenbrock method ROS2, with one
 LAPACK tridiagonal factorization (``dgttrf``) per step.
 
+A kernel raises the typed error where its check fails: ``integrate_profile``
+raises ``ToleranceFailure`` and ``ConeExit``, ``graph_rhs`` ``ConeExit``, and
+the stepping kernels ``StabilityViolation`` (CFL limit, singular W) and
+``Pinch``.  The stepping kernels allocate and return their own records.
+
 Speed kinds are encoded as integers:
 
     0  sum          F(x, y) = x + p0*y
@@ -27,6 +32,8 @@ from scipy.integrate import LSODA
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
+from .errors import ConeExit, Pinch, StabilityViolation, ToleranceFailure
+
 # integrate_profile: internal tolerance relative to the profile's, and the
 # smallest rtol scipy accepts without clamping it
 INNER_TOL = 1e-3
@@ -42,14 +49,6 @@ ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 KIND_SUM = 0
 KIND_BH = 1
 KIND_SIGMA = 2
-
-# flow_run / integrate_profile status codes
-STATUS_OK = 0
-STATUS_STOP = 1
-STATUS_CONE = 2
-STATUS_SOLVER = 3
-STATUS_PINCH = 4
-STATUS_CFL = 5
 
 
 def speed_F(kind, p0, p1, p2, x, y):
@@ -127,37 +126,45 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
     found by ``brentq`` on the step's dense output at 4 eps, and a step
     that ends exactly at the previous rho is dropped.
 
-    Returns (status, message, rho, states, pieces): status STATUS_OK,
-    STATUS_STOP or STATUS_SOLVER, the last message of ``LSODA.step`` (None
-    unless it failed); rho and states are the step ends, starting at rho0;
-    pieces[i] is the ``LsodaDenseOutput`` on [rho[i], rho[i + 1]].
+    Returns (rho, states, pieces): the step ends, starting at rho0, the
+    states there, and pieces[i], the ``LsodaDenseOutput`` on
+    [rho[i], rho[i + 1]].  Raises ToleranceFailure when ``LSODA.step``
+    fails, quoting its message, LSODA's own diagnosis (which arrives as a
+    warning) and the rho reached; warnings of a successful solve are
+    issued again once it ends.
     """
-    solver = LSODA(rhs, rho0, [psi0, psip0], rho_end, jac=jac, rtol=rtol,
-                   atol=atol)
-    ts, ys, pieces = [rho0], [[psi0, psip0]], []
-    g = psi0 - psi_stop
-    status = None
-    while status is None:
-        message = solver.step()
-        if solver.status == "failed":
-            return STATUS_SOLVER, message, ts, ys, pieces
-        if solver.status == "finished":
-            status = STATUS_OK
-        t, y = solver.t, solver.y
-        piece = solver.dense_output()
-        g_new = y[0] - psi_stop
-        if g <= 0.0 <= g_new:
-            t = brentq(lambda r: piece(r)[0] - psi_stop, solver.t_old, t,
-                       xtol=4.0 * EPS, rtol=4.0 * EPS)
-            y = piece(t)
-            status = STATUS_STOP
-        g = g_new
-        if len(ts) > 1 and ts[-1] == t:
-            continue
-        ts.append(t)
-        ys.append(y)
-        pieces.append(piece)
-    return status, message, ts, ys, pieces
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solver = LSODA(rhs, rho0, [psi0, psip0], rho_end, jac=jac, rtol=rtol,
+                       atol=atol)
+        ts, ys, pieces = [rho0], [[psi0, psip0]], []
+        g = psi0 - psi_stop
+        done = False
+        while not done:
+            message = solver.step()
+            if solver.status == "failed":
+                detail = "; ".join([message] + [str(w.message) for w in caught])
+                raise ToleranceFailure(
+                    f"profile solver stopped at rho = {ts[-1]:.6g} of "
+                    f"{rho_end:.6g}: {detail}")
+            done = solver.status == "finished"
+            t, y = solver.t, solver.y
+            piece = solver.dense_output()
+            g_new = y[0] - psi_stop
+            if g <= 0.0 <= g_new:
+                t = brentq(lambda r: piece(r)[0] - psi_stop, solver.t_old, t,
+                           xtol=4.0 * EPS, rtol=4.0 * EPS)
+                y = piece(t)
+                done = True
+            g = g_new
+            if len(ts) > 1 and ts[-1] == t:
+                continue
+            ts.append(t)
+            ys.append(y)
+            pieces.append(piece)
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return ts, ys, pieces
 
 
 class StepPolynomials:
@@ -209,9 +216,10 @@ class StepPolynomials:
         return self.x[:-1, None] + np.diff(self.x)[:, None] * GAUSS3
 
 
-def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
-                      rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
-    """Stiff (LSODA) integration of a rotation-profile ODE.
+def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
+                      rtol, atol):
+    """Stiff (LSODA) integration of a rotation-profile ODE for the speed
+    ``speed`` (a ``speeds.SpeedFunction``).
 
     inv_a2 = 1/a^2 selects the self-shrinking profile; inv_a2 = 0 gives the
     translating one.  Stops at rho_end or once psi reaches psi_stop (see
@@ -221,11 +229,12 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
     (``StepPolynomials``); admissibility, F(0,1) < z/y < Q, is checked at
     every step end and Gauss point.
 
-    Returns (status, n_steps, steps, rho_reached, message) with status one
-    of the STATUS_* codes; on STATUS_CONE, n_steps counts the steps before
-    the first inadmissible point and rho_reached is that point.  message is
-    empty unless the status is STATUS_SOLVER.
+    Returns (steps, n_steps).  Raises ToleranceFailure when LSODA fails
+    (its message, its warnings and the rho reached) and ConeExit at the
+    first inadmissible point.
     """
+    kind, (p0, p1, p2) = speed.code, speed.params
+
     def rhs(rho, y):
         return [y[1], _profile_slope(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])]
 
@@ -234,27 +243,20 @@ def integrate_profile(kind, p0, p1, p2, F01, Q, inv_a2,
         return [[0.0, 1.0], [j21, j22]]
 
     scale = max(INNER_TOL, RTOL_FLOOR / rtol)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        status, message, ts, ys, pieces = _lsoda_steps(
-            rhs, jac, rho0, psi0, psip0, rho_end, psi_stop,
-            max(scale * rtol, RTOL_FLOOR), scale * atol)
-    if status == STATUS_SOLVER:  # LSODA's own diagnosis arrives as a warning
-        detail = "; ".join([message] + [str(w.message) for w in caught])
-        return STATUS_SOLVER, 0, None, float(ts[-1]), detail
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-
-    steps = StepPolynomials(ts, ys, pieces)
+    steps = StepPolynomials(*_lsoda_steps(
+        rhs, jac, rho0, psi0, psip0, rho_end, psi_stop,
+        max(scale * rtol, RTOL_FLOOR), scale * atol))
     # each step's start followed by its Gauss points, then the last end
     rho = np.append(np.column_stack([steps.x[:-1], steps.gauss_points()]),
                     steps.x[-1])
     psi, psip = steps(rho), steps(rho, 1)
     ratio = (0.5 + 0.5 * inv_a2 * (rho * psip - psi)) * rho / psip
-    bad = np.flatnonzero(~((psip > 0.0) & (ratio > F01) & (ratio < Q)))
+    bad = np.flatnonzero(~((psip > 0.0) & (ratio > speed.F01)
+                           & (ratio < speed.Q)))
     if bad.size:
-        return STATUS_CONE, int(bad[0]) // 4, steps, float(rho[bad[0]]), ""
-    return status, len(pieces), steps, float(steps.x[-1]), ""
+        raise ConeExit("profile left the inversion cone near rho = "
+                       f"{rho[bad[0]]:.6g}")
+    return steps, steps.x.size - 1
 
 
 def central_differences(v, dz):
@@ -266,17 +268,20 @@ def central_differences(v, dz):
 
 
 def _discrete_pair(v, dz, cfac):
-    """(ok, v_z, x, y) from central differences at the interior nodes.
+    """(v_z, x, y) from central differences at the interior nodes.
 
-    x = -v_zz/(1+v_z^2) and y = 1/v; ok is False when some node leaves the
-    admissible cone (x + cfac*y <= 0) or has a non-positive radius.
+    x = -v_zz/(1+v_z^2) and y = 1/v.  Raises ConeExit when some node leaves
+    the admissible cone (x + cfac*y <= 0), has a non-positive radius or is
+    NaN (written so that a NaN fails the test).
     """
     vz, vzz = central_differences(v, dz)
     core = v[1:-1]
     x = -vzz / (1.0 + vz * vz)
     y = 1.0 / core
-    ok = not (np.min(x + cfac * y) <= 0.0 or np.min(core) <= 0.0)
-    return ok, vz, x, y
+    if not (np.min(x + cfac * y) > 0.0 and np.min(core) > 0.0):
+        raise ConeExit("ellipticity lost: the discrete curvature pair left "
+                       "the admissible cone or is NaN")
+    return vz, x, y
 
 
 def _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y):
@@ -292,14 +297,12 @@ def _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y):
 def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
     """Interior right-hand side of the radial (mode 0) / rescaled (mode 1) flow.
 
-    Returns (ok, rhs, fx_max); ok is False when the discrete curvature pair
+    Returns (rhs, fx_max); raises ConeExit when the discrete curvature pair
     leaves the admissible cone (x + cfac*y <= 0) at some interior node.
     """
-    ok, vz, x, y = _discrete_pair(v, dz, cfac)
-    if not ok:
-        return False, 0.0 * v[1:-1], 0.0
+    vz, x, y = _discrete_pair(v, dz, cfac)
     rhs, _, fx = _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y)
-    return True, rhs, np.max(fx)
+    return rhs, np.max(fx)
 
 
 def graph_jacobian(mode, z, dz, vz, x, y, g, fx):
@@ -337,76 +340,67 @@ def _apply_bc(v, bc_mode, bl, br):
     # bc_mode 1 (frozen): boundary nodes are never touched
 
 
-def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every, rec, rec_t):
-    """Advance a copy of v0 by ``step(v, s)`` (in place, returns a status).
+def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every):
+    """Advance a copy of v0 by ``step(v, s)``, which updates v in place.
 
-    Aborts with the step's status when it is not STATUS_OK, and with
-    STATUS_PINCH once a value reaches r_floor.  Snapshots land in rec /
-    rec_t every rec_every steps (plus the initial state) while rows last;
-    the time after step s is (s + 1) dt, so no rounding accumulates.
+    A failure the step raises names its step; Pinch is raised once a value
+    reaches r_floor.  The time after step s is (s + 1) dt, so no rounding
+    accumulates.
 
-    Returns (status, n_recorded, n_steps_done).
+    Returns (times, snapshots, nsteps): the initial state and the state
+    after every rec_every-th step.
     """
     v = v0.copy()
-    nrec = 0
-    if rec_every > 0:
-        rec[0] = v
-        rec_t[0] = 0.0
-        nrec = 1
-
+    times = dt * np.arange(0, nsteps + 1, rec_every)
+    snapshots = np.empty((times.size, v.size))
+    snapshots[0] = v
     for s in range(nsteps):
-        status = step(v, s)
-        if status != STATUS_OK:
-            return status, nrec, s
+        try:
+            step(v, s)
+        except (ConeExit, StabilityViolation) as exc:
+            raise type(exc)(f"step {s}: {exc}") from exc
         if np.min(v) <= r_floor:
-            return STATUS_PINCH, nrec, s + 1
-        if (rec_every > 0 and (s + 1) % rec_every == 0
-                and nrec < rec.shape[0]):
-            rec[nrec] = v
-            rec_t[nrec] = (s + 1) * dt
-            nrec += 1
-    return STATUS_OK, nrec, nsteps
+            raise Pinch(f"radius hit the floor at t = {(s + 1) * dt:.6g}")
+        if (s + 1) % rec_every == 0:
+            snapshots[(s + 1) // rec_every] = v
+    return times, snapshots, nsteps
 
 
 def flow_run(kind, p0, p1, p2, cfac, mode,
              v0, z, dz, dt, nsteps,
              bc_mode, bcl, bcr,
-             r_floor, cfl_limit,
-             rec_every, rec, rec_t):
+             r_floor, cfl_limit, rec_every):
     """Heun (explicit RK2) time stepping of a 1D graph flow.
 
-    cfl_limit = safety * dz^2 / 2; the run aborts with STATUS_CFL when
-    dt exceeds cfl_limit / max(dF/dx).  Snapshots land in rec / rec_t
-    every rec_every steps (plus the initial state).
+    cfl_limit = safety * dz^2 / 2; the run raises StabilityViolation when
+    dt exceeds cfl_limit / max(dF/dx), and ConeExit or Pinch as in
+    ``graph_rhs`` and ``_stepping_loop``.  Snapshots are kept every
+    rec_every steps (plus the initial state).
 
-    Returns (status, n_recorded, n_steps_done).
+    Returns (times, snapshots, n_steps).
     """
+    def rhs(v):
+        out, fx = graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz)
+        if dt * fx > cfl_limit:
+            raise StabilityViolation(
+                "dt violates the CFL constraint safety*dz^2/(2 max dF/dx)")
+        return out
+
     def heun(v, s):
-        ok, r1, fx1 = graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz)
-        if not ok:
-            return STATUS_CONE
-        if dt * fx1 > cfl_limit:
-            return STATUS_CFL
+        r1 = rhs(v)
         v1 = v.copy()
         v1[1:-1] = v[1:-1] + dt * r1
         _apply_bc(v1, bc_mode, bcl[s + 1], bcr[s + 1])
-        ok, r2, fx2 = graph_rhs(kind, p0, p1, p2, cfac, mode, v1, z, dz)
-        if not ok:
-            return STATUS_CONE
-        if dt * fx2 > cfl_limit:
-            return STATUS_CFL
-        v[1:-1] = v[1:-1] + 0.5 * dt * (r1 + r2)
+        v[1:-1] = v[1:-1] + 0.5 * dt * (r1 + rhs(v1))
         _apply_bc(v, bc_mode, bcl[s + 1], bcr[s + 1])
-        return STATUS_OK
 
-    return _stepping_loop(heun, v0, dt, nsteps, r_floor, rec_every, rec,
-                          rec_t)
+    return _stepping_loop(heun, v0, dt, nsteps, r_floor, rec_every)
 
 
 def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
                              v0, z, dz, dt, nsteps,
                              bc_mode, bcl, bcr,
-                             r_floor, rec_every, rec, rec_t, mode):
+                             r_floor, rec_every, mode):
     """Linearly implicit stepping of the radial (mode 0) or rescaled
     (mode 1) flow: the two-stage L-stable Rosenbrock method ROS2 of Verwer,
     Spee, Blom & Hundsdorfer (1999), second order in time.
@@ -427,10 +421,10 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
     (Lubich & Ostermann 1995).  bc_mode 1 keeps the boundary values frozen
     (f_t = 0); extrapolated boundaries (bc_mode 2) are not supported.  No
     CFL limit applies.  A step or stage state outside the admissible cone
-    stops the run with STATUS_CONE, a singular W with STATUS_SOLVER.  z is
-    only read by the rescaled drift.
+    raises ConeExit, a singular W StabilityViolation, a radius at r_floor
+    Pinch.  z is only read by the rescaled drift.
 
-    Returns (status, n_recorded, n_steps_done).
+    Returns (times, snapshots, n_steps), as ``flow_run``.
     """
     gdt = ROS2_GAMMA * dt
     dirichlet = bc_mode == 0
@@ -439,16 +433,15 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         dbr = np.gradient(bcr, dt)
 
     def ros2(v, s):
-        ok, vz, x, y = _discrete_pair(v, dz, cfac)
-        if not ok:
-            return STATUS_CONE
+        vz, x, y = _discrete_pair(v, dz, cfac)
         f1, g, fx = _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y)
         lower, main, upper = graph_jacobian(mode, z, dz, vz, x, y, g, fx)
         dl, d, du, du2, ipiv, info = dgttrf(-gdt * lower[1:],
                                             1.0 - gdt * main,
                                             -gdt * upper[:-1])
         if info != 0:
-            return STATUS_SOLVER
+            raise StabilityViolation(
+                "singular linearly implicit step matrix; reduce dt")
         if dirichlet:  # gamma dt f_t
             ftl = gdt * lower[0] * dbl[s]
             ftr = gdt * upper[-1] * dbr[s]
@@ -458,9 +451,7 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         stage = v.copy()
         stage[1:-1] += dt * k1
         _apply_bc(stage, bc_mode, bcl[s + 1], bcr[s + 1])
-        ok, f2, _ = graph_rhs(kind, p0, p1, p2, cfac, mode, stage, z, dz)
-        if not ok:
-            return STATUS_CONE
+        f2, _ = graph_rhs(kind, p0, p1, p2, cfac, mode, stage, z, dz)
         f2 = f2 - 2.0 * k1
         if dirichlet:
             f2[0] -= ftl
@@ -468,7 +459,5 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         k2, _ = dgttrs(dl, d, du, du2, ipiv, f2)
         v[1:-1] += dt * (1.5 * k1 + 0.5 * k2)
         _apply_bc(v, bc_mode, bcl[s + 1], bcr[s + 1])
-        return STATUS_OK
 
-    return _stepping_loop(ros2, v0, dt, nsteps, r_floor, rec_every, rec,
-                          rec_t)
+    return _stepping_loop(ros2, v0, dt, nsteps, r_floor, rec_every)

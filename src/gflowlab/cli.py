@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import acceptance, fits, flow, output, solitons, spectral
-from .errors import GFlowError
+from .errors import GFlowError, require_positive
 from .flow import (BoundaryCondition, RadialFlowState, run_flow,
                    cylinder_radius, shrinking_cylinder_reference,
                    state_from_reference, step_plan,
@@ -183,7 +183,12 @@ def cmd_flow(args, cfg) -> int:
     stride = int(_opt(args, cfg, "flow", "stride", 0))
     outdir = output.output_dir(args.outdir)
 
+    dt, nsteps = step_plan(sp, delta, t_end, safety)
     if preset == "cylinder":
+        t_vanish = require_positive("r0", r0) ** 2 / (2.0 * sp.F01)
+        if not t_vanish > t_end:
+            raise ValueError(f"r0 = {r0:g}: the cylinder vanishes at t = "
+                             f"{t_vanish:.6g}, before t-end = {t_end:g}")
         ref = shrinking_cylinder_reference(sp, r0)
         st = state_from_reference(sp, ref, -5.0, 5.0, delta)
         target = math.sqrt(r0 ** 2 - 2.0 * sp.F01 * t_end)
@@ -195,7 +200,6 @@ def cmd_flow(args, cfg) -> int:
     else:
         raise ValueError(f"unknown flow preset {preset!r}")
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    dt, nsteps = step_plan(sp, delta, t_end, safety)
     hist = run_flow(st, dt, nsteps, bc=bc, scheme=scheme, cfl_safety=safety,
                     record_every=stride or max(1, nsteps // 50))
     manifest = {"speed": sp.to_config(), "preset": preset,
@@ -246,6 +250,9 @@ def cmd_rescaled(args, cfg) -> int:
     window = float(_opt(args, cfg, "rescaled", "window", 14.0))
     measure_l = float(_opt(args, cfg, "rescaled", "measure-l", 4.0))
     outdir = output.output_dir(args.outdir)
+    for name, value in (("tau-end", tau_end), ("delta", delta),
+                        ("window", window)):
+        require_positive(name, value)
 
     basis = spectral.build_basis(sp.a_lin, K=8, quad_order=80)
     n = int(round(2 * window / delta)) + 1
@@ -296,6 +303,8 @@ def cmd_spectral(args, cfg) -> int:
     kmax = int(_opt(args, cfg, "spectral", "kmax", 10))
     quad_order = int(_opt(args, cfg, "spectral", "quad-order", 90))
     outdir = output.output_dir(args.outdir)
+    if windows < 0:
+        raise ValueError(f"windows must be >= 0, got {windows}")
 
     basis = spectral.build_basis(sp.a_lin, K=kmax, quad_order=quad_order)
     table = spectral.eigen_table(sp.n, 6, 6)

@@ -1,4 +1,7 @@
-"""Exception and warning types raised across the package."""
+"""Exception and warning types raised across the package, and the check
+of positive numeric inputs."""
+
+import math
 
 
 class GFlowError(Exception):
@@ -56,3 +59,12 @@ class WindowTooNarrow(GFlowError, ValueError):
 
 class TruncationWarning(UserWarning):
     """Spectral tail energy exceeds the configured fraction of the total."""
+
+
+def require_positive(name, value):
+    """``value`` as a float, or ValueError naming ``name`` unless it is
+    finite and positive."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value

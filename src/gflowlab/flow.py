@@ -24,8 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import erf
 
 from . import _accel
-from .errors import (ConeExit, DomainViolation, InsufficientTail, Pinch,
-                     StabilityViolation)
+from .errors import DomainViolation, InsufficientTail, require_positive
 from .speeds import SpeedFunction
 from .solitons import BowlProfile
 
@@ -140,20 +139,6 @@ def _mode_code(representation):
                      "convert vertical graphs first")
 
 
-def _raise_for_status(status, nsteps_done, dt):
-    if status == _accel.STATUS_CONE:
-        raise ConeExit(f"ellipticity lost at step {nsteps_done}")
-    if status == _accel.STATUS_PINCH:
-        raise Pinch(f"radius hit the floor at t = {nsteps_done * dt:.6g}")
-    if status == _accel.STATUS_CFL:
-        raise StabilityViolation(
-            "dt violates the CFL constraint safety*dz^2/(2 max dF/dx)")
-    if status == _accel.STATUS_SOLVER:
-        raise StabilityViolation(
-            f"singular linearly implicit step matrix at step {nsteps_done}; "
-            "reduce dt")
-
-
 def run_flow(state: RadialFlowState, dt: float, nsteps: int,
              bc: BoundaryCondition | None = None,
              scheme: str = "rk2",
@@ -168,44 +153,41 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     ROS2 (second order in time, L-stable, no CFL limit); it steps both
     representations with Dirichlet or frozen boundaries and raises
     ValueError for ``extrapolate``.  Snapshots are recorded every
-    ``record_every`` steps (default: ~200 records per run).  Raises
-    ConeExit / Pinch / StabilityViolation as the corresponding invariant
-    fails.
+    ``record_every`` steps (default: ~200 records per run).  The kernels
+    raise ConeExit (a state leaves the admissible cone), Pinch (the radius
+    reaches ``r_floor``) or StabilityViolation (Heun's CFL limit, a
+    singular ROS2 step matrix) at the failing step.
     """
     bc = bc or BoundaryCondition()
     mode = _mode_code(state.representation)
-    m = state.values.size
     if record_every is None:
         record_every = max(1, nsteps // 200)
-    nrec_max = 2 + nsteps // record_every
-    rec = np.empty((nrec_max, m))
-    rec_t = np.empty(nrec_max)
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     bl, br = bc.tables(state.z, state.t, dt, nsteps)
     p0, p1, p2 = state.speed.params
     cfl_limit = cfl_safety * state.dz ** 2 / 2.0 * (1.0 + 1e-9)
 
     if scheme == "rk2":
-        status, nrec, ndone = _accel.flow_run(
+        times, snapshots, _ = _accel.flow_run(
             state.speed.code, p0, p1, p2, state.speed.cone_factor, mode,
             state.values, state.z, state.dz, float(dt), int(nsteps),
             _BC_CODES[bc.mode], bl, br, float(r_floor), float(cfl_limit),
-            int(record_every), rec, rec_t)
+            int(record_every))
     elif scheme == "semi_implicit":
         if bc.mode not in ("dirichlet", "frozen"):
             raise ValueError("semi-implicit stepping takes dirichlet or "
                              f"frozen boundaries, not {bc.mode!r}")
-        status, nrec, ndone = _accel.radial_semi_implicit_run(
+        times, snapshots, _ = _accel.radial_semi_implicit_run(
             state.speed.code, p0, p1, p2, state.speed.cone_factor,
             state.values, state.z, state.dz, float(dt), int(nsteps),
             _BC_CODES[bc.mode], bl, br, float(r_floor),
-            int(record_every), rec, rec_t, mode)
+            int(record_every), mode)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    _raise_for_status(status, ndone, dt)
     return FlowHistory(representation=state.representation, z=state.z,
-                       times=state.t + rec_t[:nrec].copy(),
-                       snapshots=rec[:nrec].copy(), speed=state.speed,
-                       dt=dt, scheme=scheme,
+                       times=state.t + times, snapshots=snapshots,
+                       speed=state.speed, dt=dt, scheme=scheme,
                        meta={"bc": bc.mode, "cfl_safety": cfl_safety,
                              "r_floor": r_floor, "nsteps": nsteps})
 
@@ -232,13 +214,11 @@ def step_rescaled(state: RadialFlowState, dt: float,
 def rescaled_rhs(state: RadialFlowState) -> np.ndarray:
     """Interior discrete residual of the rescaled flow at a state (v_tau)."""
     p0, p1, p2 = state.speed.params
-    ok, rhs, _ = _accel.graph_rhs(state.speed.code, p0, p1, p2,
-                                  state.speed.cone_factor,
-                                  _mode_code(state.representation),
-                                  state.values, state.z, state.dz)
-    if not ok:
-        raise ConeExit("state lies outside the admissible cone")
-    return np.asarray(rhs)
+    rhs, _ = _accel.graph_rhs(state.speed.code, p0, p1, p2,
+                              state.speed.cone_factor,
+                              _mode_code(state.representation),
+                              state.values, state.z, state.dz)
+    return rhs
 
 
 def step_plan(speed: SpeedFunction, delta: float, t_end: float,
@@ -247,8 +227,14 @@ def step_plan(speed: SpeedFunction, delta: float, t_end: float,
 
     dt0 = safety delta^2 / (2 max(F_x(0,1), 1)), nsteps = ceil(t_end / dt0)
     and dt = t_end / nsteps.  Takes the nominal spacing rather than a
-    state's dz, which linspace may round by an ulp.
+    state's dz, which linspace may round by an ulp.  delta and t_end must
+    be finite and positive, and 0 < safety <= 1: Heun's step is unstable
+    beyond the CFL limit itself.
     """
+    delta = require_positive("delta", delta)
+    t_end = require_positive("t_end", t_end)
+    if not 0.0 < safety <= 1.0:
+        raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
     fx = np.max(np.asarray(speed.Fx(0.0, 1.0)))
     dt0 = safety * delta ** 2 / (2.0 * max(fx, 1.0))
     nsteps = int(math.ceil(t_end / dt0))
@@ -446,12 +432,8 @@ def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
         u /= np.max(np.abs(u))
 
         def nonlinear(vals):
-            ok, rhs, _ = _accel.graph_rhs(speed.code, p0, p1, p2,
-                                          speed.cone_factor, 1, vals, z,
-                                          delta)
-            if not ok:
-                raise ConeExit("perturbed state left the cone")
-            return np.asarray(rhs)
+            return _accel.graph_rhs(speed.code, p0, p1, p2,
+                                    speed.cone_factor, 1, vals, z, delta)[0]
 
         d_num = (nonlinear(sigma + eps * u) - nonlinear(sigma - eps * u)) / (2 * eps)
         uz, uzz = _accel.central_differences(u, delta)

@@ -28,8 +28,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq  # noqa: F401
 
 from . import _accel
-from .errors import (BarrierViolation, ConeExit, NonConvergence,
-                     ToleranceFailure)
+from .errors import BarrierViolation, NonConvergence, require_positive
 from .speeds import SpeedFunction
 
 
@@ -90,24 +89,6 @@ class EllipticityMonitor:
         bound = max(ceiling, lam[0]) * (1.0 + 1e-9) + 1e-12
         return cls(Lambda=lam, B=b, identity_gap=gap, ceiling=ceiling,
                    bounded=bool(np.max(lam) <= bound))
-
-
-def _integrate(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
-               rtol, atol):
-    """The solver's steps of one profile IVP (``_accel.StepPolynomials``)."""
-    status, _, poly, rho_reached, message = _accel.integrate_profile(
-        speed.code, *speed.params, speed.F01,
-        speed.Q if math.isfinite(speed.Q) else np.inf, inv_a2,
-        float(rho0), float(psi0), float(psip0), float(rho_end),
-        float(psi_stop), float(rtol), float(atol))
-    if status == _accel.STATUS_CONE:
-        raise ConeExit(
-            f"profile left the inversion cone near rho = {rho_reached:.6g}")
-    if status == _accel.STATUS_SOLVER:
-        raise ToleranceFailure(
-            f"profile solver stopped at rho = {rho_reached:.6g} "
-            f"of {rho_end:.6g}: {message}")
-    return poly
 
 
 def _ode(speed, inv_a2, rho, psi, psip):
@@ -195,15 +176,19 @@ def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
     smallest value scipy accepts without substituting its own.  The arrays
     hold its step ends and the tip node, ``poly`` its step polynomials and
     the tip series; ``residual_norms`` is their collocation defect in units
-    of tol.
+    of tol.  A ``rho_max``, ``tol`` or ``rho_start`` that is not finite and
+    positive raises ValueError.
     """
+    rho_max = require_positive("rho_max", rho_max)
+    tol = require_positive("tol", tol)
+    rho_start = require_positive("rho_start", rho_start)
     if rho_max <= rho_start:
         raise ValueError("rho_max must exceed the regularized start")
     f11 = speed.F11
     psi0 = rho_start ** 2 / (4.0 * f11)
     psip0 = rho_start / (2.0 * f11)
-    poly = _integrate(speed, 0.0, rho_start, psi0, psip0, rho_max, np.inf,
-                      rtol=tol, atol=tol * 1e-2)
+    poly, _ = _accel.integrate_profile(speed, 0.0, rho_start, psi0, psip0,
+                                       rho_max, np.inf, tol, tol * 1e-2)
     rho, (zeta, zeta_rho) = poly.x, poly.y.T
     zeta_rr, _ = _ode(speed, 0.0, rho, zeta, zeta_rho)
     monitor = EllipticityMonitor.from_profile(speed, rho, zeta, zeta_rho,
@@ -266,11 +251,6 @@ class ShrinkerProfile:
     def residual_norms(self):
         return _collocation_defect(self.speed, 1.0 / self.a ** 2, self.poly,
                                    rtol=self.rtol, atol=self.rtol * 1e-2)
-
-    def w_bar(self, z):
-        """Comparison barrier 2 + K (1/z^2 + 1/(a^2 - z^2))."""
-        z = np.asarray(z, dtype=float)
-        return 2.0 + self.K * (1.0 / z ** 2 + 1.0 / (self.a ** 2 - z ** 2))
 
     def lower_bound_margin(self):
         """Pointwise margin of v^2 over 2 F(0,1)(1 - z^2/a^2)."""
@@ -369,7 +349,8 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     ``rtol`` defaulting to 1e-2 tol; the internal relative tolerance is
     floored at 100 machine epsilons (~2.2e-14).  Tighter requests solve at
     the floor; a ``tol`` that this accuracy cannot meet fails the Cauchy
-    test (NonConvergence).
+    test (NonConvergence).  An ``a``, ``tol``, ``rtol`` or ``rho_max``
+    that is not finite and positive raises ValueError.
     """
     F01, f11, Q = speed.F01, speed.F11, speed.Q
     lo = f11 / Q if math.isfinite(Q) else 0.0
@@ -377,10 +358,14 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
         raise ValueError(f"theta must lie in (F(1,1)/Q, 1) = ({lo:.6g}, 1)")
     if Theta is None:
         Theta = 2.0 * f11 / F01
-    if Theta <= f11 / F01:
+    if not Theta > f11 / F01:
         raise ValueError("Theta must exceed F(1,1)/F(0,1)")
-    if a <= 0:
-        raise ValueError("a must be positive")
+    a = require_positive("a", a)
+    tol = require_positive("tol", tol)
+    if rtol is not None:
+        rtol = require_positive("rtol", rtol)
+    if rho_max is not None:
+        rho_max = require_positive("rho_max", rho_max)
 
     consts = neck_constants(speed)
     L0 = consts["L0"]
@@ -404,10 +389,10 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     rho_s = 2.0 ** -8
     solves = []
     for start, solve_rtol in ((rho_s, rtol), (0.25 * rho_s, 0.1 * rtol)):
-        solve = _integrate(
+        solve, _ = _accel.integrate_profile(
             speed, inv_a2, start, start ** 2 / (4.0 * f11),
-            start / (2.0 * f11), rho_end, psi_stop, rtol=solve_rtol,
-            atol=solve_rtol * 1e-2)
+            start / (2.0 * f11), rho_end, psi_stop, solve_rtol,
+            solve_rtol * 1e-2)
         _barrier_checks(speed, a, theta, Theta, solve.x, *solve.y.T)
         solves.append(solve)
     primary, poly = solves

@@ -196,7 +196,7 @@ class SpeedFunction:
         return _accel.speed_Fx(self.code, p0, p1, p2, self._num(x), self._num(y))
 
     def f_closed(self, y, z):
-        """Closed-form partial inverse used by the jitted kernels.
+        """Closed-form partial inverse, the one the profile kernels use.
 
         The generic numeric inverter lives in :class:`ImplicitInverse`;
         the two agree to roundoff and are cross-checked in the test suite.

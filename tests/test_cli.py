@@ -1,7 +1,22 @@
-"""CLI surface: subcommands, exit codes, file formats, determinism."""
+"""CLI surface: subcommands, exit codes, file formats, determinism, input
+errors, and the positional contract of the benchmark's tracer."""
 
+import builtins
+import contextlib
+import importlib.util
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import gflowlab
+from gflowlab import errors
 from gflowlab.cli import main, parse_config, serialize_config
 from gflowlab.output import read_csv
 
@@ -164,3 +179,109 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "rescaled_manifest.json").read_text())
     assert 0.4 <= manifest["decay"]["slope"] <= 0.6
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["flow", "--delta", "0"], "delta must be finite and positive"),
+    (["flow", "--t-end", "0"], "t_end must be finite and positive"),
+    (["flow", "--r0", "0.1"], "cylinder vanishes at t = 0.0025"),
+    (["flow", "--safety", "10"], "safety must lie in (0, 1]"),
+    (["rescaled", "--delta", "0"], "delta must be finite and positive"),
+    (["rescaled", "--tau-end", "0"], "tau-end must be finite and positive"),
+    (["spectral", "--windows", "-1"], "windows must be >= 0"),
+    (["bowl", "--tol", "0"], "tol must be finite and positive"),
+])
+def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
+    assert _run(tmp_path, *argv) == 1
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert cause in err["message"]
+
+
+@pytest.mark.parametrize("argv,cause", [
+    (["shrinker", "--a", "nan"], "a must be finite and positive"),
+    (["bowl", "--rho-max", "nan"], "rho_max must be finite and positive"),
+])
+def test_nan_profile_input_rejected_without_hanging(tmp_path, argv, cause):
+    # a NaN once spun the profile solver forever: run the CLI in a child
+    # process so that a hang fails the test at its timeout
+    src = os.path.dirname(os.path.dirname(gflowlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gflowlab.cli", "-o", str(tmp_path), *argv],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    err = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert cause in err["message"]
+
+
+_SPEED_FRAGMENTS = st.fixed_dictionaries({
+    "speed": st.sampled_from(["sum", "bh", "sigma_ratio", "cone"]),
+    "n": st.integers(1, 6),
+    "k": st.one_of(st.none(), st.integers(0, 5))})
+_NAN, _INF = float("nan"), float("inf")
+# rho-max stays finite here: a NaN or infinite one is tested above, and
+# without the check a NaN solve never returns
+_COMMAND_FRAGMENTS = st.one_of(
+    st.tuples(st.just("bowl"), st.fixed_dictionaries({}, optional={
+        "rho-max": st.sampled_from([0.0, -5.0, 1e-5, 5.0, 30.0]),
+        "tol": st.sampled_from([0.0, -1e-8, _NAN, _INF, 1e-8, 1e-6])})),
+    st.tuples(st.just("flow"), st.fixed_dictionaries({}, optional={
+        "preset": st.sampled_from(["cylinder", "bowl-translation", "disk"]),
+        "scheme": st.sampled_from(["rk2", "semi_implicit", "euler"]),
+        "delta": st.sampled_from([0.0, -0.1, _NAN, 0.1, 0.2]),
+        "t-end": st.sampled_from([0.0, -1.0, _NAN, _INF, 0.01, 0.05]),
+        "safety": st.sampled_from([0.0, -0.4, _NAN, 0.4, 1.0, 10.0]),
+        "r0": st.sampled_from([0.0, -2.0, _NAN, 0.1, 2.0])})))
+
+
+def _error_class(name):
+    return getattr(errors, name, None) or getattr(builtins, name, None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(speed=_SPEED_FRAGMENTS, command=_COMMAND_FRAGMENTS)
+def test_cli_failures_are_typed_json_errors(speed, command):
+    name, fragment = command
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump({"speed": speed, name: fragment}, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["-o", os.path.join(tmp, "out"), "--config", cfg,
+                         name])
+    lines = out.getvalue().strip().splitlines()
+    assert code in (0, 1)
+    assert len(lines) == 1
+    if code == 1 and lines[0].startswith("{"):
+        cls = _error_class(json.loads(lines[0])["error"])
+        assert cls is not None
+        assert issubclass(cls, (errors.GFlowError, ValueError))
+    elif code == 1:
+        # the command ran and its own acceptance check failed
+        assert "FAIL" in lines[0]
+
+
+def test_benchmark_tracer_contract(tmp_path):
+    # perfbench/tracer.py counts work from the kernels' positional
+    # arguments and results: integrate_profile's step count at index 1,
+    # the stepping kernels' step count at index 2 times the size of v0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert _run(tmp_path / "bowl", "bowl", "--rho-max", "20") == 0
+        for scheme in ("rk2", "semi_implicit"):
+            assert _run(tmp_path / scheme, "flow", "--preset", "cylinder",
+                        "--t-end", "0.01", "--scheme", scheme) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["accel.integrate_profile.nodes"] > 0
+    assert tracer.counts["accel.flow_run.node_steps"] > 0
+    assert tracer.counts["accel.radial_semi_implicit_run.node_steps"] > 0
+    assert tracer_mod.nesting_errors(tracer.spans) == []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import gflowlab as gf
+from gflowlab import _accel
 from gflowlab.errors import NonConvergence, ToleranceFailure
 from gflowlab.solitons import (estimate_c_lower, lambda_ceiling,
                                neck_constants, shrinker_upper_bound_fit,
@@ -90,10 +91,9 @@ def test_bowl_tip_on_short_range(bh3):
 def test_profile_solver_failure_names_cause(sum3):
     # zero error weight on psi (psi0 = 0, atol = 0) is illegal input for
     # LSODA: the error quotes the solver and where it stopped
-    from gflowlab.solitons import _integrate
     with pytest.raises(ToleranceFailure, match=r"rho = 1 of 50: .*lsoda"):
-        _integrate(sum3, 0.0, 1.0, 0.0, 0.3, 50.0, np.inf,
-                   rtol=1e-10, atol=0.0)
+        _accel.integrate_profile(sum3, 0.0, 1.0, 0.0, 0.3, 50.0, np.inf,
+                                 1e-10, 0.0)
 
 
 def test_bowl_tolerance_study(sum3):
@@ -251,14 +251,13 @@ def test_shrinker_matches_subsolution_start(sum3, shrinker_sum3_a50):
     # the existence proof's construction as an oracle: one IVP started on
     # the subsolution theta rho^2/(4 F(1,1)) at rho_k = 2^-12 heals like
     # (rho_k/rho)^3 and lands within tol of the series-started profile
-    from gflowlab.solitons import _integrate
     p = shrinker_sum3_a50
     rk = 2.0 ** -12
     rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sum3.F01) * p.a
-    poly = _integrate(
+    poly, _ = _accel.integrate_profile(
         sum3, 1.0 / p.a ** 2, rk, p.theta * rk ** 2 / (4.0 * sum3.F11),
         p.theta * rk / (2.0 * sum3.F11), rho_end, p.a * (p.a - p.L0),
-        rtol=p.rtol, atol=p.rtol * 1e-2)
+        p.rtol, p.rtol * 1e-2)
     grid = np.geomspace(2.0 ** -8, min(poly.x[-1], p.rho[-1]) * (1.0 - 1e-3),
                         400)
     oracle = poly(grid)
@@ -272,13 +271,13 @@ def test_floored_tolerances_solve_alike(sum3):
     # atol follows it there, so the three requests make the same solve up
     # to the rounding of atol (with atol shrinking past the floor instead,
     # they differed by 1e-9)
-    from gflowlab.solitons import _integrate, neck_constants
     a, r0 = 50.0, 2.0 ** -8
     rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sum3.F01) * a
     psi_stop = a * (a - neck_constants(sum3)["L0"])
-    polys = [_integrate(sum3, 1.0 / a ** 2, r0, r0 ** 2 / (4.0 * sum3.F11),
-                        r0 / (2.0 * sum3.F11), rho_end, psi_stop, rtol=rtol,
-                        atol=rtol * 1e-2)
+    polys = [_accel.integrate_profile(
+                 sum3, 1.0 / a ** 2, r0, r0 ** 2 / (4.0 * sum3.F11),
+                 r0 / (2.0 * sum3.F11), rho_end, psi_stop, rtol,
+                 rtol * 1e-2)[0]
              for rtol in (5e-12, 3e-12, 2e-12)]
     grid = np.geomspace(r0, 0.999 * min(p.x[-1] for p in polys), 400)
     ref = polys[0](grid)
@@ -292,6 +291,20 @@ def test_shrinker_theta_window_checked(sum3, bh3):
     # bh n=3 has Q = 2, so theta must exceed F(1,1)/Q = 1/3
     with pytest.raises(ValueError):
         solve_shrinker(bh3, 25.0, theta=0.2)
+
+
+@pytest.mark.parametrize("solve,args,kwargs,name", [
+    (solve_bowl, (20.0,), {"tol": 0.0}, "tol"),
+    (solve_bowl, (20.0,), {"tol": math.nan}, "tol"),
+    (solve_shrinker, (50.0,), {"tol": math.nan}, "tol"),
+    (solve_shrinker, (50.0,), {"rtol": 0.0}, "rtol"),
+])
+def test_profile_tolerances_must_be_finite_positive(sum3, solve, args,
+                                                    kwargs, name):
+    # a zero or NaN tolerance reached the solver and came back as a
+    # ConeExit (or a ZeroDivisionError) that named no input
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        solve(sum3, *args, **kwargs)
 
 
 # -- w diagnostic --------------------------------------------------------------
