@@ -250,8 +250,7 @@ def criterion_10():
             details["k=2 drift"] = drift
             ok = ok and drift < 1e-5
         else:
-            slope = float(np.polyfit(hist.times,
-                                     np.log(np.abs(coeffs)), 1)[0])
+            slope, _, _ = flow.line_fit(hist.times, np.log(np.abs(coeffs)))
             target = 1.0 - k / 2.0
             rel = abs(slope - target) / abs(target)
             details[f"k={k} rate"] = slope

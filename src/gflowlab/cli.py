@@ -13,14 +13,16 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erf
 
 from . import acceptance, fits, flow, output, solitons, spectral
 from .errors import GFlowError, require_positive
-from .flow import (BoundaryCondition, RadialFlowState, run_flow,
+from .flow import (BoundaryCondition, RadialFlowState, line_fit, run_flow,
                    cylinder_radius, shrinking_cylinder_reference,
                    state_from_reference, step_plan,
                    translating_bowl_reference, translation_speed)
@@ -32,37 +34,119 @@ RESCALED_STEPS = 100
 SPECTRAL_STEPS_PER_UNIT = 8
 
 
+class Option(NamedTuple):
+    """A command option: the flag --<name> and the key <name> of its config
+    section, both read from their text by ``type``."""
+
+    name: str
+    type: Callable
+    default: object
+    choices: tuple | None = None
+    help: str = ""
+
+
+def float_list(text):
+    return [float(x) for x in text.split(",")]
+
+
+OPTIONS = {
+    "speed": (Option("speed", str, "sum", ("sum", "bh", "sigma_ratio")),
+              Option("n", int, 3), Option("k", int, None)),
+    "bowl": (Option("rho-max", float, 1000.0), Option("tol", float, 1e-10),
+             Option("fit-lo", float, 100.0),
+             Option("fit-hi", float, None, help="None: min(1000, rho-max)")),
+    "shrinker": (Option("a", float_list, "25,50,100",
+                        help="comma-separated parameters"),
+                 Option("theta", float, 0.9), Option("tol", float, 1e-8),
+                 Option("m-knob", float, 50.0),
+                 Option("bound-l", float, 15.0),
+                 Option("check-bounds", bool, False)),
+    "flow": (Option("preset", str, "cylinder",
+                    ("cylinder", "bowl-translation")),
+             Option("delta", float, 0.05), Option("t-end", float, 0.25),
+             Option("safety", float, 0.4),
+             Option("scheme", str, "rk2", ("rk2", "semi_implicit")),
+             Option("r0", float, 2.0), Option("stride", int, 0)),
+    "rescaled": (Option("seed-mode", str, "k1"), Option("amp", float, 1e-4),
+                 Option("tau-end", float, 1.0),
+                 Option("delta", float, 0.05), Option("window", float, 14.0),
+                 Option("measure-l", float, 4.0)),
+    "spectral": (Option("seed-mode", str, "k=2"), Option("amp", float, 1e-4),
+                 Option("windows", int, 10),
+                 Option("r", float, 0.3), Option("l", float, 10.0),
+                 Option("kmax", int, 10), Option("quad-order", int, 90)),
+}
+
+
 def parse_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in ``path``; ValueError naming the file otherwise."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path}: holds no JSON object")
+    return cfg
 
 
 def serialize_config(cfg: dict) -> str:
     return json.dumps(cfg, indent=2, sort_keys=True)
 
 
-def _opt(args, cfg, section, name, default):
-    """Resolution order: explicit flag > config file > default."""
-    val = getattr(args, name.replace("-", "_"), None)
-    if val is not None:
-        return val
-    return cfg.get(section, {}).get(name, default)
+def _read(section, opt, value):
+    """A config value read the way its text would be read as the flag: a
+    number, or a string the flag accepts; --a also takes a list of numbers
+    and --check-bounds a JSON bool.  None (JSON null) is unset."""
+    if value is None or (opt.type is bool and type(value) is bool):
+        return value
+    text = None
+    if type(value) is str:
+        text = value
+    elif type(value) in (int, float):
+        text = repr(value)
+    elif type(value) is list and opt.type is float_list:
+        text = ",".join(map(repr, value))
+    try:
+        read = None if text is None or opt.type is bool else opt.type(text)
+    except ValueError:
+        read = None
+    if opt.choices and read not in opt.choices:
+        raise ValueError(f"config {section}.{opt.name}: invalid choice: "
+                         f"{json.dumps(value)} (choose from "
+                         f"{', '.join(opt.choices)})")
+    if read is None:
+        raise ValueError(f"config {section}.{opt.name}: invalid "
+                         f"{opt.type.__name__} value: {json.dumps(value)}")
+    return read
 
 
-def _speed_from(args, cfg) -> SpeedFunction:
-    kind = _opt(args, cfg, "speed", "speed", "sum")
-    n = int(_opt(args, cfg, "speed", "n", 3))
-    k = _opt(args, cfg, "speed", "k", None)
-    return SpeedFunction(kind, n, None if k is None else int(k))
+def _options(args, cfg, section):
+    """The options of ``section``: each one's flag if given, else its config
+    value, else its default.  A non-object section, an unknown key or a
+    value of the wrong type, flag or not, is a ValueError naming it."""
+    given = cfg.get(section, {})
+    if not isinstance(given, dict):
+        raise ValueError(f"config {section}: expected a JSON object, got "
+                         f"{json.dumps(given)}")
+    names = [opt.name for opt in OPTIONS[section]]
+    unknown = sorted(given.keys() - names)
+    if unknown:
+        raise ValueError(f"config {section}.{unknown[0]}: unknown option "
+                         f"(known: {', '.join(names)})")
+    o = argparse.Namespace()
+    for opt in OPTIONS[section]:
+        dest = opt.name.replace("-", "_")
+        values = (getattr(args, dest),
+                  _read(section, opt, given.get(opt.name)),
+                  _read(section, opt, opt.default))
+        setattr(o, dest, next((v for v in values if v is not None), None))
+    return o
 
 
-def cmd_bowl(args, cfg) -> int:
-    sp = _speed_from(args, cfg)
-    rho_max = float(_opt(args, cfg, "bowl", "rho-max", 1000.0))
-    tol = float(_opt(args, cfg, "bowl", "tol", 1e-10))
-    fit_lo = float(_opt(args, cfg, "bowl", "fit-lo", 100.0))
-    fit_hi = float(_opt(args, cfg, "bowl", "fit-hi", min(1000.0, rho_max)))
-    outdir = output.output_dir(args.outdir)
+def cmd_bowl(sp, o, outdir) -> int:
+    rho_max, tol, fit_lo = o.rho_max, o.tol, o.fit_lo
+    fit_hi = min(1000.0, rho_max) if o.fit_hi is None else o.fit_hi
 
     bowl = solitons.solve_bowl(sp, rho_max=rho_max, tol=tol)
     meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
@@ -105,24 +189,13 @@ def cmd_bowl(args, cfg) -> int:
     return 0 if ok else 1
 
 
-def cmd_shrinker(args, cfg) -> int:
-    sp = _speed_from(args, cfg)
-    a_list = _opt(args, cfg, "shrinker", "a", "25,50,100")
-    if isinstance(a_list, str):
-        a_list = [float(x) for x in a_list.split(",")]
-    theta = float(_opt(args, cfg, "shrinker", "theta", 0.9))
-    tol = float(_opt(args, cfg, "shrinker", "tol", 1e-8))
-    m_knob = float(_opt(args, cfg, "shrinker", "m-knob", 50.0))
-    bound_l = float(_opt(args, cfg, "shrinker", "bound-l", 15.0))
-    check_bounds = bool(getattr(args, "check_bounds", False)
-                        or cfg.get("shrinker", {}).get("check-bounds", False))
-    outdir = output.output_dir(args.outdir)
-
+def cmd_shrinker(sp, o, outdir) -> int:
+    a_list, theta, tol = o.a, o.theta, o.tol
     profiles = []
     ok = True
     rows = []
     for a in a_list:
-        prof = solitons.solve_shrinker(sp, a, theta=theta, tol=tol, M=m_knob)
+        prof = solitons.solve_shrinker(sp, a, theta=theta, tol=tol)
         profiles.append(prof)
         meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
                 "a": a, "theta": theta, "tol": tol}
@@ -135,21 +208,22 @@ def cmd_shrinker(args, cfg) -> int:
         output.write_csv(os.path.join(outdir, f"shrinker_a{tag}_z.csv"),
                          {"z": prof.z, "v": prof.v, "v_z": prof.v_z,
                           "w": prof.w}, meta)
-        diag = solitons.shrinker_w_diagnostic(prof)
+        diag = solitons.shrinker_w_diagnostic(prof, M=o.m_knob)
         margin = prof.lower_bound_margin()
         row = {"a": a, "cauchy_gap": prof.cauchy_gap,
                "tip_curvature": prof.tip_curvature,
                "w_min": float(np.min(diag.w)), "w_lower_ok": diag.lower_ok,
                "w_tip": diag.tip_limit, "w_tip_target": diag.tip_target,
-               "w_bar_holds": prof.w_bar_holds, "z_Ma": prof.z_Ma,
+               "w_bar_holds": diag.upper_ok,
+               "z_Ma": diag.upper_window and diag.upper_window[1],
                "lower_bound_min_margin": float(np.min(margin)),
                "lower_bound_violations": int(np.sum(margin < 0))}
         rows.append(row)
         ok = ok and diag.lower_ok and row["lower_bound_violations"] == 0
     report = {"speed": sp.to_config(), "theta": theta, "tol": tol,
               "rows": rows}
-    if check_bounds:
-        sweep = fits.fit_shrinker_neck(profiles, L=bound_l)
+    if o.check_bounds:
+        sweep = fits.fit_shrinker_neck(profiles, L=o.bound_l)
         report["bounds"] = sweep
         ok = ok and sweep["lower_ok"] and sweep["upper"]["stable"]
     report["pass"] = ok
@@ -172,17 +246,9 @@ def _write_history(outdir, name, hist, extra_meta=None):
                       **(extra_meta or {})})
 
 
-def cmd_flow(args, cfg) -> int:
-    sp = _speed_from(args, cfg)
-    preset = _opt(args, cfg, "flow", "preset", "cylinder")
-    delta = float(_opt(args, cfg, "flow", "delta", 0.05))
-    t_end = float(_opt(args, cfg, "flow", "t-end", 0.25))
-    safety = float(_opt(args, cfg, "flow", "safety", 0.4))
-    scheme = _opt(args, cfg, "flow", "scheme", "rk2")
-    r0 = float(_opt(args, cfg, "flow", "r0", 2.0))
-    stride = int(_opt(args, cfg, "flow", "stride", 0))
-    outdir = output.output_dir(args.outdir)
-
+def cmd_flow(sp, o, outdir) -> int:
+    preset, delta, t_end, safety, r0 = (o.preset, o.delta, o.t_end,
+                                        o.safety, o.r0)
     dt, nsteps = step_plan(sp, delta, t_end, safety)
     if preset == "cylinder":
         t_vanish = require_positive("r0", r0) ** 2 / (2.0 * sp.F01)
@@ -192,20 +258,18 @@ def cmd_flow(args, cfg) -> int:
         ref = shrinking_cylinder_reference(sp, r0)
         st = state_from_reference(sp, ref, -5.0, 5.0, delta)
         target = math.sqrt(r0 ** 2 - 2.0 * sp.F01 * t_end)
-    elif preset == "bowl-translation":
+    else:  # bowl-translation
         bowl = solitons.solve_bowl(sp, rho_max=60.0, tol=1e-10)
         ref = translating_bowl_reference(bowl, tip_speed=0.5)
         st = state_from_reference(sp, ref, 5.0, 25.0, delta)
         target = 0.5
-    else:
-        raise ValueError(f"unknown flow preset {preset!r}")
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    hist = run_flow(st, dt, nsteps, bc=bc, scheme=scheme, cfl_safety=safety,
-                    record_every=stride or max(1, nsteps // 50))
+    hist = run_flow(st, dt, nsteps, bc=bc, scheme=o.scheme, cfl_safety=safety,
+                    record_every=o.stride or max(1, nsteps // 50))
     manifest = {"speed": sp.to_config(), "preset": preset,
                 "grid": {"z_lo": float(st.z[0]), "z_hi": float(st.z[-1]),
                          "delta": delta},
-                "scheme": scheme, "dt": dt, "nsteps": nsteps,
+                "scheme": o.scheme, "dt": dt, "nsteps": nsteps,
                 "cfl_safety": safety, "boundary": "dirichlet-reference",
                 "seed": None}
     if preset == "cylinder":
@@ -231,25 +295,19 @@ def cmd_flow(args, cfg) -> int:
 
 def _rescaled_seed(mode, amp, sp, basis, z):
     sigma = cylinder_radius(sp)
+    k = re.fullmatch(r"k=?(\d+)", mode)
     if mode == "cylinder":
         return sigma + 0.0 * z
-    if mode.startswith("k=") or (mode.startswith("k") and mode[1:].isdigit()):
-        k = int(mode.lstrip("k=").lstrip("k") or mode[-1])
-        return sigma + amp * basis.value(k, z)
+    if k:
+        return sigma + amp * basis.value(int(k[1]), z)
     if mode == "monotone":
         return sigma - amp * erf(z / (2.0 * math.sqrt(sp.a_lin)))
     raise ValueError(f"unknown seed mode {mode!r}")
 
 
-def cmd_rescaled(args, cfg) -> int:
-    sp = _speed_from(args, cfg)
-    seed_mode = _opt(args, cfg, "rescaled", "seed-mode", "k1")
-    amp = float(_opt(args, cfg, "rescaled", "amp", 1e-4))
-    tau_end = float(_opt(args, cfg, "rescaled", "tau-end", 1.0))
-    delta = float(_opt(args, cfg, "rescaled", "delta", 0.05))
-    window = float(_opt(args, cfg, "rescaled", "window", 14.0))
-    measure_l = float(_opt(args, cfg, "rescaled", "measure-l", 4.0))
-    outdir = output.output_dir(args.outdir)
+def cmd_rescaled(sp, o, outdir) -> int:
+    seed_mode, amp, tau_end, delta, window = (o.seed_mode, o.amp, o.tau_end,
+                                              o.delta, o.window)
     for name, value in (("tau-end", tau_end), ("delta", delta),
                         ("window", window)):
         require_positive(name, value)
@@ -272,14 +330,13 @@ def cmd_rescaled(args, cfg) -> int:
             np.max(np.abs(hist.snapshots - cylinder_radius(sp))))
         ok = manifest["max_drift"] <= 1e-12
     elif tau_end >= 6.0:
-        res = fits.measure_rescaled_decay(hist, L=measure_l)
+        res = fits.measure_rescaled_decay(hist, L=o.measure_l)
         manifest["decay"] = res
         ok = res["fixed_point"] or res["slope"] is not None
     else:
         sigma = cylinder_radius(sp)
-        sup = hist.sup_deviation(sigma, window=measure_l)
-        slope = float(np.polyfit(hist.times, np.log(np.maximum(sup, 1e-300)),
-                                 1)[0])
+        sup = hist.sup_deviation(sigma, window=o.measure_l)
+        slope, _, _ = line_fit(hist.times, np.log(np.maximum(sup, 1e-300)))
         manifest["sup_growth_rate"] = slope
         ok = True
     manifest["pass"] = ok
@@ -293,20 +350,13 @@ def cmd_rescaled(args, cfg) -> int:
     return 0 if ok else 1
 
 
-def cmd_spectral(args, cfg) -> int:
-    sp = _speed_from(args, cfg)
-    seed_mode = _opt(args, cfg, "spectral", "seed-mode", "k=2")
-    windows = int(_opt(args, cfg, "spectral", "windows", 10))
-    r_exp = float(_opt(args, cfg, "spectral", "r", 0.3))
-    big_l = float(_opt(args, cfg, "spectral", "l", 10.0))
-    amp = float(_opt(args, cfg, "spectral", "amp", 1e-4))
-    kmax = int(_opt(args, cfg, "spectral", "kmax", 10))
-    quad_order = int(_opt(args, cfg, "spectral", "quad-order", 90))
-    outdir = output.output_dir(args.outdir)
+def cmd_spectral(sp, o, outdir) -> int:
+    seed_mode, windows, r_exp, big_l, amp = (o.seed_mode, o.windows, o.r,
+                                             o.l, o.amp)
     if windows < 0:
         raise ValueError(f"windows must be >= 0, got {windows}")
 
-    basis = spectral.build_basis(sp.a_lin, K=kmax, quad_order=quad_order)
+    basis = spectral.build_basis(sp.a_lin, K=o.kmax, quad_order=o.quad_order)
     table = spectral.eigen_table(sp.n, 6, 6)
     output.write_csv(os.path.join(outdir, "eigen_table.csv"),
                      {"k": np.repeat(np.arange(7), 7),
@@ -352,18 +402,19 @@ def cmd_spectral(args, cfg) -> int:
     return 0
 
 
-def cmd_verify(args, cfg) -> int:
+def cmd_verify(args) -> int:
     only = None
     if args.only:
         only = [int(x) for x in args.only.split(",")]
     results = acceptance.run_all(only=only)
     ok = all(r.passed for r in results)
+    rows = [{"id": r.cid, "title": r.title, "pass": r.passed,
+             "measured": r.measured, "target": r.target,
+             "tolerance": r.tolerance, "provenance": r.provenance,
+             "runtime_s": r.runtime} for r in results]
     if args.json:
-        payload = [{"id": r.cid, "title": r.title, "pass": r.passed,
-                    "measured": r.measured, "target": r.target,
-                    "tolerance": r.tolerance, "provenance": r.provenance,
-                    "runtime_s": r.runtime, "details": r.details}
-                   for r in results]
+        payload = [{**row, "details": r.details}
+                   for row, r in zip(rows, results)]
         print(json.dumps(output._sanitize(payload), indent=2,
                          sort_keys=True))
     else:
@@ -373,12 +424,7 @@ def cmd_verify(args, cfg) -> int:
               f"criteria passed")
     if args.outdir:
         outdir = output.output_dir(args.outdir)
-        output.write_json(os.path.join(outdir, "verify.json"),
-                          [{"id": r.cid, "title": r.title, "pass": r.passed,
-                            "measured": r.measured, "target": r.target,
-                            "tolerance": r.tolerance,
-                            "provenance": r.provenance,
-                            "runtime_s": r.runtime} for r in results])
+        output.write_json(os.path.join(outdir, "verify.json"), rows)
     return 0 if ok else 1
 
 
@@ -392,78 +438,38 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", default=None, help="JSON config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_speed(p):
-        p.add_argument("--speed", default=None,
-                       choices=["sum", "bh", "sigma_ratio"])
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-
-    p = sub.add_parser("bowl", help="solve the translating bowl profile")
-    add_speed(p)
-    p.add_argument("--rho-max", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--fit-lo", type=float, default=None)
-    p.add_argument("--fit-hi", type=float, default=None)
-    p.set_defaults(fn=cmd_bowl)
-
-    p = sub.add_parser("shrinker", help="solve self-shrinking cap profiles")
-    add_speed(p)
-    p.add_argument("--a", default=None, help="comma-separated parameters")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--m-knob", type=float, default=None)
-    p.add_argument("--bound-l", type=float, default=None)
-    p.add_argument("--check-bounds", action="store_true")
-    p.set_defaults(fn=cmd_shrinker)
-
-    p = sub.add_parser("flow", help="time-step the radial graph flow")
-    add_speed(p)
-    p.add_argument("--preset", default=None,
-                   choices=["cylinder", "bowl-translation"])
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--safety", type=float, default=None)
-    p.add_argument("--scheme", default=None,
-                   choices=["rk2", "semi_implicit"])
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--stride", type=int, default=None)
-    p.set_defaults(fn=cmd_flow)
-
-    p = sub.add_parser("rescaled", help="time-step the rescaled flow")
-    add_speed(p)
-    p.add_argument("--seed-mode", default=None)
-    p.add_argument("--amp", type=float, default=None)
-    p.add_argument("--tau-end", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--window", type=float, default=None)
-    p.add_argument("--measure-l", type=float, default=None)
-    p.set_defaults(fn=cmd_rescaled)
-
-    p = sub.add_parser("spectral", help="mode traces of a seeded run")
-    add_speed(p)
-    p.add_argument("--seed-mode", default=None)
-    p.add_argument("--windows", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--l", type=float, default=None)
-    p.add_argument("--amp", type=float, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--quad-order", type=int, default=None)
-    p.set_defaults(fn=cmd_spectral)
+    for name, help_text, fn in (
+            ("bowl", "solve the translating bowl profile", cmd_bowl),
+            ("shrinker", "solve self-shrinking cap profiles", cmd_shrinker),
+            ("flow", "time-step the radial graph flow", cmd_flow),
+            ("rescaled", "time-step the rescaled flow", cmd_rescaled),
+            ("spectral", "mode traces of a seeded run", cmd_spectral)):
+        p = sub.add_parser(name, help=help_text)
+        for opt in OPTIONS["speed"] + OPTIONS[name]:
+            kwargs = ({"action": "store_true"} if opt.type is bool else
+                      {"type": opt.type, "choices": opt.choices})
+            p.add_argument(f"--{opt.name}", default=None, **kwargs,
+                           help=f"{opt.help} (default: {opt.default})")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--json", action="store_true")
     p.add_argument("--only", default=None,
                    help="comma-separated criterion ids")
-    p.set_defaults(fn=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = parse_config(args.config) if args.config else {}
     try:
-        return args.fn(args, cfg)
+        cfg = parse_config(args.config) if args.config else {}
+        if args.command == "verify":
+            return cmd_verify(args)
+        o = _options(args, cfg, args.command)
+        speed = _options(args, cfg, "speed")
+        return args.fn(SpeedFunction(speed.speed, speed.n, speed.k), o,
+                       output.output_dir(args.outdir))
     except (GFlowError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1

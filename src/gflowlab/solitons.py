@@ -237,9 +237,6 @@ class ShrinkerProfile:
     inversion_error: float
     tip_curvature: float
     w_tip: float
-    M_knob: float
-    z_Ma: float | None
-    w_bar_holds: bool | None
     poly: _accel.StepPolynomials = field(repr=False)
 
     def psi_at(self, r):
@@ -328,7 +325,6 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
                    tol: float = 1e-8,
                    z_min: float | None = None,
                    rho_max: float | None = None,
-                   M: float = 50.0,
                    rtol: float | None = None) -> ShrinkerProfile:
     """Construct the self-shrinking cap profile for parameter ``a``.
 
@@ -444,25 +440,13 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     w_full = np.concatenate([w, [w_tip]])
     rho_full = np.concatenate([rho_of_z, [0.0]])
 
-    # boundary behaviour of the w-barrier at z_{M,a}
-    z_Ma = None
-    holds = None
-    if M < rho[-1]:
-        z_Ma = float(a - poly(M) / a)
-        if z_Ma > math.sqrt(consts["K"]):
-            wbar = 2.0 + consts["K"] * (1.0 / z_grid ** 2
-                                        + 1.0 / (a ** 2 - z_grid ** 2))
-            sel = (z_grid > math.sqrt(consts["K"])) & (z_grid < z_Ma)
-            holds = bool(np.all(w[sel] <= wbar[sel] + 1e-9))
-
     return ShrinkerProfile(
         speed=speed, a=a, theta=theta, Theta=Theta, tol=tol, rtol=rtol,
         rho=rho, psi=psi, psi_rho=psip, psi_rhorho=psipp,
         z=z_full, v=v_full, v_z=vz_full, w=w_full, rho_of_z=rho_full,
         L0=L0, K=consts["K"], c_lower=consts["c"], monitor=monitor,
         cauchy_gap=gap, inversion_error=inv_err,
-        tip_curvature=tip_curv, w_tip=w_tip, M_knob=M, z_Ma=z_Ma,
-        w_bar_holds=holds, poly=poly)
+        tip_curvature=tip_curv, w_tip=w_tip, poly=poly)
 
 
 @dataclass
@@ -481,20 +465,29 @@ class WDiagnostic:
     c: float
 
 
-def shrinker_w_diagnostic(profile: ShrinkerProfile) -> WDiagnostic:
+def shrinker_w_diagnostic(profile: ShrinkerProfile,
+                          M: float = 50.0) -> WDiagnostic:
     """Evaluate the neck diagnostic of a solved shrinker.
 
     Flags w > 2 at every node, compares against the barrier
-    w_bar = 2 + K(1/z^2 + 1/(a^2 - z^2)) on (sqrt(K), z_{M,a}), and reports
-    the extrapolated tip limit against 2 F(1,1)/F(0,1).
+    w_bar = 2 + K(1/z^2 + 1/(a^2 - z^2)) on (sqrt(K), z_{M,a}), z_{M,a}
+    the height at rho = M (no window beyond the solved range, no check
+    when z_{M,a} <= sqrt(K)), and reports the extrapolated tip limit
+    against 2 F(1,1)/F(0,1).
     """
+    a, K = profile.a, profile.K
     z_int = profile.z[:-1]
     w_int = profile.w[:-1]
     margin = float(np.min(w_int - 2.0))
-    upper_ok = profile.w_bar_holds
+    upper_ok = None
     window = None
-    if profile.z_Ma is not None:
-        window = (math.sqrt(profile.K), profile.z_Ma)
+    if M < profile.rho[-1]:
+        z_Ma = float(a - profile.poly(M) / a)
+        window = (math.sqrt(K), z_Ma)
+        if z_Ma > math.sqrt(K):
+            wbar = 2.0 + K * (1.0 / z_int ** 2 + 1.0 / (a ** 2 - z_int ** 2))
+            sel = (z_int > math.sqrt(K)) & (z_int < z_Ma)
+            upper_ok = bool(np.all(w_int[sel] <= wbar[sel] + 1e-9))
     target = 2.0 * profile.speed.F11 / profile.speed.F01
     return WDiagnostic(z=z_int, w=w_int, lower_ok=bool(margin > 0.0),
                        min_margin=margin, tip_limit=profile.w_tip,

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import gflowlab
 from gflowlab import errors
-from gflowlab.cli import main, parse_config, serialize_config
+from gflowlab.cli import (OPTIONS, float_list, _options, build_parser,
+                          main, parse_config, serialize_config)
 from gflowlab.output import read_csv
 
 
@@ -198,6 +199,100 @@ def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert cause in err["message"]
 
 
+@pytest.mark.parametrize("command", ["rescaled", "spectral"])
+@pytest.mark.parametrize("mode", ["k=", "k=-1", "kx"])
+def test_unknown_seed_mode_is_named(tmp_path, capsys, command, mode):
+    # "k=" once failed inside int() and "k=-1" inside factorial()
+    assert _run(tmp_path, command, "--seed-mode", mode) == 1
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "ValueError",
+                   "message": f"unknown seed mode {mode!r}"}
+
+
+def _run_config(tmp_path, command, text, *flags):
+    tmp_path.mkdir(exist_ok=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return _run(tmp_path / "out", "--config", str(path), command, *flags)
+
+
+@pytest.mark.parametrize("command,text,cause", [
+    ("flow", '{"flow": {"delta": [0.1]}}',
+     "config flow.delta: invalid float value: [0.1]"),
+    ("bowl", '{"bowl": 5}', "config bowl: expected a JSON object, got 5"),
+    ("shrinker", '{"shrinker": {"check-bounds": "false"}}',
+     'config shrinker.check-bounds: invalid bool value: "false"'),
+    ("spectral", '{"spectral": {"windows": 2.7}}',
+     "config spectral.windows: invalid int value: 2.7"),
+    ("bowl", '{"bowl": {"rho_max": 50}}',
+     "config bowl.rho_max: unknown option"),
+    ("bowl", '{"speed": {"kind": "bh"}}', "config speed.kind: unknown option"),
+    ("flow", '{"flow": {"scheme": "euler"}}',
+     'config flow.scheme: invalid choice: "euler" (choose from rk2, '
+     'semi_implicit)'),
+    ("bowl", "[1]", "cfg.json: holds no JSON object"),
+    ("bowl", "not json", "cfg.json: Expecting value"),
+])
+def test_bad_config_names_its_key(tmp_path, capsys, command, text, cause):
+    assert _run_config(tmp_path, command, text) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert cause in err["message"]
+
+
+def test_bad_config_value_is_reported_under_its_flag(tmp_path, capsys):
+    assert _run_config(tmp_path, "spectral", '{"spectral": {"windows": 2.7}}',
+                       "--windows", "8") == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["message"].startswith("config spectral.windows: ")
+
+
+def test_missing_config_names_the_file(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert _run(tmp_path, "--config", str(path), "bowl") == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"config file {path}: ")
+
+
+def test_config_null_is_unset_and_numbers_read_as_flags(tmp_path):
+    # a null once reached int() and a bare number was iterated over
+    assert _run_config(tmp_path / "bowl", "bowl", json.dumps(
+        {"speed": {"n": None, "k": None}, "bowl": {"rho-max": 30}})) == 0
+    _, meta = read_csv(tmp_path / "bowl" / "out" / "bowl.csv")
+    assert int(meta["n"]) == 3
+    assert _run_config(tmp_path / "caps", "shrinker",
+                       '{"shrinker": {"a": 50, "check-bounds": false}}') == 0
+    report = json.loads(
+        (tmp_path / "caps" / "out" / "shrinker_report.json").read_text())
+    assert [row["a"] for row in report["rows"]] == [50.0]
+    assert "bounds" not in report
+
+
+# one flag text and the config value that stands for it, per option type
+_SAMPLES = {float: ("0.375", 0.375), int: ("7", 7), str: ("k3", "k3"),
+            bool: (None, True), float_list: ("25,50", [25, 50])}
+
+
+def test_flag_and_config_resolve_equal():
+    parser = build_parser()
+    for section, options in OPTIONS.items():
+        command = "bowl" if section == "speed" else section
+        unset = _options(parser.parse_args([command]), {}, section)
+        for opt in options:
+            text, value = _SAMPLES[opt.type]
+            if opt.choices:
+                text = value = opt.choices[-1]
+            argv = [command, f"--{opt.name}"] + ([text] if text else [])
+            from_flag = _options(parser.parse_args(argv), {}, section)
+            from_config = _options(parser.parse_args([command]),
+                                   {section: {opt.name: value}}, section)
+            assert from_flag == from_config, (section, opt.name)
+            assert from_flag != unset, (section, opt.name)
+
+
 @pytest.mark.parametrize("argv,cause", [
     (["shrinker", "--a", "nan"], "a must be finite and positive"),
     (["bowl", "--rho-max", "nan"], "rho_max must be finite and positive"),
@@ -216,11 +311,26 @@ def test_nan_profile_input_rejected_without_hanging(tmp_path, argv, cause):
     assert cause in err["message"]
 
 
-_SPEED_FRAGMENTS = st.fixed_dictionaries({
+# a null unsets its key; the other values are of a JSON type that no option
+# takes, except [1.0] for shrinker.a and "abc" for a seed mode
+_WRONG_TYPES = st.sampled_from([None, True, [1.0], {"x": 1}, "abc"])
+
+
+def _with_wrong_key(section, fragments):
+    """``fragments``, or one of them with one key of ``section``, or an
+    unknown key, set to a value from _WRONG_TYPES."""
+    keys = st.sampled_from([o.name for o in OPTIONS[section]] + ["nokey"])
+    return st.one_of(fragments, st.builds(lambda f, k, v: {**f, k: v},
+                                          fragments, keys, _WRONG_TYPES))
+
+
+_SPEED_FRAGMENTS = _with_wrong_key("speed", st.fixed_dictionaries({
     "speed": st.sampled_from(["sum", "bh", "sigma_ratio", "cone"]),
     "n": st.integers(1, 6),
-    "k": st.one_of(st.none(), st.integers(0, 5))})
+    "k": st.one_of(st.none(), st.integers(0, 5))}))
 _NAN, _INF = float("nan"), float("inf")
+_SEED_MODES = st.sampled_from(["k1", "k=2", "cylinder", "monotone", "k=",
+                               "kx"])
 # rho-max stays finite here: a NaN or infinite one is tested above, and
 # without the check a NaN solve never returns
 _COMMAND_FRAGMENTS = st.one_of(
@@ -233,17 +343,45 @@ _COMMAND_FRAGMENTS = st.one_of(
         "delta": st.sampled_from([0.0, -0.1, _NAN, 0.1, 0.2]),
         "t-end": st.sampled_from([0.0, -1.0, _NAN, _INF, 0.01, 0.05]),
         "safety": st.sampled_from([0.0, -0.4, _NAN, 0.4, 1.0, 10.0]),
-        "r0": st.sampled_from([0.0, -2.0, _NAN, 0.1, 2.0])})))
+        "r0": st.sampled_from([0.0, -2.0, _NAN, 0.1, 2.0])})),
+    st.tuples(st.just("shrinker"), _with_wrong_key("shrinker",
+        st.fixed_dictionaries({"a": st.sampled_from(["25", [25.0], "nan"])},
+                              optional={
+            "theta": st.sampled_from([0.0, 0.5, 0.9, 1.5, _NAN]),
+            "tol": st.sampled_from([0.0, _NAN, 1e-8, 1e-6]),
+            "check-bounds": st.booleans()}))),
+    st.tuples(st.just("rescaled"), _with_wrong_key("rescaled",
+        st.fixed_dictionaries({"delta": st.just(0.2), "window": st.just(6)},
+                              optional={
+            "seed-mode": _SEED_MODES,
+            "tau-end": st.sampled_from([0.0, _NAN, 0.1, 0.5]),
+            "amp": st.sampled_from([0.0, 1e-4, _NAN])}))),
+    st.tuples(st.just("spectral"), _with_wrong_key("spectral",
+        st.fixed_dictionaries({}, optional={
+            "seed-mode": _SEED_MODES,
+            "windows": st.sampled_from([-1, 0, 8]),
+            "kmax": st.sampled_from([2, 4]),
+            "quad-order": st.sampled_from([20, 30]),
+            "l": st.sampled_from([0.0, _NAN, 6.0])}))))
 
 
 def _error_class(name):
     return getattr(errors, name, None) or getattr(builtins, name, None)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def _unreadable_keys(cfg):
+    """The ``section.key`` names in ``cfg`` that no option has, or whose
+    value (an object) no option takes."""
+    return [f"{section}.{key}" for section, given in cfg.items()
+            for key, value in given.items()
+            if key == "nokey" or isinstance(value, dict)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(speed=_SPEED_FRAGMENTS, command=_COMMAND_FRAGMENTS)
 def test_cli_failures_are_typed_json_errors(speed, command):
     name, fragment = command
+    unreadable = _unreadable_keys({name: fragment, "speed": speed})
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "cfg.json")
         with open(cfg, "w") as fh:
@@ -255,6 +393,9 @@ def test_cli_failures_are_typed_json_errors(speed, command):
     lines = out.getvalue().strip().splitlines()
     assert code in (0, 1)
     assert len(lines) == 1
+    if unreadable:
+        assert code == 1
+        assert json.loads(lines[0])["message"].startswith("config ")
     if code == 1 and lines[0].startswith("{"):
         cls = _error_class(json.loads(lines[0])["error"])
         assert cls is not None

@@ -324,6 +324,19 @@ def test_w_upper_barrier(shrinker_sum3_a100):
     assert diag.upper_ok
 
 
+def test_w_upper_barrier_window_follows_M(shrinker_sum3_a100):
+    # the window ends at the height z_{M,a} = a - psi(M)/a of rho = M
+    prof = shrinker_sum3_a100
+    ends = {}
+    for M in (20.0, 50.0):
+        diag = gf.shrinker_w_diagnostic(prof, M=M)
+        assert diag.upper_ok
+        ends[M] = diag.upper_window[1]
+        assert ends[M] == pytest.approx(prof.a - prof.psi_at(M) / prof.a,
+                                        rel=1e-14)
+    assert ends[20.0] > ends[50.0]
+
+
 def test_w_mid_neck_window(shrinker_sum3_a100, sum3):
     # w at the inner end of the window sits in (2, 2 + K w1]
     prof = shrinker_sum3_a100
