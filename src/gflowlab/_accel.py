@@ -4,9 +4,11 @@ graph-flow stepping loops, in numpy and scipy.
 The speed algebra works elementwise on arrays and scalars.  Profiles are
 integrated by stepping scipy's ``LSODA`` solver class directly, with the
 height stop tested after each step, and kept as its steps' Nordsieck
-polynomials (``StepPolynomials``).  The explicit flow step is Heun's method
-and the semi-implicit step is the two-stage Rosenbrock method ROS2, with one
-LAPACK tridiagonal factorization (``dgttrf``) per step.
+polynomials (``StepPolynomials``), copied off LSODA's work arrays; only the
+step that crosses the height stop builds a dense-output object.  The
+explicit flow step is Heun's method and the semi-implicit step is the
+two-stage Rosenbrock method ROS2, with one LAPACK tridiagonal factorization
+(``dgttrf``) per step.
 
 A kernel raises the typed error where its check fails: ``integrate_profile``
 raises ``ToleranceFailure`` and ``ConeExit``, ``graph_rhs`` ``ConeExit``, and
@@ -41,6 +43,10 @@ EPS = np.finfo(float).eps
 RTOL_FLOOR = 100.0 * EPS
 # 3-point Gauss-Legendre nodes on [0, 1]
 GAUSS3 = 0.5 + 0.5 * np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+# the part of LSODA's real work array a profile step's polynomial is read
+# from: the last and the next step size (rwork[10:12]) through the end of
+# the Nordsieck array of a 2-component system, 13 columns from rwork[20]
+_RWORK_STEP = slice(10, 20 + 2 * 13)
 
 # ROS2's diagonal coefficient 1 + 1/sqrt(2): the value that makes the
 # two-stage method L-stable
@@ -124,11 +130,14 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
     The loop keeps ``solve_ivp``'s rules for one terminal, increasing event:
     the crossing test g_old <= 0 <= g_new on g = psi - psi_stop, the root
     found by ``brentq`` on the step's dense output at 4 eps, and a step
-    that ends exactly at the previous rho is dropped.
+    that ends exactly at the previous rho is dropped.  Only the crossing
+    step builds a dense-output object (``LSODA.dense_output()``); every
+    kept step's polynomial is copied off LSODA's work arrays instead.
 
-    Returns (rho, states, pieces): the step ends, starting at rho0, the
-    states there, and pieces[i], the ``LsodaDenseOutput`` on
-    [rho[i], rho[i + 1]].  Raises ToleranceFailure when ``LSODA.step``
+    Returns (rho, states, ends, work, orders), the arguments of
+    ``StepPolynomials``: the step ends, starting at rho0, the states there,
+    and per step the solver's t after it, ``rwork[_RWORK_STEP]`` and
+    (iwork[13], iwork[14]).  Raises ToleranceFailure when ``LSODA.step``
     fails, quoting its message, LSODA's own diagnosis (which arrives as a
     warning) and the rho reached; warnings of a successful solve are
     issued again once it ends.
@@ -137,7 +146,10 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
         warnings.simplefilter("always")
         solver = LSODA(rhs, rho0, [psi0, psip0], rho_end, jac=jac, rtol=rtol,
                        atol=atol)
-        ts, ys, pieces = [rho0], [[psi0, psip0]], []
+        # LSODA updates these arrays in place at every step
+        integrator = solver._lsoda_solver._integrator
+        rwork, iwork = integrator.rwork, integrator.iwork
+        ts, ys, ends, work, orders = [rho0], [[psi0, psip0]], [], [], []
         g = psi0 - psi_stop
         done = False
         while not done:
@@ -149,9 +161,9 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
                     f"{rho_end:.6g}: {detail}")
             done = solver.status == "finished"
             t, y = solver.t, solver.y
-            piece = solver.dense_output()
             g_new = y[0] - psi_stop
             if g <= 0.0 <= g_new:
+                piece = solver.dense_output()
                 t = brentq(lambda r: piece(r)[0] - psi_stop, solver.t_old, t,
                            xtol=4.0 * EPS, rtol=4.0 * EPS)
                 y = piece(t)
@@ -161,10 +173,12 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
                 continue
             ts.append(t)
             ys.append(y)
-            pieces.append(piece)
+            ends.append(solver.t)
+            work.append(rwork[_RWORK_STEP].copy())
+            orders.append((iwork[13], iwork[14]))
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return ts, ys, pieces
+    return ts, ys, ends, work, orders
 
 
 class StepPolynomials:
@@ -175,16 +189,32 @@ class StepPolynomials:
     s = (r - origin[i]) / scale[i], as in the step's ``LsodaDenseOutput``,
     so a step end gives the solver's own state (s = 0).  Points outside
     [x[0], x[-1]] take the first or the last step.
+
+    The polynomials are read off LSODA's work arrays as scipy's
+    ``LSODA.dense_output()`` reads them, for all steps at once: the origin
+    is the solver's t after the step (x holds the psi_stop root instead on
+    the crossing step), the scale is the next step size rwork[11], and yh
+    is rwork[20:20 + 2 (q + 1)], the Nordsieck array (2, q + 1) in
+    column-major order, with q = iwork[13] the order last used.  When the
+    next order iwork[14] is lower, LSODA has left the last column at the
+    old step size rwork[10], so it is rescaled by (rwork[11]/rwork[10])**q.
+    Columns past q are stale and zeroed.  These are private scipy fields;
+    ``test_step_polynomials_match_lsoda_dense_output`` pins them.
     """
 
-    def __init__(self, ts, ys, pieces):
+    def __init__(self, ts, ys, ends, work, orders):
         self.x, self.y = np.array(ts), np.vstack(ys)
-        self.origin = np.array([p.t for p in pieces])
-        self.scale = np.array([p.h for p in pieces])
-        self.yh = np.zeros((2, max(3, *(p.yh.shape[1] for p in pieces)),
-                            len(pieces)))
-        for i, piece in enumerate(pieces):
-            self.yh[:, :piece.yh.shape[1], i] = piece.yh
+        self.origin = np.array(ends)
+        # work[:, j] is rwork[10 + j]
+        work = np.array(work)
+        order, next_order = np.array(orders).T
+        self.scale = work[:, 1].copy()
+        yh = work[:, 10:].reshape(work.shape[0], -1, 2)
+        yh[np.arange(yh.shape[1]) > order[:, None]] = 0.0
+        for i in np.flatnonzero(next_order < order):
+            yh[i, order[i]] *= (work[i, 1] / work[i, 0]) ** order[i]
+        self.yh = np.ascontiguousarray(
+            yh[:, :max(3, order.max() + 1)].transpose(2, 1, 0))
 
     def prepend_tip(self):
         """Extend the profile to [0, x[0]] by the parabola of a tip-series

@@ -32,6 +32,9 @@ from .speeds import SpeedFunction
 # one per recorded snapshot
 RESCALED_STEPS = 100
 SPECTRAL_STEPS_PER_UNIT = 8
+# a spectral run spans windows + 1 time units, one trace window each, and
+# spectral.merle_zaag_classifier needs 8 windows
+SPECTRAL_MIN_WINDOWS = 7
 
 
 class Option(NamedTuple):
@@ -79,7 +82,8 @@ OPTIONS = {
 
 
 def parse_config(path: str) -> dict:
-    """The JSON object in ``path``; ValueError naming the file otherwise."""
+    """The JSON object in ``path``; ValueError naming the file otherwise,
+    or naming the first key that is not a section of ``OPTIONS``."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -87,6 +91,10 @@ def parse_config(path: str) -> dict:
         raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path}: holds no JSON object")
+    unknown = sorted(cfg.keys() - OPTIONS.keys())
+    if unknown:
+        raise ValueError(f"config {unknown[0]}: unknown section "
+                         f"(known: {', '.join(OPTIONS)})")
     return cfg
 
 
@@ -353,8 +361,9 @@ def cmd_rescaled(sp, o, outdir) -> int:
 def cmd_spectral(sp, o, outdir) -> int:
     seed_mode, windows, r_exp, big_l, amp = (o.seed_mode, o.windows, o.r,
                                              o.l, o.amp)
-    if windows < 0:
-        raise ValueError(f"windows must be >= 0, got {windows}")
+    if windows < SPECTRAL_MIN_WINDOWS:
+        raise ValueError(f"windows must be >= {SPECTRAL_MIN_WINDOWS}, "
+                         f"got {windows}")
 
     basis = spectral.build_basis(sp.a_lin, K=o.kmax, quad_order=o.quad_order)
     table = spectral.eigen_table(sp.n, 6, 6)

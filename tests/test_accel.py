@@ -35,22 +35,67 @@ def test_profile_driver_stops_at_psi_stop():
 
 
 def test_lsoda_dense_output_fields():
-    # StepPolynomials reads each step's Nordsieck array itself
+    # the psi_stop crossing step takes its root on LSODA's dense output, and
+    # the test below compares each step's polynomial with that object's
     from scipy.integrate import LSODA
     from scipy.integrate._ivp.lsoda import LsodaDenseOutput
     solver = LSODA(lambda t, y: -y, 0.0, [1.0, 2.0], 1.0)
     solver.step()
     piece = solver.dense_output()
     assert isinstance(piece, LsodaDenseOutput), (
-        "scipy's LSODA dense output changed class; StepPolynomials "
-        "reads LsodaDenseOutput.yh, .t and .h")
+        "scipy's LSODA dense output changed class; the Nordsieck "
+        "comparison reads LsodaDenseOutput.yh, .t and .h")
     for name in ("yh", "t", "h"):
         assert hasattr(piece, name), (
-            f"scipy's LsodaDenseOutput lost .{name}, which "
-            "StepPolynomials reads")
+            f"scipy's LsodaDenseOutput lost .{name}, which the Nordsieck "
+            "comparison reads")
     assert piece.t == solver.t
     assert piece.yh.shape[0] == 2
     np.testing.assert_array_equal(piece.yh[:, 0], solver.y)
+
+
+def test_step_polynomials_match_lsoda_dense_output():
+    # StepPolynomials reads each step off LSODA's private work arrays; a
+    # second solver stepped alongside gives every step's dense_output(),
+    # which must match bit for bit, rescaled order-decrease steps included
+    from scipy.integrate import LSODA
+    from scipy.integrate._ivp.lsoda import LsodaDenseOutput
+    sp = SpeedFunction("sum", 3)
+    p0, p1, p2 = sp.params
+
+    def rhs(rho, y):
+        return [y[1], _accel._profile_slope(sp.code, p0, p1, p2, 0.0, rho,
+                                            y[0], y[1])]
+
+    def jac(rho, y):
+        j21, j22 = _accel._profile_jacobian(sp.code, p0, p1, p2, 0.0, rho,
+                                            y[0], y[1])
+        return [[0.0, 1.0], [j21, j22]]
+
+    r0 = 1e-4
+    y0 = [r0 ** 2 / (4.0 * sp.F11), r0 / (2.0 * sp.F11)]
+    steps = _accel.StepPolynomials(*_accel._lsoda_steps(
+        rhs, jac, r0, *y0, 20.0, np.inf, 1e-13, 1e-14))
+    solver = LSODA(rhs, r0, y0, 20.0, jac=jac, rtol=1e-13, atol=1e-14)
+    iwork = solver._lsoda_solver._integrator.iwork
+    n_steps = steps.x.size - 1
+    r_eval = np.column_stack([steps.gauss_points(), steps.x[1:]])
+    decreases = 0
+    for i in range(n_steps):
+        solver.step()
+        decreases += int(iwork[14] < iwork[13])
+        piece = solver.dense_output()
+        q = piece.yh.shape[1] - 1
+        assert steps.x[i + 1] == solver.t == steps.origin[i] == piece.t
+        assert steps.scale[i] == piece.h
+        np.testing.assert_array_equal(steps.yh[:, :q + 1, i], piece.yh)
+        assert not steps.yh[:, q + 1:, i].any()
+        stored = LsodaDenseOutput(solver.t_old, steps.origin[i],
+                                  steps.scale[i], q,
+                                  steps.yh[:, :q + 1, i].copy())
+        np.testing.assert_array_equal(stored(r_eval[i]), piece(r_eval[i]))
+    assert solver.status == "finished"
+    assert decreases >= 1, "no order-decrease step: rescaling untested"
 
 
 def test_stepping_loop_time_stamps_exact():

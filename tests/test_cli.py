@@ -189,7 +189,7 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     (["flow", "--safety", "10"], "safety must lie in (0, 1]"),
     (["rescaled", "--delta", "0"], "delta must be finite and positive"),
     (["rescaled", "--tau-end", "0"], "tau-end must be finite and positive"),
-    (["spectral", "--windows", "-1"], "windows must be >= 0"),
+    (["spectral", "--windows", "-1"], "windows must be >= 7, got -1"),
     (["bowl", "--tol", "0"], "tol must be finite and positive"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
@@ -197,6 +197,19 @@ def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ValueError"
     assert cause in err["message"]
+
+
+def test_spectral_windows_checked_before_the_run(tmp_path, capsys):
+    # six windows give a trace of 7, one short of the classifier's 8
+    assert _run(tmp_path / "six", "spectral", "--windows", "6") == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err == {"error": "ValueError",
+                   "message": "windows must be >= 7, got 6"}
+    assert list((tmp_path / "six").iterdir()) == []
+    assert _run(tmp_path / "seven", "spectral", "--windows", "7") == 0
+    manifest = json.loads(
+        (tmp_path / "seven" / "spectral_manifest.json").read_text())
+    assert manifest["nsteps"] == 64
 
 
 @pytest.mark.parametrize("command", ["rescaled", "spectral"])
@@ -227,6 +240,10 @@ def _run_config(tmp_path, command, text, *flags):
     ("bowl", '{"bowl": {"rho_max": 50}}',
      "config bowl.rho_max: unknown option"),
     ("bowl", '{"speed": {"kind": "bh"}}', "config speed.kind: unknown option"),
+    ("bowl", '{"bowll": {"rho-max": 30}}',
+     "config bowll: unknown section (known: speed, bowl, shrinker, flow, "
+     "rescaled, spectral)"),
+    ("verify", '{"spectrl": {}}', "config spectrl: unknown section"),
     ("flow", '{"flow": {"scheme": "euler"}}',
      'config flow.scheme: invalid choice: "euler" (choose from rk2, '
      'semi_implicit)'),
