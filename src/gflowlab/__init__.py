@@ -13,8 +13,7 @@ from .errors import (BarrierViolation, ConeExit, ConeViolation,
                      StabilityViolation, ToleranceFailure, TruncationWarning,
                      WindowTooNarrow, WindowTooShort)
 from .speeds import (CurvatureVector, ImplicitInverse, SpeedFunction,
-                     compute_Q, evaluate_speed, invert_f, restriction_F,
-                     speed_gradient)
+                     compute_Q)
 from .solitons import (BowlProfile, EllipticityMonitor, ShrinkerProfile,
                        neck_constants, shrinker_to_bowl_convergence,
                        shrinker_upper_bound_check, shrinker_w_diagnostic,
@@ -22,9 +21,8 @@ from .solitons import (BowlProfile, EllipticityMonitor, ShrinkerProfile,
 from .flow import (BoundaryCondition, FlowHistory, RadialFlowState,
                    cylinder_radius, heat_barrier_psi,
                    heat_barrier_psi_quadrature,
-                   linearize_rescaled_at_cylinder, run_flow, step_radial,
-                   step_rescaled, tip_neck_diagnostics, translation_speed,
-                   vertical_to_radial)
+                   linearize_rescaled_at_cylinder, run_flow,
+                   tip_neck_diagnostics, translation_speed)
 from .spectral import (GammaTrace, HermiteBasis, SpectralDecomposition,
                        build_basis, decompose, eigen_table, eigenvalue,
                        gamma_trace_from_run, merle_zaag_classifier)

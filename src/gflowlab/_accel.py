@@ -15,13 +15,12 @@ raises ``ToleranceFailure`` and ``ConeExit``, ``graph_rhs`` ``ConeExit``, and
 the stepping kernels ``StabilityViolation`` (CFL limit, singular W) and
 ``Pinch``.  The stepping kernels allocate and return their own records.
 
-Speed kinds are encoded as integers:
+The speed kernels take ``SpeedFunction.kind`` and its per-kind constants
+(p0, p1, p2), ``SpeedFunction.params``:
 
-    0  sum          F(x, y) = x + p0*y
-    1  bh           F(x, y) = 1 / (p0/(x+y) + p1/y)
-    2  sigma_ratio  F(x, y) = y*(p0*y + p1*x) / (p1*y + p2*x)
-
-with per-kind constants (p0, p1, p2) prepared by ``speeds.SpeedFunction``.
+    sum          F(x, y) = x + p0*y
+    bh           F(x, y) = 1 / (p0/(x+y) + p1/y)
+    sigma_ratio  F(x, y) = y*(p0*y + p1*x) / (p1*y + p2*x)
 """
 
 from __future__ import annotations
@@ -52,28 +51,24 @@ _RWORK_STEP = slice(10, 20 + 2 * 13)
 # two-stage method L-stable
 ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 
-KIND_SUM = 0
-KIND_BH = 1
-KIND_SIGMA = 2
-
 
 def speed_F(kind, p0, p1, p2, x, y):
     """Restriction F(x, y) = speed at the curvature vector (x, y, ..., y).
 
     Works elementwise on arrays as well as on scalars.
     """
-    if kind == 0:
+    if kind == "sum":
         return x + p0 * y
-    if kind == 1:
+    if kind == "bh":
         return 1.0 / (p0 / (x + y) + p1 / y)
     return y * (p0 * y + p1 * x) / (p1 * y + p2 * x)
 
 
 def speed_Fx(kind, p0, p1, p2, x, y):
     """Partial derivative of the restriction in its first argument."""
-    if kind == 0:
+    if kind == "sum":
         return 1.0 + 0.0 * x
-    if kind == 1:
+    if kind == "bh":
         g = 1.0 / (p0 / (x + y) + p1 / y)
         return g * g * p0 / ((x + y) * (x + y))
     d = p1 * y + p2 * x
@@ -85,9 +80,9 @@ def speed_f(kind, p0, p1, p2, y, z):
 
     Caller must guarantee F(0,1) < z/y < Q; no domain checks here.
     """
-    if kind == 0:
+    if kind == "sum":
         return z - p0 * y
-    if kind == 1:
+    if kind == "bh":
         d = 1.0 / z - p1 / y
         return p0 / d - y
     return y * (z * p1 - p0 * y) / (y * p1 - z * p2)
@@ -263,7 +258,7 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
     (its message, its warnings and the rho reached) and ConeExit at the
     first inadmissible point.
     """
-    kind, (p0, p1, p2) = speed.code, speed.params
+    kind, (p0, p1, p2) = speed.kind, speed.params
 
     def rhs(rho, y):
         return [y[1], _profile_slope(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])]
@@ -361,13 +356,10 @@ def graph_jacobian(mode, z, dz, vz, x, y, g, fx):
 
 
 def _apply_bc(v, bc_mode, bl, br):
-    if bc_mode == 0:
+    if bc_mode == "dirichlet":
         v[0] = bl
         v[-1] = br
-    elif bc_mode == 2:
-        v[0] = 3.0 * v[1] - 3.0 * v[2] + v[3]
-        v[-1] = 3.0 * v[-2] - 3.0 * v[-3] + v[-4]
-    # bc_mode 1 (frozen): boundary nodes are never touched
+    # "frozen": boundary nodes are never touched
 
 
 def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every):
@@ -443,21 +435,20 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         W k2 = f(t + dt, v + dt k1) - 2 k1 - gamma dt f_t
         v   += dt (3 k1 + k2) / 2
 
-    bc_mode 0 takes the Dirichlet tables bcl / bcr; f_t, the rhs's time
+    bc_mode "dirichlet" takes the tables bcl / bcr; f_t, the rhs's time
     derivative through the boundary data, is J's coupling to each boundary
     node times the data's time derivative (central differences of the
     tables), so it is nonzero at the two end rows only.  Without it
     the time-dependent data cost the method its order near the boundary
-    (Lubich & Ostermann 1995).  bc_mode 1 keeps the boundary values frozen
-    (f_t = 0); extrapolated boundaries (bc_mode 2) are not supported.  No
-    CFL limit applies.  A step or stage state outside the admissible cone
-    raises ConeExit, a singular W StabilityViolation, a radius at r_floor
-    Pinch.  z is only read by the rescaled drift.
+    (Lubich & Ostermann 1995).  bc_mode "frozen" keeps the boundary values
+    fixed (f_t = 0).  No CFL limit applies.  A step or stage state outside
+    the admissible cone raises ConeExit, a singular W StabilityViolation, a
+    radius at r_floor Pinch.  z is only read by the rescaled drift.
 
     Returns (times, snapshots, n_steps), as ``flow_run``.
     """
     gdt = ROS2_GAMMA * dt
-    dirichlet = bc_mode == 0
+    dirichlet = bc_mode == "dirichlet"
     if dirichlet and bcl.size > 1:
         dbl = np.gradient(bcl, dt)
         dbr = np.gradient(bcr, dt)

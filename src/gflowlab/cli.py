@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from . import acceptance, fits, flow, output, solitons, spectral
-from .errors import GFlowError, require_positive
+from . import acceptance, fits, output, solitons, spectral
+from .errors import GFlowError, WindowTooNarrow, require_positive
 from .flow import (BoundaryCondition, RadialFlowState, line_fit, run_flow,
                    cylinder_radius, shrinking_cylinder_reference,
                    state_from_reference, step_plan,
@@ -33,8 +33,8 @@ from .speeds import SpeedFunction
 RESCALED_STEPS = 100
 SPECTRAL_STEPS_PER_UNIT = 8
 # a spectral run spans windows + 1 time units, one trace window each, and
-# spectral.merle_zaag_classifier needs 8 windows
-SPECTRAL_MIN_WINDOWS = 7
+# spectral.merle_zaag_classifier needs MIN_CLASSIFIER_WINDOWS of them
+SPECTRAL_MIN_WINDOWS = spectral.MIN_CLASSIFIER_WINDOWS - 1
 
 
 class Option(NamedTuple):
@@ -56,7 +56,7 @@ OPTIONS = {
     "speed": (Option("speed", str, "sum", ("sum", "bh", "sigma_ratio")),
               Option("n", int, 3), Option("k", int, None)),
     "bowl": (Option("rho-max", float, 1000.0), Option("tol", float, 1e-10),
-             Option("fit-lo", float, 100.0),
+             Option("fit-lo", float, None, help="None: 100"),
              Option("fit-hi", float, None, help="None: min(1000, rho-max)")),
     "shrinker": (Option("a", float_list, "25,50,100",
                         help="comma-separated parameters"),
@@ -96,10 +96,6 @@ def parse_config(path: str) -> dict:
         raise ValueError(f"config {unknown[0]}: unknown section "
                          f"(known: {', '.join(OPTIONS)})")
     return cfg
-
-
-def serialize_config(cfg: dict) -> str:
-    return json.dumps(cfg, indent=2, sort_keys=True)
 
 
 def _read(section, opt, value):
@@ -153,10 +149,19 @@ def _options(args, cfg, section):
 
 
 def cmd_bowl(sp, o, outdir) -> int:
-    rho_max, tol, fit_lo = o.rho_max, o.tol, o.fit_lo
+    rho_max, tol = o.rho_max, o.tol
+    fit_lo = 100.0 if o.fit_lo is None else o.fit_lo
     fit_hi = min(1000.0, rho_max) if o.fit_hi is None else o.fit_hi
 
     bowl = solitons.solve_bowl(sp, rho_max=rho_max, tol=tol)
+    try:
+        fit = fits.fit_bowl_expansion(bowl, (fit_lo, fit_hi))
+    except WindowTooNarrow:
+        # a window the user set must fit; the default one is skipped on a
+        # profile too short for it
+        if o.fit_lo is not None or o.fit_hi is not None:
+            raise
+        fit = None
     meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
             "a": "inf", "theta": "", "tol": tol}
     csv_path = os.path.join(outdir, "bowl.csv")
@@ -178,8 +183,7 @@ def cmd_bowl(sp, o, outdir) -> int:
     ok = (report["residual_max"] <= 10.0 and bowl.monitor.bounded
           and abs(bowl.tip_curvature - report["tip_target"])
           <= 1e-6 * report["tip_target"])
-    if fit_hi >= 10 * fit_lo >= 100 and fit_hi <= rho_max:
-        fit = fits.fit_bowl_expansion(bowl, (fit_lo, fit_hi))
+    if fit is not None:
         report["fit"] = fit.to_dict()
         ok = ok and fit.meta["relative_gap"] <= 0.05
         output.write_csv(os.path.join(outdir, "bowl_fit.csv"), {
@@ -337,7 +341,7 @@ def cmd_rescaled(sp, o, outdir) -> int:
         manifest["max_drift"] = float(
             np.max(np.abs(hist.snapshots - cylinder_radius(sp))))
         ok = manifest["max_drift"] <= 1e-12
-    elif tau_end >= 6.0:
+    elif tau_end >= fits.MIN_DECAY_SPAN:
         res = fits.measure_rescaled_decay(hist, L=o.measure_l)
         manifest["decay"] = res
         ok = res["fixed_point"] or res["slope"] is not None
@@ -420,7 +424,8 @@ def cmd_verify(args) -> int:
     rows = [{"id": r.cid, "title": r.title, "pass": r.passed,
              "measured": r.measured, "target": r.target,
              "tolerance": r.tolerance, "provenance": r.provenance,
-             "runtime_s": r.runtime} for r in results]
+             "runtime_s": r.runtime, "cache_hits": r.cache_hits}
+            for r in results]
     if args.json:
         payload = [{**row, "details": r.details}
                    for row, r in zip(rows, results)]

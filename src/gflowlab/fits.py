@@ -17,6 +17,9 @@ from .flow import FlowHistory, cylinder_radius, line_fit
 from .solitons import (BowlProfile, ShrinkerProfile,
                        shrinker_upper_bound_check)
 
+# shortest tau range measure_rescaled_decay fits a slope over
+MIN_DECAY_SPAN = 6.0
+
 
 @dataclass
 class AsymptoticFit:
@@ -64,24 +67,6 @@ def fit_bowl_expansion(bowl: BowlProfile, window: tuple) -> AsymptoticFit:
               "relative_gap": abs(c2 - target) / abs(target)})
 
 
-def fit_bowl_proof_quantities(bowl: BowlProfile, window: tuple) -> dict:
-    """Tail values of theta = zeta_rho/rho, xi = zeta_rho - rho/(2F(0,1)),
-    lam = rho xi, fitted on the window against their limits."""
-    lo, hi = window
-    rho = np.geomspace(lo, hi, 100)
-    zr = np.asarray(bowl.zeta_rho_at(rho))
-    f01 = bowl.speed.F01
-    theta = zr / rho
-    xi = zr - rho / (2.0 * f01)
-    lam = rho * xi
-    return {
-        "theta_tail": float(theta[-1]), "theta_limit": 1.0 / (2.0 * f01),
-        "xi_tail": float(xi[-1]), "xi_limit": 0.0,
-        "lam_tail": float(lam[-1]),
-        "lam_limit": -2.0 * bowl.speed.a_lin,
-    }
-
-
 def fit_shrinker_neck(profiles: list[ShrinkerProfile], L: float) -> dict:
     """Pointwise lower-bound check and upper-bound correction fit on a sweep.
 
@@ -106,18 +91,17 @@ def fit_shrinker_neck(profiles: list[ShrinkerProfile], L: float) -> dict:
             "upper": upper}
 
 
-def measure_rescaled_decay(history: FlowHistory, L: float,
-                           min_span: float = 6.0) -> dict:
+def measure_rescaled_decay(history: FlowHistory, L: float) -> dict:
     """Fitted slope of log sup_{|z|<=L} |v - sigma| against tau.
 
     A positive-mode-dominated run grows like e^{tau/2} forward in time
     (the k = 1 eigenvalue), so the target slope is 1/2 for bowl-consistent
     data.  Runs at the cylinder fixed point report an exact fixed point
-    instead of a slope.
+    instead of a slope.  The run must span ``MIN_DECAY_SPAN``.
     """
     span = float(history.times[-1] - history.times[0])
-    if span < min_span:
-        raise WindowTooShort(f"tau range {span:.2f} < {min_span}")
+    if span < MIN_DECAY_SPAN:
+        raise WindowTooShort(f"tau range {span:.2f} < {MIN_DECAY_SPAN}")
     sigma = cylinder_radius(history.speed)
     sup = history.sup_deviation(sigma, window=L)
     if np.max(sup) < 1e-14:

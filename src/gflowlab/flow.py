@@ -28,8 +28,8 @@ from .errors import DomainViolation, InsufficientTail, require_positive
 from .speeds import SpeedFunction
 from .solitons import BowlProfile
 
-REPRESENTATIONS = ("radial", "rescaled", "vertical")
-_BC_CODES = {"dirichlet": 0, "frozen": 1, "extrapolate": 2}
+REPRESENTATIONS = ("radial", "rescaled")
+BOUNDARY_MODES = ("dirichlet", "frozen")
 
 
 def cylinder_radius(speed: SpeedFunction) -> float:
@@ -57,7 +57,7 @@ class RadialFlowState:
         dz = np.diff(z)
         if not np.allclose(dz, dz[0], rtol=1e-12, atol=1e-12):
             raise ValueError("grid must be uniform")
-        if self.representation in ("radial", "rescaled") and np.any(v <= 0):
+        if np.any(v <= 0):
             raise ValueError("radius values must be positive")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "values", v)
@@ -69,8 +69,7 @@ class RadialFlowState:
 
 @dataclass
 class BoundaryCondition:
-    """Boundary handling for a run: Dirichlet callables, frozen, or
-    one-sided quadratic extrapolation from the interior.
+    """Boundary handling for a run: Dirichlet callables or frozen values.
 
     Dirichlet callables take an array of times and return the boundary
     values at those times (a scalar broadcasts to all of them)."""
@@ -91,9 +90,12 @@ class BoundaryCondition:
         return cls(mode="dirichlet", left=lambda t: ref(z_left, t),
                    right=lambda t: ref(z_right, t))
 
-    def tables(self, z, t0, dt, nsteps):
+    def tables(self, t0, dt, nsteps):
         """(left, right) boundary values at t0 + dt * (0, ..., nsteps), one
-        callback call per side."""
+        callback call per side.  An unknown mode is a ValueError."""
+        if self.mode not in BOUNDARY_MODES:
+            raise ValueError(f"unknown boundary mode {self.mode!r}; choose "
+                             f"from {BOUNDARY_MODES}")
         times = t0 + dt * np.arange(nsteps + 1)
         bl = np.zeros(nsteps + 1)
         br = np.zeros(nsteps + 1)
@@ -130,15 +132,6 @@ class FlowHistory:
         return np.max(np.abs(self.snapshots[:, sel] - level), axis=1)
 
 
-def _mode_code(representation):
-    if representation == "radial":
-        return 0
-    if representation == "rescaled":
-        return 1
-    raise ValueError("stepping is defined for radial and rescaled graphs; "
-                     "convert vertical graphs first")
-
-
 def run_flow(state: RadialFlowState, dt: float, nsteps: int,
              bc: BoundaryCondition | None = None,
              scheme: str = "rk2",
@@ -148,40 +141,36 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     """Advance a radial/rescaled state by ``nsteps`` steps of size ``dt``.
 
     ``scheme="rk2"`` is Heun's method (second order in time) under a CFL
-    guard; it steps both representations with any boundary mode.
-    ``scheme="semi_implicit"`` is the linearly implicit Rosenbrock method
-    ROS2 (second order in time, L-stable, no CFL limit); it steps both
-    representations with Dirichlet or frozen boundaries and raises
-    ValueError for ``extrapolate``.  Snapshots are recorded every
+    guard.  ``scheme="semi_implicit"`` is the linearly implicit Rosenbrock
+    method ROS2 (second order in time, L-stable, no CFL limit).  Both step
+    either representation with Dirichlet or frozen boundaries; another
+    boundary mode or scheme is a ValueError.  Snapshots are recorded every
     ``record_every`` steps (default: ~200 records per run).  The kernels
     raise ConeExit (a state leaves the admissible cone), Pinch (the radius
     reaches ``r_floor``) or StabilityViolation (Heun's CFL limit, a
     singular ROS2 step matrix) at the failing step.
     """
     bc = bc or BoundaryCondition()
-    mode = _mode_code(state.representation)
+    mode = REPRESENTATIONS.index(state.representation)
     if record_every is None:
         record_every = max(1, nsteps // 200)
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
-    bl, br = bc.tables(state.z, state.t, dt, nsteps)
+    bl, br = bc.tables(state.t, dt, nsteps)
     p0, p1, p2 = state.speed.params
     cfl_limit = cfl_safety * state.dz ** 2 / 2.0 * (1.0 + 1e-9)
 
     if scheme == "rk2":
         times, snapshots, _ = _accel.flow_run(
-            state.speed.code, p0, p1, p2, state.speed.cone_factor, mode,
+            state.speed.kind, p0, p1, p2, state.speed.cone_factor, mode,
             state.values, state.z, state.dz, float(dt), int(nsteps),
-            _BC_CODES[bc.mode], bl, br, float(r_floor), float(cfl_limit),
+            bc.mode, bl, br, float(r_floor), float(cfl_limit),
             int(record_every))
     elif scheme == "semi_implicit":
-        if bc.mode not in ("dirichlet", "frozen"):
-            raise ValueError("semi-implicit stepping takes dirichlet or "
-                             f"frozen boundaries, not {bc.mode!r}")
         times, snapshots, _ = _accel.radial_semi_implicit_run(
-            state.speed.code, p0, p1, p2, state.speed.cone_factor,
+            state.speed.kind, p0, p1, p2, state.speed.cone_factor,
             state.values, state.z, state.dz, float(dt), int(nsteps),
-            _BC_CODES[bc.mode], bl, br, float(r_floor),
+            bc.mode, bl, br, float(r_floor),
             int(record_every), mode)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -190,35 +179,6 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
                        speed=state.speed, dt=dt, scheme=scheme,
                        meta={"bc": bc.mode, "cfl_safety": cfl_safety,
                              "r_floor": r_floor, "nsteps": nsteps})
-
-
-def step_radial(state: RadialFlowState, dt: float,
-                bc: BoundaryCondition | None = None,
-                scheme: str = "rk2", **kw) -> RadialFlowState:
-    """One time step of the radial flow r_t = -gamma(-r_zz/(1+r_z^2), 1/r, ...)."""
-    if state.representation != "radial":
-        raise ValueError("state must be in the radial representation")
-    hist = run_flow(state, dt, 1, bc=bc, scheme=scheme, record_every=1, **kw)
-    return hist.final_state
-
-
-def step_rescaled(state: RadialFlowState, dt: float,
-                  bc: BoundaryCondition | None = None, **kw) -> RadialFlowState:
-    """One time step of the rescaled flow v_tau = -gamma(...) + (v - z v_z)/2."""
-    if state.representation != "rescaled":
-        raise ValueError("state must be in the rescaled representation")
-    hist = run_flow(state, dt, 1, bc=bc, scheme="rk2", record_every=1, **kw)
-    return hist.final_state
-
-
-def rescaled_rhs(state: RadialFlowState) -> np.ndarray:
-    """Interior discrete residual of the rescaled flow at a state (v_tau)."""
-    p0, p1, p2 = state.speed.params
-    rhs, _ = _accel.graph_rhs(state.speed.code, p0, p1, p2,
-                              state.speed.cone_factor,
-                              _mode_code(state.representation),
-                              state.values, state.z, state.dz)
-    return rhs
 
 
 def step_plan(speed: SpeedFunction, delta: float, t_end: float,
@@ -276,30 +236,6 @@ def state_from_reference(speed, ref, z_lo, z_hi, delta,
     n = int(round((z_hi - z_lo) / delta)) + 1
     z = np.linspace(z_lo, z_lo + delta * (n - 1), n)
     return RadialFlowState(representation, z, ref(z, t), t, speed)
-
-
-def vertical_to_radial(state: RadialFlowState, z_lo: float, z_hi: float,
-                       delta: float) -> RadialFlowState:
-    """Convert a vertical graph f(r) to the radius function r(z).
-
-    The height function must be strictly monotone over its grid (stepping
-    is defined for the radial and rescaled representations only, so
-    vertical data is converted first).
-    """
-    if state.representation != "vertical":
-        raise ValueError("state must be a vertical graph")
-    f = state.values
-    if not (np.all(np.diff(f) > 0) or np.all(np.diff(f) < 0)):
-        raise ValueError("height function must be strictly monotone")
-    r_grid, f_vals = state.z, f
-    if f_vals[0] > f_vals[-1]:
-        r_grid, f_vals = r_grid[::-1], f_vals[::-1]
-    if not (f_vals[0] <= z_lo and z_hi <= f_vals[-1]):
-        raise ValueError("requested z window not covered by the graph")
-    n = int(round((z_hi - z_lo) / delta)) + 1
-    z = np.linspace(z_lo, z_lo + delta * (n - 1), n)
-    r = PchipInterpolator(f_vals, r_grid)(z)
-    return RadialFlowState("radial", z, r, state.t, state.speed)
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -432,7 +368,7 @@ def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
         u /= np.max(np.abs(u))
 
         def nonlinear(vals):
-            return _accel.graph_rhs(speed.code, p0, p1, p2,
+            return _accel.graph_rhs(speed.kind, p0, p1, p2,
                                     speed.cone_factor, 1, vals, z, delta)[0]
 
         d_num = (nonlinear(sigma + eps * u) - nonlinear(sigma - eps * u)) / (2 * eps)
@@ -475,18 +411,3 @@ def heat_barrier_psi_quadrature(z: float, t: float) -> float:
     val, _ = quad(integrand, 0.0, upper, limit=400,
                   points=[z] if z < upper else None)
     return val / math.sqrt(4.0 * math.pi * t)
-
-
-def heat_barrier_residual(z, t, h_rel: float = 2e-4):
-    """Finite-difference residual of psi_t - psi_zz at sample points.
-
-    Steps scale with the point (derivatives of the kernel grow like inverse
-    powers of t near t = 0)."""
-    z = np.asarray(z, dtype=float)
-    t = np.asarray(t, dtype=float)
-    hz = h_rel * np.minimum(z, 1.0 + 0.0 * z)
-    ht = h_rel * np.minimum(t, 1.0 + 0.0 * t)
-    psi_t = (heat_barrier_psi(z, t + ht) - heat_barrier_psi(z, t - ht)) / (2 * ht)
-    psi_zz = (heat_barrier_psi(z + hz, t) - 2 * heat_barrier_psi(z, t)
-              + heat_barrier_psi(z - hz, t)) / hz ** 2
-    return psi_t - psi_zz

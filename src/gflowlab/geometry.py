@@ -76,10 +76,6 @@ class CylinderGraph:
         return float(np.max(np.abs(self.u) / r + np.abs(self.u_z)
                             + r * np.abs(self.u_zz)))
 
-    def scaled(self, factor: float) -> "CylinderGraph":
-        return CylinderGraph(self.radius, self.z, factor * self.u,
-                             factor * self.u_z, factor * self.u_zz)
-
     def exact_curvatures(self):
         """(kappa_axial, kappa_rot) of the surface of revolution."""
         R = self.radius + self.u
@@ -193,34 +189,3 @@ def trace_gamma_expansion_error(graph: CylinderGraph, speed: SpeedFunction,
     return ExpansionReport(sup_error=sup_err, denom_sup=sup_den,
                            ratio=sup_err / sup_den if sup_den > 0 else 0.0,
                            details={})
-
-
-def expansion_sweep(radius: float, z: np.ndarray, fn, dfn, d2fn,
-                    scales, speed: SpeedFunction | None = None):
-    """Error-report rows (u_scale, sup_error, fitted constant) over a sweep
-    of height-function amplitudes; ready for CSV export."""
-    rows = []
-    base = CylinderGraph.from_callable(radius, z, fn, dfn, d2fn)
-    for s in scales:
-        graph = base.scaled(s)
-        rep = expansion_error_A(graph) if speed is None \
-            else expansion_error_G(graph, speed)
-        rows.append({"u_scale": float(s), "sup_error": rep.sup_error,
-                     "fitted_constant": rep.ratio})
-    return rows
-
-
-def hessian_components(graph: CylinderGraph, f: np.ndarray, f_z: np.ndarray,
-                       f_zz: np.ndarray):
-    """Principal-frame Hessian of a z-only function on the graph surface.
-
-    Meridian component: (f_zz - R_z R_zz f_z/(1+R_z^2)) / (1+R_z^2);
-    rotational component: R_z f_z / (R (1+R_z^2)).
-    """
-    R = graph.radius + graph.u
-    Rz = graph.u_z
-    Rzz = graph.u_zz
-    one = 1.0 + Rz ** 2
-    h_mer = (f_zz - Rz * Rzz * f_z / one) / one
-    h_rot = Rz * f_z / (R * one)
-    return h_mer, h_rot

@@ -93,7 +93,7 @@ class EllipticityMonitor:
 
 def _ode(speed, inv_a2, rho, psi, psip):
     """(psi'', d psi''/d psi') of the profile ODE at the given states."""
-    args = (speed.code, *speed.params, inv_a2, rho, psi, psip)
+    args = (speed.kind, *speed.params, inv_a2, rho, psi, psip)
     return _accel._profile_slope(*args), _accel._profile_jacobian(*args)[1]
 
 

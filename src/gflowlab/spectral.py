@@ -25,6 +25,11 @@ from scipy.interpolate import PchipInterpolator
 from .errors import QuadratureFailure, TruncationWarning, WindowTooShort
 from .flow import line_fit
 
+# fewest windows a trace may have (one per time unit of the run), and the
+# fewest the mode-dominance classifier fits
+MIN_TRACE_WINDOWS = 2
+MIN_CLASSIFIER_WINDOWS = 8
+
 
 def eigenvalue(n: int, k: int, l: int) -> float:
     """mu_{k,l} = 1 - k/2 - l(l+n-2)/(2(n-1))."""
@@ -302,7 +307,7 @@ class GammaTrace:
 
 
 def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
-                         L: float = 10.0, min_windows: int = 2) -> GammaTrace:
+                         L: float = 10.0) -> GammaTrace:
     """Windowed weighted norms of u = v - sigma from a rescaled-flow run.
 
     Each window's profile is cut off by chi(delta_j^r z) before projecting,
@@ -315,9 +320,9 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
     T = float(times[-1])
     span = T - float(times[0])
     n_windows = int(math.floor(span))
-    if n_windows < min_windows:
+    if n_windows < MIN_TRACE_WINDOWS:
         raise WindowTooShort(
-            f"run spans {span:.2f} time units, need >= {min_windows}")
+            f"run spans {span:.2f} time units, need >= {MIN_TRACE_WINDOWS}")
 
     sel_L = np.abs(history.z) <= L
     sup_L = np.max(np.abs(history.snapshots[:, sel_L] - sigma), axis=1)
@@ -375,8 +380,7 @@ def _log_ratio_stats(num, den, half: bool = True):
 
 
 def merle_zaag_classifier(trace: GammaTrace, slope_threshold: float = -0.1,
-                          ratio_threshold: float = 0.1,
-                          min_windows: int = 8) -> dict:
+                          ratio_threshold: float = 0.1) -> dict:
     """Mode-dominance verdict from the fitted decay of the non-dominant parts.
 
     A part dominates when the others' share either trends to zero (log-ratio
@@ -385,9 +389,9 @@ def merle_zaag_classifier(trace: GammaTrace, slope_threshold: float = -0.1,
     covers runs whose contamination is a flat cutoff-mixing floor or a fixed
     seed admixture.  Inconclusive when neither part qualifies.
     """
-    if trace.windows.size < min_windows:
-        raise WindowTooShort(
-            f"need >= {min_windows} windows, have {trace.windows.size}")
+    if trace.windows.size < MIN_CLASSIFIER_WINDOWS:
+        raise WindowTooShort(f"need >= {MIN_CLASSIFIER_WINDOWS} windows, "
+                             f"have {trace.windows.size}")
     rest_p = trace.Gamma_zero + trace.Gamma_minus
     rest_0 = trace.Gamma_plus + trace.Gamma_minus
     slope_p, last_p, max_p = _log_ratio_stats(rest_p, trace.Gamma_plus)
@@ -412,20 +416,3 @@ def merle_zaag_classifier(trace: GammaTrace, slope_threshold: float = -0.1,
             "final_log_ratio_vs_zero": last_0,
             "max_log_ratio_vs_plus": max_p,
             "max_log_ratio_vs_zero": max_0}
-
-
-def plus_decay_rate(trace: GammaTrace) -> dict:
-    """Fitted per-window decay factor of Gamma^+ into the tail.
-
-    Under positive-mode dominance the factor is bounded by e^{-1}, with
-    equality approached by the slowest positive mode (k = 1).
-    """
-    gp = trace.Gamma_plus
-    valid = gp > 0
-    k = np.arange(gp.size)[valid]
-    y = np.log(gp[valid])
-    if k.size < 3:
-        raise WindowTooShort("need >= 3 windows with positive energy")
-    slope, _, _ = line_fit(k, y)
-    return {"factor_per_window": math.exp(slope),
-            "bound": math.exp(-1.0)}

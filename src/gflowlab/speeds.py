@@ -24,9 +24,6 @@ from .errors import ConeViolation, DomainViolation
 
 KINDS = ("sum", "bh", "sigma_ratio")
 
-_KIND_CODES = {"sum": _accel.KIND_SUM, "bh": _accel.KIND_BH,
-               "sigma_ratio": _accel.KIND_SIGMA}
-
 
 def _elementary_symmetric(lam: np.ndarray) -> np.ndarray:
     """All elementary symmetric polynomials sigma_0..sigma_n of ``lam``."""
@@ -101,7 +98,6 @@ class SpeedFunction:
         self.kind = kind
         self.n = n
         self.k = k
-        self.code = _KIND_CODES[kind]
         if kind == "sum":
             self.params = (float(n - 1), 0.0, 0.0)
             self.concavity = "convex"
@@ -188,12 +184,12 @@ class SpeedFunction:
     def F(self, x, y):
         """Restriction F(x, y) = gamma(x, y, ..., y)."""
         p0, p1, p2 = self.params
-        return _accel.speed_F(self.code, p0, p1, p2, self._num(x), self._num(y))
+        return _accel.speed_F(self.kind, p0, p1, p2, self._num(x), self._num(y))
 
     def Fx(self, x, y):
         """dF/dx, equal to dgamma^1 at (x, y, ..., y)."""
         p0, p1, p2 = self.params
-        return _accel.speed_Fx(self.code, p0, p1, p2, self._num(x), self._num(y))
+        return _accel.speed_Fx(self.kind, p0, p1, p2, self._num(x), self._num(y))
 
     def f_closed(self, y, z):
         """Closed-form partial inverse, the one the profile kernels use.
@@ -202,7 +198,7 @@ class SpeedFunction:
         the two agree to roundoff and are cross-checked in the test suite.
         """
         p0, p1, p2 = self.params
-        return _accel.speed_f(self.code, p0, p1, p2, self._num(y), self._num(z))
+        return _accel.speed_f(self.kind, p0, p1, p2, self._num(y), self._num(z))
 
     @property
     def cone_factor(self) -> float:
@@ -230,25 +226,6 @@ class SpeedFunction:
 
     def __repr__(self):
         return f"SpeedFunction({self.label()})"
-
-
-def evaluate_speed(speed: SpeedFunction, lam) -> float:
-    """gamma(lam) for lam strictly inside the cone of ``speed``."""
-    return speed.gamma(lam)
-
-
-def speed_gradient(speed: SpeedFunction, lam) -> np.ndarray:
-    """(dgamma^1, ..., dgamma^n)(lam); satisfies the Euler identity
-    sum_i dgamma^i lam_i = gamma(lam) by 1-homogeneity."""
-    return speed.gradient(lam)
-
-
-def restriction_F(speed: SpeedFunction, x: float, y: float) -> float:
-    """F(x, y) = gamma(x, y, ..., y); the argument must lie in the cone."""
-    if y <= 0 or not speed.contains_cone(
-            np.sort(np.concatenate([[x], np.full(speed.n - 1, y)]))):
-        raise ConeViolation(f"({x}, {y}, ..., {y}) outside the cone")
-    return float(speed.F(x, y))
 
 
 def compute_Q(speed: SpeedFunction, growth_factor: float = 1e6) -> float:
@@ -323,11 +300,6 @@ class ImplicitInverse:
                 lo = x
             x = x_new
         return float(max(x, 0.0))
-
-
-def invert_f(inv: ImplicitInverse, y: float, z: float) -> float:
-    """The unique x >= 0 with F(x, y) = z, for (y, z) in U."""
-    return inv(y, z)
 
 
 def sample_cone_interior(speed: SpeedFunction, rng: np.random.Generator,

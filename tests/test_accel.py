@@ -64,11 +64,11 @@ def test_step_polynomials_match_lsoda_dense_output():
     p0, p1, p2 = sp.params
 
     def rhs(rho, y):
-        return [y[1], _accel._profile_slope(sp.code, p0, p1, p2, 0.0, rho,
+        return [y[1], _accel._profile_slope(sp.kind, p0, p1, p2, 0.0, rho,
                                             y[0], y[1])]
 
     def jac(rho, y):
-        j21, j22 = _accel._profile_jacobian(sp.code, p0, p1, p2, 0.0, rho,
+        j21, j22 = _accel._profile_jacobian(sp.kind, p0, p1, p2, 0.0, rho,
                                             y[0], y[1])
         return [[0.0, 1.0], [j21, j22]]
 
@@ -117,11 +117,11 @@ def test_graph_jacobian_matches_finite_differences(kind, n, k, mode):
     v = 2.0 + 0.3 * np.sin(z) + 0.1 * z
 
     def rhs(vals):
-        return _accel.graph_rhs(sp.code, p0, p1, p2, sp.cone_factor, mode,
+        return _accel.graph_rhs(sp.kind, p0, p1, p2, sp.cone_factor, mode,
                                 vals, z, dz)[0]
 
     vz, x, y = _accel._discrete_pair(v, dz, sp.cone_factor)
-    f, g, fx = _accel._rhs_terms(sp.code, p0, p1, p2, mode, v, z, vz, x, y)
+    f, g, fx = _accel._rhs_terms(sp.kind, p0, p1, p2, mode, v, z, vz, x, y)
     np.testing.assert_array_equal(f, rhs(v))
     bands = _accel.graph_jacobian(mode, z, dz, vz, x, y, g, fx)
     h = 1e-6

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gflowlab
-from gflowlab import errors
+from gflowlab import acceptance, errors
 from gflowlab.cli import (OPTIONS, float_list, _options, build_parser,
-                          main, parse_config, serialize_config)
+                          main, parse_config)
 from gflowlab.output import read_csv
 
 
@@ -126,6 +126,22 @@ def test_verify_subset(tmp_path, capsys):
     assert [row["id"] for row in payload] == [8, 11]
 
 
+def test_verify_reports_cache_hits(tmp_path, capsys):
+    # criterion 4 takes the three shrinkers criterion 3 solved from the cache
+    outputs = []
+    for flags in ([], ["--json"]):
+        acceptance._bowl.cache_clear()
+        acceptance._shrinker.cache_clear()
+        assert _run(tmp_path, "verify", "--only", "3,4", *flags) == 0
+        outputs.append(capsys.readouterr().out)
+        rows = json.loads((tmp_path / "verify.json").read_text())
+        assert [row["cache_hits"] for row in rows] == [0, 3]
+    lines = outputs[0].splitlines()
+    assert "cache hits" not in lines[0]
+    assert lines[1].endswith("(3 cache hits)")
+    assert [row["cache_hits"] for row in json.loads(outputs[1])] == [0, 3]
+
+
 def test_verify_json_format(tmp_path, capsys):
     code = _run(tmp_path, "verify", "--only", "11", "--json")
     assert code == 0
@@ -160,10 +176,11 @@ def test_config_round_trip(tmp_path):
            "shrinker": {"a": "25,50", "theta": 0.9},
            "spectral": {"windows": 10, "r": 0.3}}
     path = tmp_path / "cfg.json"
-    path.write_text(serialize_config(cfg))
+    text = json.dumps(cfg, indent=2, sort_keys=True)
+    path.write_text(text)
     again = parse_config(str(path))
     assert again == cfg
-    assert serialize_config(again) == serialize_config(cfg)
+    assert json.dumps(again, indent=2, sort_keys=True) == text
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):
@@ -191,11 +208,17 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     (["rescaled", "--tau-end", "0"], "tau-end must be finite and positive"),
     (["spectral", "--windows", "-1"], "windows must be >= 7, got -1"),
     (["bowl", "--tol", "0"], "tol must be finite and positive"),
+    (["bowl", "--rho-max", "1000", "--fit-hi", "2000"],
+     "window end 2000.0 beyond the solved range 1000"),
+    (["bowl", "--rho-max", "1000", "--fit-lo", "5", "--fit-hi", "50"],
+     "need rho_hi >= 10 rho_lo >= 100"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert _run(tmp_path, *argv) == 1
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert err["error"] == "ValueError"
+    # a fit window the profile cannot serve is the fit's own error
+    expected = "WindowTooNarrow" if "--fit-hi" in argv else "ValueError"
+    assert err["error"] == expected
     assert cause in err["message"]
 
 
@@ -443,3 +466,22 @@ def test_benchmark_tracer_contract(tmp_path):
     assert tracer.counts["accel.flow_run.node_steps"] > 0
     assert tracer.counts["accel.radial_semi_implicit_run.node_steps"] > 0
     assert tracer_mod.nesting_errors(tracer.spans) == []
+
+
+def test_benchmark_worker_reads_the_package(monkeypatch):
+    # perfbench/worker.py records gflowlab.__version__ and NUMBA_ENABLED as
+    # provenance and checks the BowlProfile results it collects
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(root))
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  root / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    prov = worker.provenance()
+    assert prov["gflowlab"] == gflowlab.__version__
+    assert prov["numba_enabled"] is False
+    bowl = gflowlab.solve_bowl(gflowlab.SpeedFunction("sum", 3),
+                               rho_max=20.0, tol=1e-10)
+    accuracy = worker._accuracy_of_profiles([bowl])
+    assert accuracy["solitons.tip_rel_err"] <= 1e-6
+    assert accuracy["solitons.residual_max"] <= 10.0

@@ -8,8 +8,8 @@ from scipy.special import erf
 
 import gflowlab as gf
 from gflowlab.errors import WindowTooNarrow, WindowTooShort
-from gflowlab.fits import (fit_bowl_expansion, fit_bowl_proof_quantities,
-                           fit_shrinker_neck, measure_rescaled_decay)
+from gflowlab.fits import (fit_bowl_expansion, fit_shrinker_neck,
+                           measure_rescaled_decay)
 from gflowlab.flow import (BoundaryCondition, RadialFlowState,
                            cylinder_radius, run_flow, step_plan)
 from gflowlab.spectral import build_basis
@@ -36,13 +36,6 @@ def test_bowl_expansion_bh(bowl_bh3, bh3):
     lam = np.array([0.0, 1.0, 1.0])
     fd = (bh3.gamma(lam + [h, 0, 0]) - bh3.gamma(lam - [h, 0, 0])) / (2 * h)
     assert fit.coefficients["c2"] == pytest.approx(-2.0 * fd, rel=0.05)
-
-
-def test_bowl_proof_quantities(bowl_sum3, sum3):
-    rep = fit_bowl_proof_quantities(bowl_sum3, (100.0, 1000.0))
-    assert rep["theta_tail"] == pytest.approx(rep["theta_limit"], rel=1e-4)
-    assert abs(rep["xi_tail"]) <= 1e-2
-    assert rep["lam_tail"] == pytest.approx(rep["lam_limit"], rel=0.05)
 
 
 def test_fit_window_guards(bowl_sum3):

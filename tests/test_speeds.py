@@ -51,19 +51,19 @@ def bisect_f_oracle(speed, y, z, iters=200):
     return 0.5 * (lo + hi)
 
 
-# -- evaluate_speed ----------------------------------------------------------
+# -- gamma -------------------------------------------------------------------
 
 def test_sum_linear_examples(sum3):
-    assert gf.evaluate_speed(sum3, [1.0, 1.0, 1.0]) == 3.0
-    assert gf.evaluate_speed(sum3, [0.0, 1.0, 1.0]) == 2.0 == sum3.F01
+    assert sum3.gamma([1.0, 1.0, 1.0]) == 3.0
+    assert sum3.gamma([0.0, 1.0, 1.0]) == 2.0 == sum3.F01
 
 
 def test_bh_pair_summation_limit(bh3):
     # gamma(eps, 1, 1) -> 0.4 as eps -> 0: pair sums 1/1 + 1/1 + 1/2 = 2.5
     for eps in (1e-3, 1e-6, 1e-9):
-        val = gf.evaluate_speed(bh3, [eps, 1.0, 1.0])
+        val = bh3.gamma([eps, 1.0, 1.0])
         assert val == pytest.approx(bh_gamma_oracle([eps, 1.0, 1.0]), rel=1e-14)
-    assert gf.evaluate_speed(bh3, [0.0, 1.0, 1.0]) == pytest.approx(0.4, abs=1e-15)
+    assert bh3.gamma([0.0, 1.0, 1.0]) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_bh_matches_oracle_random(bh3, rng):
@@ -73,9 +73,9 @@ def test_bh_matches_oracle_random(bh3, rng):
 
 def test_cone_violation_raises(bh3, sum3):
     with pytest.raises(ConeViolation):
-        gf.evaluate_speed(bh3, [-1.0, 0.5, 1.0])
+        bh3.gamma([-1.0, 0.5, 1.0])
     with pytest.raises(ConeViolation):
-        gf.evaluate_speed(sum3, [-2.0, 1.0, 1.0])
+        sum3.gamma([-2.0, 1.0, 1.0])
 
 
 def test_bh_needs_three_dimensions():
@@ -98,16 +98,16 @@ def test_curvature_vector_validation():
     assert cv.n == 3
 
 
-# -- speed_gradient ----------------------------------------------------------
+# -- gradient ----------------------------------------------------------------
 
 def test_sum_gradient_is_ones(sum3, rng):
     lam = sample_cone_interior(sum3, rng, 1)[0]
-    assert np.allclose(gf.speed_gradient(sum3, lam), 1.0)
+    assert np.allclose(sum3.gradient(lam), 1.0)
 
 
 def test_bh_gradient_closed_form(bh3):
     # dgamma^1(0,1,1) = gamma^2 * sum_{j>=2} (lam_1+lam_j)^{-2} = 0.16*2
-    grad = gf.speed_gradient(bh3, [0.0, 1.0, 1.0])
+    grad = bh3.gradient([0.0, 1.0, 1.0])
     assert grad[0] == pytest.approx(0.32, rel=1e-12)
     fd = fd_gradient_oracle(lambda l: bh_gamma_oracle(l), [0.0, 1.0, 1.0])
     assert np.allclose(grad, fd, rtol=1e-6)
@@ -129,13 +129,13 @@ def test_gradient_matches_fd(all_speeds, rng):
             assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
 
 
-# -- restriction_F -----------------------------------------------------------
+# -- restriction F -----------------------------------------------------------
 
 def test_restriction_examples(sum3, bh3, all_speeds):
-    assert gf.restriction_F(sum3, 1.0, 1.0) == 3.0
-    assert gf.restriction_F(bh3, 0.0, 1.0) == pytest.approx(0.4)
+    assert sum3.F(1.0, 1.0) == 3.0
+    assert bh3.F(0.0, 1.0) == pytest.approx(0.4)
     for sp in all_speeds:
-        assert gf.restriction_F(sp, 1.0, 1.0) == pytest.approx(
+        assert sp.F(1.0, 1.0) == pytest.approx(
             sp.gamma(np.ones(sp.n)), rel=1e-14)
 
 
@@ -178,11 +178,11 @@ def test_Q_sigma_ratio(sr24):
     assert gf.compute_Q(sr24) == pytest.approx(3.0, rel=1e-12)
 
 
-# -- invert_f ----------------------------------------------------------------
+# -- inverse f ---------------------------------------------------------------
 
 def test_invert_linear(sum3):
     inv = gf.ImplicitInverse(sum3)
-    assert gf.invert_f(inv, 1.0, 2.5) == pytest.approx(0.5, abs=1e-12)
+    assert inv(1.0, 2.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_invert_bh_example(bh3):
