@@ -12,8 +12,7 @@ from .errors import (BarrierViolation, ConeExit, ConeViolation,
                      NonConvergence, Pinch, QuadratureFailure,
                      StabilityViolation, ToleranceFailure, TruncationWarning,
                      WindowTooNarrow, WindowTooShort)
-from .speeds import (CurvatureVector, ImplicitInverse, SpeedFunction,
-                     compute_Q)
+from .speeds import CurvatureVector, ImplicitInverse, SpeedFunction
 from .solitons import (BowlProfile, EllipticityMonitor, ShrinkerProfile,
                        neck_constants, shrinker_to_bowl_convergence,
                        shrinker_upper_bound_check, shrinker_w_diagnostic,

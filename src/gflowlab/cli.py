@@ -22,7 +22,7 @@ from scipy.special import erf
 
 from . import acceptance, fits, output, solitons, spectral
 from .errors import GFlowError, WindowTooNarrow, require_positive
-from .flow import (BoundaryCondition, RadialFlowState, line_fit, run_flow,
+from .flow import (BoundaryCondition, RadialFlowState, run_flow,
                    cylinder_radius, shrinking_cylinder_reference,
                    state_from_reference, step_plan,
                    translating_bowl_reference, translation_speed)
@@ -203,12 +203,15 @@ def cmd_bowl(sp, o, outdir) -> int:
 
 def cmd_shrinker(sp, o, outdir) -> int:
     a_list, theta, tol = o.a, o.theta, o.tol
-    profiles = []
+    require_positive("m-knob", o.m_knob)
+    profiles = [solitons.solve_shrinker(sp, a, theta=theta, tol=tol)
+                for a in a_list]
+    # a sweep or bound window the fit rejects fails before any file is written
+    sweep = (fits.fit_shrinker_neck(profiles, L=o.bound_l)
+             if o.check_bounds else None)
     ok = True
     rows = []
-    for a in a_list:
-        prof = solitons.solve_shrinker(sp, a, theta=theta, tol=tol)
-        profiles.append(prof)
+    for a, prof in zip(a_list, profiles):
         meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
                 "a": a, "theta": theta, "tol": tol}
         tag = f"{a:g}".replace(".", "p")
@@ -234,8 +237,7 @@ def cmd_shrinker(sp, o, outdir) -> int:
         ok = ok and diag.lower_ok and row["lower_bound_violations"] == 0
     report = {"speed": sp.to_config(), "theta": theta, "tol": tol,
               "rows": rows}
-    if o.check_bounds:
-        sweep = fits.fit_shrinker_neck(profiles, L=o.bound_l)
+    if sweep is not None:
         report["bounds"] = sweep
         ok = ok and sweep["lower_ok"] and sweep["upper"]["stable"]
     report["pass"] = ok
@@ -261,6 +263,8 @@ def _write_history(outdir, name, hist, extra_meta=None):
 def cmd_flow(sp, o, outdir) -> int:
     preset, delta, t_end, safety, r0 = (o.preset, o.delta, o.t_end,
                                         o.safety, o.r0)
+    if o.stride < 0:
+        raise ValueError(f"stride must be >= 0, got {o.stride}")
     dt, nsteps = step_plan(sp, delta, t_end, safety)
     if preset == "cylinder":
         t_vanish = require_positive("r0", r0) ** 2 / (2.0 * sp.F01)
@@ -321,7 +325,7 @@ def cmd_rescaled(sp, o, outdir) -> int:
     seed_mode, amp, tau_end, delta, window = (o.seed_mode, o.amp, o.tau_end,
                                               o.delta, o.window)
     for name, value in (("tau-end", tau_end), ("delta", delta),
-                        ("window", window)):
+                        ("window", window), ("measure-l", o.measure_l)):
         require_positive(name, value)
 
     basis = spectral.build_basis(sp.a_lin, K=8, quad_order=80)
@@ -346,10 +350,8 @@ def cmd_rescaled(sp, o, outdir) -> int:
         manifest["decay"] = res
         ok = res["fixed_point"] or res["slope"] is not None
     else:
-        sigma = cylinder_radius(sp)
-        sup = hist.sup_deviation(sigma, window=o.measure_l)
-        slope, _, _ = line_fit(hist.times, np.log(np.maximum(sup, 1e-300)))
-        manifest["sup_growth_rate"] = slope
+        growth = fits.sup_growth_fit(hist, L=o.measure_l)
+        manifest["sup_growth_rate"] = growth["slope"]
         ok = True
     manifest["pass"] = ok
     _write_history(outdir, "rescaled", hist, {"seed_mode": seed_mode})

@@ -91,22 +91,26 @@ def fit_shrinker_neck(profiles: list[ShrinkerProfile], L: float) -> dict:
             "upper": upper}
 
 
-def measure_rescaled_decay(history: FlowHistory, L: float) -> dict:
-    """Fitted slope of log sup_{|z|<=L} |v - sigma| against tau.
-
-    A positive-mode-dominated run grows like e^{tau/2} forward in time
-    (the k = 1 eigenvalue), so the target slope is 1/2 for bowl-consistent
-    data.  Runs at the cylinder fixed point report an exact fixed point
-    instead of a slope.  The run must span ``MIN_DECAY_SPAN``.
-    """
-    span = float(history.times[-1] - history.times[0])
-    if span < MIN_DECAY_SPAN:
-        raise WindowTooShort(f"tau range {span:.2f} < {MIN_DECAY_SPAN}")
-    sigma = cylinder_radius(history.speed)
-    sup = history.sup_deviation(sigma, window=L)
+def sup_growth_fit(history: FlowHistory, L: float) -> dict:
+    """Fitted slope of log sup_{|z|<=L} |v - sigma| against tau, or the
+    exact fixed point when that deviation stays below 1e-14."""
+    sup = history.sup_deviation(cylinder_radius(history.speed), window=L)
     if np.max(sup) < 1e-14:
         return {"fixed_point": True, "slope": None, "sup_final": 0.0}
     valid = sup > 0
     slope, _, rms = line_fit(history.times[valid], np.log(sup[valid]))
     return {"fixed_point": False, "slope": slope, "rms": rms,
             "sup_final": float(sup[-1])}
+
+
+def measure_rescaled_decay(history: FlowHistory, L: float) -> dict:
+    """``sup_growth_fit`` over a run that spans ``MIN_DECAY_SPAN``.
+
+    A positive-mode-dominated run grows like e^{tau/2} forward in time
+    (the k = 1 eigenvalue), so the target slope is 1/2 for bowl-consistent
+    data.
+    """
+    span = float(history.times[-1] - history.times[0])
+    if span < MIN_DECAY_SPAN:
+        raise WindowTooShort(f"tau range {span:.2f} < {MIN_DECAY_SPAN}")
+    return sup_growth_fit(history, L)

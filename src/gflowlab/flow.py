@@ -125,10 +125,14 @@ class FlowHistory:
                                self.speed)
 
     def sup_deviation(self, level: float, window: float | None = None):
-        """sup_{|z| <= window} |values - level| per recorded time."""
+        """sup_{|z| <= window} |values - level| per recorded time; a
+        ValueError naming the window when it holds no grid node."""
         sel = np.ones(self.z.size, dtype=bool)
         if window is not None:
             sel = np.abs(self.z) <= window
+            if not np.any(sel):
+                raise ValueError(f"window |z| <= {window:g} holds no grid "
+                                 "node")
         return np.max(np.abs(self.snapshots[:, sel] - level), axis=1)
 
 

@@ -69,12 +69,14 @@ class CylinderGraph:
             raise ValueError("finite-difference derivatives need a uniform grid")
         return cls(radius, z[2:-2], u[2:-2], _fd5(u, h, 1), _fd5(u, h, 2))
 
+    def _first_order(self) -> np.ndarray:
+        r = self.radius
+        return np.abs(self.u) / r + np.abs(self.u_z) + r * np.abs(self.u_zz)
+
     @property
     def smallness(self) -> float:
         """sup(|u|/r + |u_z| + r |u_zz|), the expansion's small parameter."""
-        r = self.radius
-        return float(np.max(np.abs(self.u) / r + np.abs(self.u_z)
-                            + r * np.abs(self.u_zz)))
+        return float(np.max(self._first_order()))
 
     def exact_curvatures(self):
         """(kappa_axial, kappa_rot) of the surface of revolution."""
@@ -101,6 +103,28 @@ class ExpansionReport:
     details: dict
 
 
+def _report(err, denom, details) -> ExpansionReport:
+    sup_err = float(np.max(err))
+    sup_den = float(np.max(denom))
+    return ExpansionReport(sup_error=sup_err, denom_sup=sup_den,
+                           ratio=sup_err / sup_den if sup_den > 0 else 0.0,
+                           details=details)
+
+
+def _quadratic(graph: CylinderGraph) -> np.ndarray:
+    """u^2/r^3 + u_z^2/r + r u_zz^2, the quadratic-smallness scale."""
+    r = graph.radius
+    return graph.u ** 2 / r ** 3 + graph.u_z ** 2 / r + r * graph.u_zz ** 2
+
+
+def _cone_curvatures(graph: CylinderGraph, speed: SpeedFunction):
+    """exact_curvatures, or ConeViolation when they leave the speed's cone."""
+    kax, krot = graph.exact_curvatures()
+    if np.any(kax + speed.cone_factor * krot <= 0):
+        raise ConeViolation("graph curvatures leave the admissible cone")
+    return kax, krot
+
+
 def expansion_error_A(graph: CylinderGraph) -> ExpansionReport:
     """Error of the curvature expansion (0, 1/r) + (-u_zz, -u/r^2).
 
@@ -112,15 +136,9 @@ def expansion_error_A(graph: CylinderGraph) -> ExpansionReport:
     kax, krot = graph.exact_curvatures()
     err_ax = np.abs(kax - (-graph.u_zz))
     err_rot = np.abs(krot - (1.0 / r - graph.u / r ** 2))
-    err = np.maximum(err_ax, err_rot)
-    denom = (graph.u ** 2 / r ** 3 + graph.u_z ** 2 / r
-             + r * graph.u_zz ** 2)
-    sup_err = float(np.max(err))
-    sup_den = float(np.max(denom))
-    return ExpansionReport(sup_error=sup_err, denom_sup=sup_den,
-                           ratio=sup_err / sup_den if sup_den > 0 else 0.0,
-                           details={"sup_error_axial": float(np.max(err_ax)),
-                                    "sup_error_rot": float(np.max(err_rot))})
+    return _report(np.maximum(err_ax, err_rot), _quadratic(graph),
+                   {"sup_error_axial": float(np.max(err_ax)),
+                    "sup_error_rot": float(np.max(err_rot))})
 
 
 def expansion_error_G(graph: CylinderGraph,
@@ -128,21 +146,13 @@ def expansion_error_G(graph: CylinderGraph,
     """Error of G ~ G_Sigma - dgamma^1(0,1,..,1) u_zz - gamma(0,1,..,1) u/r^2."""
     graph._require_small()
     r = graph.radius
-    kax, krot = graph.exact_curvatures()
-    if np.any(kax + speed.cone_factor * krot <= 0):
-        raise ConeViolation("graph curvatures leave the admissible cone")
+    kax, krot = _cone_curvatures(graph, speed)
     g_exact = np.asarray(speed.F(kax, krot))
     g_sigma = speed.F01 / r
     expansion = (g_sigma - speed.a_lin * graph.u_zz
                  - speed.F01 * graph.u / r ** 2)
-    err = np.abs(g_exact - expansion)
-    denom = (graph.u ** 2 / r ** 3 + graph.u_z ** 2 / r
-             + r * graph.u_zz ** 2)
-    sup_err = float(np.max(err))
-    sup_den = float(np.max(denom))
-    return ExpansionReport(sup_error=sup_err, denom_sup=sup_den,
-                           ratio=sup_err / sup_den if sup_den > 0 else 0.0,
-                           details={"G_sigma": g_sigma})
+    return _report(np.abs(g_exact - expansion), _quadratic(graph),
+                   {"G_sigma": g_sigma})
 
 
 def trace_gamma(graph: CylinderGraph, speed: SpeedFunction,
@@ -154,9 +164,7 @@ def trace_gamma(graph: CylinderGraph, speed: SpeedFunction,
     dgamma^1 s_axial + sum_{i>=2} dgamma^i s_rot, evaluated at the exact
     graph curvatures.
     """
-    kax, krot = graph.exact_curvatures()
-    if np.any(kax + speed.cone_factor * krot <= 0):
-        raise ConeViolation("graph curvatures leave the admissible cone")
+    kax, krot = _cone_curvatures(graph, speed)
     s_axial = np.broadcast_to(np.asarray(s_axial, dtype=float), kax.shape)
     s_rot = np.broadcast_to(np.asarray(s_rot, dtype=float), kax.shape)
     out = np.empty_like(kax)
@@ -179,13 +187,4 @@ def trace_gamma_expansion_error(graph: CylinderGraph, speed: SpeedFunction,
     s_rot = np.broadcast_to(np.asarray(s_rot, dtype=float), exact.shape)
     approx = grad0[0] * s_axial + np.sum(grad0[1:]) * s_rot
     s_norm = np.sqrt(s_axial ** 2 + (speed.n - 1) * s_rot ** 2)
-    r = graph.radius
-    first_order = (np.abs(graph.u) / r + np.abs(graph.u_z)
-                   + r * np.abs(graph.u_zz))
-    err = np.abs(exact - approx)
-    denom = first_order * s_norm
-    sup_err = float(np.max(err))
-    sup_den = float(np.max(denom))
-    return ExpansionReport(sup_error=sup_err, denom_sup=sup_den,
-                           ratio=sup_err / sup_den if sup_den > 0 else 0.0,
-                           details={})
+    return _report(np.abs(exact - approx), graph._first_order() * s_norm, {})

@@ -18,19 +18,16 @@ _CSV_BLOCK = 8192
 
 
 def _fmt(x) -> str:
+    """Shortest round-trip ``repr`` of a float (spelling nan, inf and -inf),
+    ``str`` of anything else."""
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
+        return repr(float(x))
     return str(x)
 
 
 def _fmt_column(a: np.ndarray) -> list:
-    """``_fmt`` of every entry; a float64-or-narrower column goes through
-    ``repr`` of Python floats, which spells nan and +-inf as ``_fmt`` does."""
+    """``_fmt`` of every entry, through one ``tolist`` for a
+    float64-or-narrower column."""
     if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
         return list(map(repr, a.tolist()))
     return [_fmt(x) for x in a]
@@ -91,11 +88,7 @@ def _sanitize(obj):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return x
+        return x if math.isfinite(x) else repr(x)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):

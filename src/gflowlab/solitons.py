@@ -28,7 +28,8 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq  # noqa: F401
 
 from . import _accel
-from .errors import BarrierViolation, NonConvergence, require_positive
+from .errors import (BarrierViolation, NonConvergence, WindowTooNarrow,
+                     require_positive)
 from .speeds import SpeedFunction
 
 
@@ -79,9 +80,7 @@ class EllipticityMonitor:
 
     @classmethod
     def from_profile(cls, speed, rho, psi, psi_rho, psi_rhorho, inv_a2):
-        if rho[0] == 0.0:  # skip the exact tip node (0/0 in both ratios)
-            rho, psi = rho[1:], psi[1:]
-            psi_rho, psi_rhorho = psi_rho[1:], psi_rhorho[1:]
+        """The monitor at nodes rho > 0 (both ratios are 0/0 at the tip)."""
         lam = rho * psi_rhorho / (psi_rho * (1.0 + psi_rho ** 2))
         b = (rho / psi_rho) * (0.5 + 0.5 * inv_a2 * (rho * psi_rho - psi))
         gap = float(np.max(np.abs(lam - speed.f_closed(1.0, b))))
@@ -473,8 +472,9 @@ def shrinker_w_diagnostic(profile: ShrinkerProfile,
     w_bar = 2 + K(1/z^2 + 1/(a^2 - z^2)) on (sqrt(K), z_{M,a}), z_{M,a}
     the height at rho = M (no window beyond the solved range, no check
     when z_{M,a} <= sqrt(K)), and reports the extrapolated tip limit
-    against 2 F(1,1)/F(0,1).
+    against 2 F(1,1)/F(0,1).  M must be finite and positive.
     """
+    require_positive("M", M)
     a, K = profile.a, profile.K
     z_int = profile.z[:-1]
     w_int = profile.w[:-1]
@@ -497,9 +497,13 @@ def shrinker_w_diagnostic(profile: ShrinkerProfile,
 
 def shrinker_upper_bound_fit(profile: ShrinkerProfile, L: float) -> float:
     """Smallest C with v^2 <= 2F(0,1)(1 - (1 - C log a / a^2)(z^2 - C)/a^2)
-    on [z_min, L]; found by bisection (the bound is monotone in C)."""
+    on [z_min, L]; found by bisection (the bound is monotone in C).
+    WindowTooNarrow when L lies below z_min, where no node is tested."""
     a = profile.a
     f01 = profile.speed.F01
+    if not L >= profile.z[0]:
+        raise WindowTooNarrow(f"L = {L:g} lies below the lowest solved "
+                              f"height {profile.z[0]:.4g}")
     sel = profile.z <= min(L, profile.z[-2])
     z = profile.z[sel]
     v2 = profile.v[sel] ** 2
@@ -532,11 +536,8 @@ def shrinker_upper_bound_check(profiles, L: float) -> dict:
     The verified claim is boundedness: the report flags whether the fitted
     constants of the top three parameters stay within a factor of two.
     """
-    if isinstance(profiles, ShrinkerProfile):
-        profiles = [profiles]
-    rows = []
-    for p in sorted(profiles, key=lambda q: q.a):
-        rows.append({"a": p.a, "C_fit": shrinker_upper_bound_fit(p, L)})
+    rows = [{"a": p.a, "C_fit": shrinker_upper_bound_fit(p, L)}
+            for p in sorted(profiles, key=lambda q: q.a)]
     top = [r["C_fit"] for r in rows[-3:]]
     stable = bool(max(top) <= 2.0 * min(top)) if len(top) >= 2 else True
     return {"L": L, "rows": rows, "stable": stable}

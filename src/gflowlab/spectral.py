@@ -23,7 +23,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.interpolate import PchipInterpolator
 
 from .errors import QuadratureFailure, TruncationWarning, WindowTooShort
-from .flow import line_fit
+from .flow import cylinder_radius, line_fit
 
 # fewest windows a trace may have (one per time unit of the run), and the
 # fewest the mode-dominance classifier fits
@@ -63,6 +63,20 @@ def hermite_h(k: int, x):
     return hk
 
 
+def _hermite_functions(K: int, x) -> np.ndarray:
+    """Rows psi_0..psi_K of the Hermite functions orthonormal for e^{-x^2} dx,
+    at the points x, by the stable three-term recurrence."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((K + 1,) + x.shape)
+    psi_km1 = np.zeros_like(x)
+    psi_k = np.full_like(x, math.pi ** -0.25)
+    for k in range(K + 1):
+        out[k] = psi_k
+        psi_km1, psi_k = psi_k, (x * psi_k * math.sqrt(2.0 / (k + 1))
+                                 - psi_km1 * math.sqrt(k / (k + 1.0)))
+    return out
+
+
 @dataclass
 class HermiteBasis:
     """Orthonormal Hermite-eigenfunction basis for the weight e^{-z^2/4a}.
@@ -78,16 +92,13 @@ class HermiteBasis:
     z: np.ndarray
     wz: np.ndarray
     values: np.ndarray
-    dvalues: np.ndarray
-    d2values: np.ndarray
     gram_error: float
 
     def value(self, k: int, z):
         """Normalized eigenfunction n_k at arbitrary points."""
-        x = np.asarray(z, dtype=float) / (2.0 * math.sqrt(self.a))
-        norm = math.sqrt(2.0 * math.sqrt(math.pi * self.a) * 2.0 ** k
-                         * math.factorial(k))
-        return hermite_h(k, x) / norm
+        s = 2.0 * math.sqrt(self.a)
+        x = np.asarray(z, dtype=float) / s
+        return _hermite_functions(k, x)[k] / math.sqrt(s)
 
     def project(self, u_nodes: np.ndarray) -> np.ndarray:
         """Coefficients <u, n_k> for k = 0..K."""
@@ -101,20 +112,6 @@ class HermiteBasis:
         interp = PchipInterpolator(z_samples, u_samples, extrapolate=False)
         vals = interp(self.z)
         return np.where(np.isnan(vals), 0.0, vals)
-
-    def operator_matrix(self) -> np.ndarray:
-        """Quadrature matrix of a d^2/dz^2 - z d/dz / 2 in the basis.
-
-        Diagonal should be -k/2; off-diagonal leakage is a quadrature
-        health check.
-        """
-        action = self.a * self.d2values - 0.5 * self.z * self.dvalues
-        return self.values @ (action * self.wz).T
-
-    def eigen_identity_error(self) -> float:
-        mat = self.operator_matrix()
-        target = np.diag([-0.5 * k for k in range(self.K + 1)])
-        return float(np.max(np.abs(mat - target)))
 
 
 def build_basis(a: float, K: int, quad_order: int | None = None) -> HermiteBasis:
@@ -134,40 +131,23 @@ def build_basis(a: float, K: int, quad_order: int | None = None) -> HermiteBasis
         raise ValueError("quad_order must be at least 2K + 2")
     x, w = hermgauss(quad_order)
     s = 2.0 * math.sqrt(a)
-    z = s * x
+    vals = _hermite_functions(K, x) / math.sqrt(s)
     wz = s * w
-
-    nq = x.size
-    vals = np.empty((K + 1, nq))
-    # stable recurrence for orthonormal (wrt e^{-x^2} dx) Hermite functions
-    psi_km1 = np.zeros(nq)
-    psi_k = np.full(nq, math.pi ** -0.25)
-    for k in range(K + 1):
-        vals[k] = psi_k
-        psi_km1, psi_k = psi_k, (x * psi_k * math.sqrt(2.0 / (k + 1))
-                                 - psi_km1 * math.sqrt(k / (k + 1.0)))
-    vals /= math.sqrt(s)
-
-    dvals = np.zeros_like(vals)
-    d2vals = np.zeros_like(vals)
-    for k in range(1, K + 1):
-        dvals[k] = math.sqrt(2.0 * k) / s * vals[k - 1]
-    for k in range(1, K + 1):
-        d2vals[k] = math.sqrt(2.0 * k) / s * dvals[k - 1]
-
     gram = vals @ (vals * wz).T
     gram_err = float(np.max(np.abs(gram - np.eye(K + 1))))
-    basis = HermiteBasis(a=a, K=K, quad_order=quad_order, z=z, wz=wz,
-                         values=vals, dvalues=dvals, d2values=d2vals,
-                         gram_error=gram_err)
     if gram_err > 1e-10:
         raise QuadratureFailure(
             f"orthogonality defect {gram_err:.3g} exceeds 1e-10")
-    return basis
+    return HermiteBasis(a=a, K=K, quad_order=quad_order, z=s * x, wz=wz,
+                        values=vals, gram_error=gram_err)
 
 
-POSITIVE_KS = (0, 1)
-ZERO_KS = (2,)
+def mode_energies(c) -> tuple[float, float, float]:
+    """Energies of the coefficients c in the positive (k <= 1), zero (k = 2)
+    and negative (k >= 3) eigenspaces."""
+    c = np.asarray(c, dtype=float)
+    return (float(np.sum(c[:2] ** 2)), float(np.sum(c[2:3] ** 2)),
+            float(np.sum(c[3:] ** 2)))
 
 
 @dataclass
@@ -192,35 +172,19 @@ class SpectralDecomposition:
 
     @property
     def plus_sq(self) -> float:
-        return float(np.sum(self.coeffs[list(POSITIVE_KS)] ** 2))
+        return mode_energies(self.coeffs)[0]
 
     @property
     def zero_sq(self) -> float:
-        return float(np.sum(self.coeffs[list(ZERO_KS)] ** 2))
+        return mode_energies(self.coeffs)[1]
 
     @property
     def minus_sq(self) -> float:
-        return float(np.sum(self.coeffs[3:] ** 2))
+        return mode_energies(self.coeffs)[2]
 
     def reconstruct(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        for k, c in enumerate(self.coeffs):
-            out += c * self.basis.value(k, z)
-        return out
-
-    def part(self, which: str):
-        """Coefficient vector restricted to the +, 0 or - eigenspace."""
-        c = np.zeros_like(self.coeffs)
-        if which == "+":
-            c[list(POSITIVE_KS)] = self.coeffs[list(POSITIVE_KS)]
-        elif which == "0":
-            c[list(ZERO_KS)] = self.coeffs[list(ZERO_KS)]
-        elif which == "-":
-            c[3:] = self.coeffs[3:]
-        else:
-            raise ValueError("which must be '+', '0' or '-'")
-        return c
+        return sum(c * self.basis.value(k, z)
+                   for k, c in enumerate(self.coeffs))
 
 
 def decompose(basis: HermiteBasis, u, n: int,
@@ -274,19 +238,26 @@ class GammaTrace:
     convention); Gamma_k are suffix suprema over j >= k.
     """
 
-    windows: np.ndarray
     gamma: np.ndarray
     gamma_plus: np.ndarray
     gamma_zero: np.ndarray
     gamma_minus: np.ndarray
-    Gamma: np.ndarray
-    Gamma_plus: np.ndarray
-    Gamma_zero: np.ndarray
-    Gamma_minus: np.ndarray
     delta: np.ndarray
     r: float
     L: float
     sandwich_constant: float
+    windows: np.ndarray = field(init=False)
+    Gamma: np.ndarray = field(init=False)
+    Gamma_plus: np.ndarray = field(init=False)
+    Gamma_zero: np.ndarray = field(init=False)
+    Gamma_minus: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.windows = np.arange(self.gamma.size)
+        self.Gamma = suffix_max(self.gamma)
+        self.Gamma_plus = suffix_max(self.gamma_plus)
+        self.Gamma_zero = suffix_max(self.gamma_zero)
+        self.Gamma_minus = suffix_max(self.gamma_minus)
 
     @classmethod
     def from_arrays(cls, gamma_plus, gamma_zero, gamma_minus, r=1e-4, L=10.0,
@@ -296,13 +267,8 @@ class GammaTrace:
         g0 = np.asarray(gamma_zero, dtype=float)
         gm = np.asarray(gamma_minus, dtype=float)
         g = gp + g0 + gm
-        if delta is None:
-            delta = np.sqrt(g)
-
-        return cls(windows=np.arange(g.size), gamma=g, gamma_plus=gp,
-                   gamma_zero=g0, gamma_minus=gm, Gamma=suffix_max(g),
-                   Gamma_plus=suffix_max(gp), Gamma_zero=suffix_max(g0),
-                   Gamma_minus=suffix_max(gm), delta=np.asarray(delta),
+        return cls(gamma=g, gamma_plus=gp, gamma_zero=g0, gamma_minus=gm,
+                   delta=np.asarray(np.sqrt(g) if delta is None else delta),
                    r=r, L=L, sandwich_constant=1.0)
 
 
@@ -315,7 +281,7 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
     onward into the tail.  Note delta^{-r} grows extremely slowly for the
     default r; runs that want a wide cutoff window pass a larger r.
     """
-    sigma = math.sqrt(2.0 * history.speed.F01)
+    sigma = cylinder_radius(history.speed)
     times = history.times
     T = float(times[-1])
     span = T - float(times[0])
@@ -324,8 +290,7 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
         raise WindowTooShort(
             f"run spans {span:.2f} time units, need >= {MIN_TRACE_WINDOWS}")
 
-    sel_L = np.abs(history.z) <= L
-    sup_L = np.max(np.abs(history.snapshots[:, sel_L] - sigma), axis=1)
+    sup_L = history.sup_deviation(sigma, window=L)
 
     gamma = np.zeros(n_windows)
     gplus = np.zeros(n_windows)
@@ -343,12 +308,8 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
             u_nodes = basis.interpolate_samples(history.z, u)
             scale = delta[j] ** r if delta[j] > 0 else 1.0
             u_nodes = u_nodes * smooth_cutoff(scale * basis.z)
-            c = basis.project(u_nodes)
-            tot = basis.norm_sq(u_nodes)
-            parts = np.array([tot,
-                              float(np.sum(c[list(POSITIVE_KS)] ** 2)),
-                              float(np.sum(c[list(ZERO_KS)] ** 2)),
-                              float(np.sum(c[3:] ** 2))])
+            parts = np.array([basis.norm_sq(u_nodes),
+                              *mode_energies(basis.project(u_nodes))])
             if parts[0] > best[0]:
                 best = parts
         gamma[j], gplus[j], gzero[j], gminus[j] = best
@@ -357,11 +318,8 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
 
     ratios = np.asarray(ratios) if ratios else np.array([1.0])
     sandwich = float(max(np.max(ratios), 1.0 / max(np.min(ratios), 1e-300)))
-    return GammaTrace(windows=np.arange(n_windows), gamma=gamma,
-                      gamma_plus=gplus, gamma_zero=gzero, gamma_minus=gminus,
-                      Gamma=suffix_max(gamma), Gamma_plus=suffix_max(gplus),
-                      Gamma_zero=suffix_max(gzero),
-                      Gamma_minus=suffix_max(gminus), delta=delta, r=r, L=L,
+    return GammaTrace(gamma=gamma, gamma_plus=gplus, gamma_zero=gzero,
+                      gamma_minus=gminus, delta=delta, r=r, L=L,
                       sandwich_constant=sandwich)
 
 

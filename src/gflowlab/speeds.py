@@ -70,7 +70,7 @@ class SpeedFunction:
 
     Instances are immutable in spirit: all state is set at construction.
     The cached constants are F(0,1), F(1,1), a_lin = dgamma^1(0,1,...,1)
-    and the extrapolated ellipticity ceiling Q.
+    and the ellipticity ceiling Q, set in closed form per family.
     """
 
     def __init__(self, kind: str, n: int, k: int | None = None):
@@ -98,21 +98,25 @@ class SpeedFunction:
         self.kind = kind
         self.n = n
         self.k = k
+        # Q = lim_{x->inf} F(x, 1): the leading x-terms of F's numerator and
+        # denominator, or +inf where F grows linearly in x
         if kind == "sum":
             self.params = (float(n - 1), 0.0, 0.0)
             self.concavity = "convex"
+            self.Q = math.inf
         elif kind == "bh":
             self.params = (float(n - 1), (n - 1) * (n - 2) / 4.0, 0.0)
             self.concavity = "concave"
+            self.Q = 1.0 / self.params[1]
         else:
             self.params = (float(math.comb(n - 1, k)),
                            float(math.comb(n - 1, k - 1)),
                            float(math.comb(n - 1, k - 2)) if k >= 2 else 0.0)
             self.concavity = "concave"
+            self.Q = self.params[1] / self.params[2] if k >= 2 else math.inf
         self.F01 = self.F(0.0, 1.0)
         self.F11 = self.F(1.0, 1.0)
         self.a_lin = self.Fx(0.0, 1.0)
-        self.Q = compute_Q(self)
 
     # -- full symmetric-function interface ---------------------------------
 
@@ -226,21 +230,6 @@ class SpeedFunction:
 
     def __repr__(self):
         return f"SpeedFunction({self.label()})"
-
-
-def compute_Q(speed: SpeedFunction, growth_factor: float = 1e6) -> float:
-    """Ellipticity ceiling Q = lim_{x->inf} F(x, 1) by ladder extrapolation.
-
-    Evaluates F(10^j, 1), j = 0..12.  Unbounded growth (final value above
-    growth_factor * F(1,1)) reports +inf; otherwise the limit is obtained
-    by Richardson extrapolation of the last two ladder values, which is
-    exact to machine precision for 1/x-type tails.
-    """
-    f11 = float(speed.F(1.0, 1.0))
-    vals = [float(speed.F(10.0 ** j, 1.0)) for j in range(13)]
-    if vals[-1] > growth_factor * f11:
-        return math.inf
-    return vals[-1] + (vals[-1] - vals[-2]) / 9.0
 
 
 @dataclass

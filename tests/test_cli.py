@@ -212,6 +212,11 @@ def test_rescaled_monotone_decay_preset(tmp_path):
      "window end 2000.0 beyond the solved range 1000"),
     (["bowl", "--rho-max", "1000", "--fit-lo", "5", "--fit-hi", "50"],
      "need rho_hi >= 10 rho_lo >= 100"),
+    (["rescaled", "--measure-l", "-1"],
+     "measure-l must be finite and positive, got -1.0"),
+    (["flow", "--stride", "-1"], "stride must be >= 0, got -1"),
+    (["shrinker", "--a", "50", "--m-knob", "-5"],
+     "m-knob must be finite and positive, got -5.0"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert _run(tmp_path, *argv) == 1
@@ -220,6 +225,28 @@ def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     expected = "WindowTooNarrow" if "--fit-hi" in argv else "ValueError"
     assert err["error"] == expected
     assert cause in err["message"]
+
+
+@pytest.mark.parametrize("bound_l", ["3", "-1"])
+def test_neck_bound_below_the_solved_heights_is_named(tmp_path, capsys,
+                                                      bound_l):
+    # the a = 50 cap is solved down to z_min = L0 = 5.12 (sum n=3): an L
+    # below it leaves the upper-bound fit no node to test
+    assert _run(tmp_path, "shrinker", "--a", "50", "--check-bounds",
+                "--bound-l", bound_l) == 1
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "WindowTooNarrow",
+                   "message": f"L = {bound_l} lies below the lowest solved "
+                              "height 5.123"}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rescaled_fixed_point_has_no_growth_rate(tmp_path):
+    # a zero seed stays on the cylinder: there is no slope to report
+    assert _run(tmp_path, "rescaled", "--amp", "0", "--tau-end", "1",
+                "--delta", "0.1", "--window", "10") == 0
+    manifest = json.loads((tmp_path / "rescaled_manifest.json").read_text())
+    assert manifest["sup_growth_rate"] is None
 
 
 def test_spectral_windows_checked_before_the_run(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_cylinder_order_of_accuracy(sum3):
     assert errs[1] / errs[2] >= 3.5
 
 
-def test_step_radial_single(sum3):
+def test_run_flow_single_step(sum3):
     ref = shrinking_cylinder_reference(sum3, 2.0)
     st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
@@ -266,6 +266,18 @@ def test_k0_mode_growth_rate(sum3):
     sup = hist.sup_deviation(sigma, window=4.0)
     slope = float(np.polyfit(hist.times, np.log(sup), 1)[0])
     assert slope == pytest.approx(1.0, rel=0.05)
+
+
+def test_sup_deviation_window_without_nodes(sum3):
+    st = RadialFlowState("rescaled", np.linspace(-3.0, 3.0, 6),
+                         np.full(6, 2.0), 0.0, sum3)
+    hist = run_flow(st, 1e-3, 1, bc=BoundaryCondition(mode="frozen"),
+                    record_every=1)
+    assert np.all(hist.sup_deviation(2.0, window=1.2) == 0.0)
+    for window in (0.5, -1.0):
+        with pytest.raises(ValueError,
+                           match=f"window \\|z\\| <= {window:g} holds no"):
+            hist.sup_deviation(2.0, window=window)
 
 
 def test_semi_implicit_k1_rate(sum3):

@@ -8,7 +8,8 @@ import pytest
 
 import gflowlab as gf
 from gflowlab import _accel
-from gflowlab.errors import NonConvergence, ToleranceFailure
+from gflowlab.errors import (NonConvergence, ToleranceFailure,
+                             WindowTooNarrow)
 from gflowlab.solitons import (estimate_c_lower, lambda_ceiling,
                                neck_constants, shrinker_upper_bound_fit,
                                solve_bowl, solve_shrinker)
@@ -368,6 +369,20 @@ def test_upper_bound_fit_sweep(shrinker_sum3_sweep):
     cs = [r["C_fit"] for r in rep["rows"]]
     assert all(c > 0 for c in cs)
     assert max(cs[-3:]) <= 2.0 * min(cs[-3:])
+
+
+def test_upper_bound_fit_needs_a_node_below_L(shrinker_sum3_a50):
+    z_min = float(shrinker_sum3_a50.z[0])
+    for L in (0.5 * z_min, -1.0, math.nan):
+        with pytest.raises(WindowTooNarrow, match="lowest solved height"):
+            shrinker_upper_bound_fit(shrinker_sum3_a50, L=L)
+
+
+def test_w_diagnostic_rejects_bad_M(shrinker_sum3_a50):
+    # M = -5 once read the step polynomials outside the solved range
+    for M in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="M must be finite and positive"):
+            gf.shrinker_w_diagnostic(shrinker_sum3_a50, M=M)
 
 
 def test_upper_bound_strict_inside(shrinker_sum3_a100):

@@ -75,17 +75,22 @@ def test_eigen_identity_sympy_oracle():
         assert diff == 0
 
 
-def test_eigen_identity_spectral():
-    for a in (0.32, 1.0):
-        basis = build_basis(a, K=8, quad_order=60)
-        assert basis.eigen_identity_error() <= 1e-8
-
-
-def test_operator_matrix_leakage():
-    basis = build_basis(1.0, K=8, quad_order=60)
-    mat = basis.operator_matrix()
-    off = mat - np.diag(np.diag(mat))
-    assert float(np.max(np.abs(off))) <= 1e-8
+def test_value_matches_normalized_raw_hermite():
+    # the recurrence against H_k(z / (2 sqrt a)) / ||H_k||, norm squared
+    # 2 sqrt(pi a) 2^k k!
+    a = 0.7
+    basis = build_basis(a, K=10)
+    z = np.linspace(-9.0, 9.0, 181)
+    for k in range(13):
+        norm = math.sqrt(2.0 * math.sqrt(math.pi * a) * 2.0 ** k
+                         * math.factorial(k))
+        oracle = hermite_h(k, z / (2.0 * math.sqrt(a))) / norm
+        assert np.allclose(basis.value(k, z), oracle, rtol=1e-12,
+                           atol=1e-14 * np.max(np.abs(oracle)))
+    # and the same recurrence as the nodal values
+    for k in range(11):
+        assert np.allclose(basis.value(k, basis.z), basis.values[k],
+                           rtol=1e-13, atol=1e-15)
 
 
 def test_quad_order_guard():
@@ -147,16 +152,6 @@ def test_parseval_inequality():
     with pytest.warns(TruncationWarning):
         dec = decompose(basis, lambda z: np.cos(3.0 * z), 3)
     assert np.sum(dec.coeffs ** 2) <= dec.norm_sq * (1 + 1e-12)
-
-
-def test_part_split_reconstructs():
-    basis = build_basis(1.0, K=6)
-    def u(z):
-        return (basis.value(0, z) - 2.0 * basis.value(2, z)
-                + 0.5 * basis.value(4, z))
-    dec = decompose(basis, u, 3)
-    total = dec.part("+") + dec.part("0") + dec.part("-")
-    assert np.allclose(total, dec.coeffs)
 
 
 # -- cutoff ------------------------------------------------------------------------

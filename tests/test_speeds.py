@@ -158,24 +158,40 @@ def test_restriction_monotone(all_speeds, rng):
         assert np.all(np.diff(vals_y) > 0)
 
 
-# -- compute_Q ---------------------------------------------------------------
+# -- Q ------------------------------------------------------------------------
 
-def test_Q_sum_is_infinite(sum3):
-    assert math.isinf(gf.compute_Q(sum3))
+def _ladder_Q(sp):
+    """lim F(x, 1) from F(10^j, 1), j <= 12: +inf when the last value exceeds
+    10^6 F(1, 1), else Richardson extrapolation of the 1/x tail."""
+    vals = [float(sp.F(10.0 ** j, 1.0)) for j in range(13)]
+    if vals[-1] > 1e6 * float(sp.F(1.0, 1.0)):
+        return math.inf
+    return vals[-1] + (vals[-1] - vals[-2]) / 9.0
+
+
+def test_Q_sum_is_infinite():
+    for n in (2, 3, 5):
+        sp = gf.SpeedFunction("sum", n)
+        assert math.isinf(sp.Q) and math.isinf(_ladder_Q(sp))
 
 
 def test_Q_bh_oracle():
     # pair summation: only the (n-1)(n-2)/2 pairs of ones survive x -> inf
-    for n, expected in ((3, 2.0), (4, 2.0 / 3.0)):
+    for n, expected in ((3, 2.0), (4, 2.0 / 3.0), (5, 1.0 / 3.0)):
         sp = gf.SpeedFunction("bh", n)
-        assert gf.compute_Q(sp) == pytest.approx(expected, rel=1e-12)
+        assert sp.Q == expected
+        assert sp.Q == pytest.approx(_ladder_Q(sp), rel=1e-12)
         big = bh_gamma_oracle(np.concatenate([[1e14], np.ones(n - 1)]))
-        assert gf.compute_Q(sp) == pytest.approx(big, rel=1e-10)
+        assert sp.Q == pytest.approx(big, rel=1e-10)
 
 
-def test_Q_sigma_ratio(sr24):
-    # F(x,1) -> C(3,1)/C(3,0) = 3
-    assert gf.compute_Q(sr24) == pytest.approx(3.0, rel=1e-12)
+def test_Q_sigma_ratio():
+    # F(x,1) -> C(n-1,k-1)/C(n-1,k-2); unbounded for k = 1
+    for n, k, expected in ((3, 1, math.inf), (3, 2, 2.0), (4, 2, 3.0),
+                           (4, 3, 1.0), (5, 2, 4.0)):
+        sp = gf.SpeedFunction("sigma_ratio", n, k)
+        assert sp.Q == expected
+        assert sp.Q == pytest.approx(_ladder_Q(sp), rel=1e-12)
 
 
 # -- inverse f ---------------------------------------------------------------
