@@ -260,11 +260,14 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
     """
     kind, (p0, p1, p2) = speed.kind, speed.params
 
+    # Python floats: numpy-scalar arithmetic costs over twice as much
     def rhs(rho, y):
-        return [y[1], _profile_slope(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])]
+        psi, psip = y.tolist()
+        return [psip, _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip)]
 
     def jac(rho, y):
-        j21, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, y[0], y[1])
+        psi, psip = y.tolist()
+        j21, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip)
         return [[0.0, 1.0], [j21, j22]]
 
     scale = max(INNER_TOL, RTOL_FLOOR / rtol)
@@ -292,31 +295,24 @@ def central_differences(v, dz):
     return vz, vzz
 
 
-def _discrete_pair(v, dz, cfac):
-    """(v_z, x, y) from central differences at the interior nodes.
-
-    x = -v_zz/(1+v_z^2) and y = 1/v.  Raises ConeExit when some node leaves
-    the admissible cone (x + cfac*y <= 0), has a non-positive radius or is
-    NaN (written so that a NaN fails the test).
-    """
+def _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz):
+    """(rhs, F, v_z, x, y) at the interior nodes from central differences,
+    with the discrete curvature pair x = -v_zz/(1+v_z^2) and y = 1/v.
+    Raises ConeExit when some node leaves the admissible cone (x + cfac*y
+    <= 0), has a non-positive radius or is NaN (written so that a NaN fails
+    the test)."""
     vz, vzz = central_differences(v, dz)
     core = v[1:-1]
     x = -vzz / (1.0 + vz * vz)
     y = 1.0 / core
-    if not (np.min(x + cfac * y) > 0.0 and np.min(core) > 0.0):
+    if not ((x + cfac * y).min() > 0.0 and core.min() > 0.0):
         raise ConeExit("ellipticity lost: the discrete curvature pair left "
                        "the admissible cone or is NaN")
-    return vz, x, y
-
-
-def _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y):
-    """(rhs, F, F_x) at the interior nodes from the discrete curvature pair."""
     g = speed_F(kind, p0, p1, p2, x, y)
-    fx = speed_Fx(kind, p0, p1, p2, x, y)
     rhs = -g
     if mode == 1:
-        rhs = rhs + 0.5 * (v[1:-1] - z[1:-1] * vz)
-    return rhs, g, fx
+        rhs = rhs + 0.5 * (core - z[1:-1] * vz)
+    return rhs, g, vz, x, y
 
 
 def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
@@ -325,9 +321,8 @@ def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
     Returns (rhs, fx_max); raises ConeExit when the discrete curvature pair
     leaves the admissible cone (x + cfac*y <= 0) at some interior node.
     """
-    vz, x, y = _discrete_pair(v, dz, cfac)
-    rhs, _, fx = _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y)
-    return rhs, np.max(fx)
+    rhs, _, _, x, y = _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz)
+    return rhs, speed_Fx(kind, p0, p1, p2, x, y).max()
 
 
 def graph_jacobian(mode, z, dz, vz, x, y, g, fx):
@@ -381,7 +376,7 @@ def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every):
             step(v, s)
         except (ConeExit, StabilityViolation) as exc:
             raise type(exc)(f"step {s}: {exc}") from exc
-        if np.min(v) <= r_floor:
+        if v.min() <= r_floor:
             raise Pinch(f"radius hit the floor at t = {(s + 1) * dt:.6g}")
         if (s + 1) % rec_every == 0:
             snapshots[(s + 1) // rec_every] = v
@@ -454,8 +449,8 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         dbr = np.gradient(bcr, dt)
 
     def ros2(v, s):
-        vz, x, y = _discrete_pair(v, dz, cfac)
-        f1, g, fx = _rhs_terms(kind, p0, p1, p2, mode, v, z, vz, x, y)
+        f1, g, vz, x, y = _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz)
+        fx = speed_Fx(kind, p0, p1, p2, x, y)
         lower, main, upper = graph_jacobian(mode, z, dz, vz, x, y, g, fx)
         dl, d, du, du2, ipiv, info = dgttrf(-gdt * lower[1:],
                                             1.0 - gdt * main,
@@ -472,7 +467,7 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         stage = v.copy()
         stage[1:-1] += dt * k1
         _apply_bc(stage, bc_mode, bcl[s + 1], bcr[s + 1])
-        f2, _ = graph_rhs(kind, p0, p1, p2, cfac, mode, stage, z, dz)
+        f2 = _rhs_terms(kind, p0, p1, p2, cfac, mode, stage, z, dz)[0]
         f2 = f2 - 2.0 * k1
         if dirichlet:
             f2[0] -= ftl

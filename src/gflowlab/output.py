@@ -2,6 +2,8 @@
 
 All floats are written with shortest round-trip ``repr`` so identical inputs
 produce byte-identical files; JSON keys are sorted.
+The CSV writer formats each distinct float bit pattern of a row block once:
+a flow history repeats every time and every grid height hundreds of times.
 """
 
 from __future__ import annotations
@@ -26,11 +28,16 @@ def _fmt(x) -> str:
 
 
 def _fmt_column(a: np.ndarray) -> list:
-    """``_fmt`` of every entry, through one ``tolist`` for a
-    float64-or-narrower column."""
-    if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+    """``_fmt`` of every entry; a float64-or-narrower column widened to float64
+    and formatted once per distinct bit pattern, which keeps -0.0 apart."""
+    if not (a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8):
+        return [_fmt(x) for x in a]
+    bits = a.astype(np.float64, copy=False).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    if keys.size == a.size:
         return list(map(repr, a.tolist()))
-    return [_fmt(x) for x in a]
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())), object)
+    return text[inverse].tolist()
 
 
 def write_csv(path: str, columns: Mapping[str, Sequence],

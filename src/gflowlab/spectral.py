@@ -87,8 +87,6 @@ class HermiteBasis:
     """
 
     a: float
-    K: int
-    quad_order: int
     z: np.ndarray
     wz: np.ndarray
     values: np.ndarray
@@ -101,7 +99,7 @@ class HermiteBasis:
         return _hermite_functions(k, x)[k] / math.sqrt(s)
 
     def project(self, u_nodes: np.ndarray) -> np.ndarray:
-        """Coefficients <u, n_k> for k = 0..K."""
+        """Coefficients <u, n_k>, one per row of ``values``."""
         return self.values @ (self.wz * u_nodes)
 
     def norm_sq(self, u_nodes: np.ndarray) -> float:
@@ -138,8 +136,7 @@ def build_basis(a: float, K: int, quad_order: int | None = None) -> HermiteBasis
     if gram_err > 1e-10:
         raise QuadratureFailure(
             f"orthogonality defect {gram_err:.3g} exceeds 1e-10")
-    return HermiteBasis(a=a, K=K, quad_order=quad_order, z=s * x, wz=wz,
-                        values=vals, gram_error=gram_err)
+    return HermiteBasis(a=a, z=s * x, wz=wz, values=vals, gram_error=gram_err)
 
 
 def mode_energies(c) -> tuple[float, float, float]:

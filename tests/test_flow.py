@@ -164,7 +164,8 @@ def test_semi_implicit_stage_cone_exit(sum3):
     z = np.linspace(-2.0, 2.0, 81)
     st = RadialFlowState("radial", z, 1.0 - 0.9 * np.exp(-2.0 * z ** 2),
                          0.0, sum3)
-    _accel._discrete_pair(st.values, st.dz, sum3.cone_factor)  # no raise
+    _accel.graph_rhs(sum3.kind, *sum3.params, sum3.cone_factor, 0,
+                     st.values, st.z, st.dz)  # no raise
     with pytest.raises(ConeExit, match="step 0"):
         run_flow(st, 0.01, 1, bc=BoundaryCondition(mode="frozen"),
                  scheme="semi_implicit")

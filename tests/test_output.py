@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gflowlab.output import read_csv, write_csv
+from gflowlab.output import _CSV_BLOCK, _fmt, read_csv, write_csv
 
 EXPECTED = """\
 # gflowlab-csv v1
@@ -31,3 +31,29 @@ def test_write_csv_exact_text(tmp_path):
     assert meta == {"a": "inf", "speed": "sum", "tol": "1e-10"}
     assert np.array_equal(data["x"], x, equal_nan=True)
     assert list(data["s"]) == ["a", "b", "c", "d", "e", "f"]
+
+
+def test_write_csv_repeated_values_exact_text(tmp_path):
+    # the writer formats each distinct bit pattern of a row block once; the
+    # text must still be _fmt of every cell: -0.0 beside 0.0 (equal as
+    # floats, apart as bits), repeated non-finite values, float32 repeats,
+    # and runs of one value that cross the block boundary
+    n = _CSV_BLOCK + 700
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan, 0.1,
+                        1e-300, -0.0, 0.0])
+    columns = {
+        "s": np.resize(special, n),
+        "s32": np.resize(special, n).astype(np.float32),
+        "t": np.repeat(np.linspace(0.0, 1.0, n // 300 + 1), 300)[:n],
+        "z": np.resize(np.linspace(-5.0, 5.0, 101), n),
+        "u": np.arange(n) / 7.0,
+        "i": np.arange(n) % 3,
+    }
+    assert columns["t"][_CSV_BLOCK - 1] == columns["t"][_CSV_BLOCK]
+    path = tmp_path / "r.csv"
+    write_csv(str(path), columns, {"tol": 0.0})
+    rows = [",".join(_fmt(a[i]) for a in columns.values()) for i in range(n)]
+    expected = "\n".join(["# gflowlab-csv v1", "# tol=0.0", "s,s32,t,z,u,i"]
+                          + rows) + "\n"
+    assert path.read_bytes() == expected.encode()
+    assert rows[0].startswith("0.0,0.0,") and rows[1].startswith("-0.0,-0.0,")
