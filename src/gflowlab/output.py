@@ -32,12 +32,10 @@ def _fmt_column(a: np.ndarray) -> list:
     and formatted once per distinct bit pattern, which keeps -0.0 apart."""
     if not (a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8):
         return [_fmt(x) for x in a]
-    bits = a.astype(np.float64, copy=False).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    if keys.size == a.size:
-        return list(map(repr, a.tolist()))
-    text = np.array(list(map(repr, keys.view(np.float64).tolist())), object)
-    return text[inverse].tolist()
+    bits = a.astype(np.float64, copy=False).view(np.int64).tolist()
+    values = dict(zip(bits, a.tolist()))
+    text = dict(zip(values, map(repr, values.values())))
+    return list(map(text.__getitem__, bits))
 
 
 def write_csv(path: str, columns: Mapping[str, Sequence],
