@@ -2,13 +2,14 @@
 graph-flow stepping loops, in numpy and scipy.
 
 The speed algebra works elementwise on arrays and scalars.  Profiles are
-integrated by stepping scipy's ``LSODA`` solver class directly, with the
-height stop tested after each step, and kept as its steps' Nordsieck
-polynomials (``StepPolynomials``), copied off LSODA's work arrays; only the
-step that crosses the height stop builds a dense-output object.  The
-explicit flow step is Heun's method and the semi-implicit step is the
-two-stage Rosenbrock method ROS2, with one LAPACK tridiagonal factorization
-(``dgttrf``) per step.
+integrated by LSODA: a scipy ``LSODA`` object sets the solve up, and the
+loop calls its compiled one-step runner itself, testing the height stop
+and the advance of rho after each step.  A profile is kept as its steps'
+Nordsieck polynomials (``StepPolynomials``), copied off LSODA's work
+arrays; only the step that crosses the height stop builds a dense-output
+object.  The explicit flow step is Heun's method and the semi-implicit step
+is the two-stage Rosenbrock method ROS2, with one LAPACK tridiagonal
+factorization (``dgttrf``) per step.
 
 A kernel raises the typed error where its check fails: ``integrate_profile``
 raises ``ToleranceFailure`` and ``ConeExit``, ``graph_rhs`` ``ConeExit``, and
@@ -119,56 +120,81 @@ def _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip):
 
 
 def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
-    """Step scipy's LSODA from rho0 towards rho_end, stopping where psi
-    first rises through psi_stop.
+    """Step LSODA from rho0 towards rho_end, stopping where psi first rises
+    through psi_stop.
+
+    A scipy ``LSODA`` object validates the inputs, allocates LSODA's work
+    arrays and puts rho_end in rwork[0] as tcrit; the loop then calls its
+    compiled runner ``integrator.runner`` itself with itask 5 (one step,
+    never past tcrit), so a step costs no scipy Python layer and rhs and jac
+    are called as given.  The runner advances the state and the work arrays
+    in place.
 
     The loop keeps ``solve_ivp``'s rules for one terminal, increasing event:
     the crossing test g_old <= 0 <= g_new on g = psi - psi_stop, the root
-    found by ``brentq`` on the step's dense output at 4 eps, and a step
-    that ends exactly at the previous rho is dropped.  Only the crossing
-    step builds a dense-output object (``LSODA.dense_output()``); every
+    found by ``brentq`` on the step's dense output (``LsodaDenseOutput``)
+    at 4 eps, and a crossing step that ends exactly at the previous rho is
+    dropped.  Only the crossing step builds a dense-output object; every
     kept step's polynomial is copied off LSODA's work arrays instead.
 
     Returns (rho, states, ends, work, orders), the arguments of
     ``StepPolynomials``: the step ends, starting at rho0, the states there,
     and per step the solver's t after it, ``rwork[_RWORK_STEP]`` and
-    (iwork[13], iwork[14]).  Raises ToleranceFailure when ``LSODA.step``
-    fails, quoting its message, LSODA's own diagnosis (which arrives as a
-    warning) and the rho reached; warnings of a successful solve are
-    issued again once it ends.
+    (iwork[13], iwork[14]).  Raises ToleranceFailure, naming the rho
+    reached, when LSODA returns a negative istate (quoting its message for
+    it and LSODA's warnings) and when a step that does not cross psi_stop
+    leaves rho where it was: one-step calls never trip LSODA's own
+    steps-per-call limit, so a solve whose step size has shrunk below the
+    rounding of rho would otherwise step forever.  Warnings of a successful
+    solve are issued again once it ends.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         solver = LSODA(rhs, rho0, [psi0, psip0], rho_end, jac=jac, rtol=rtol,
                        atol=atol)
-        # LSODA updates these arrays in place at every step
         integrator = solver._lsoda_solver._integrator
-        rwork, iwork = integrator.rwork, integrator.iwork
+        rtol, atol, _, istate, rwork, iwork, jt = integrator.call_args
+        run = integrator.runner
+        doubles, ints = integrator.state_doubles, integrator.state_ints
+        y = np.array([psi0, psip0], dtype=float)
+        sign = 1.0 if rho_end >= rho0 else -1.0
         ts, ys, ends, work, orders = [rho0], [[psi0, psip0]], [], [], []
+        t = rho0
         g = psi0 - psi_stop
         done = False
         while not done:
-            message = solver.step()
-            if solver.status == "failed":
-                detail = "; ".join([message] + [str(w.message) for w in caught])
+            t_old = t
+            _, t, istate = run(rhs, y, t, rho_end, rtol, atol, 5, istate,
+                               rwork, iwork, jac, jt, (), 1, (), doubles,
+                               ints)
+            if istate < 0:
+                detail = "; ".join(
+                    [f"lsoda: {integrator.messages.get(istate, istate)}"]
+                    + [str(w.message) for w in caught])
                 raise ToleranceFailure(
-                    f"profile solver stopped at rho = {ts[-1]:.6g} of "
+                    f"profile solver stopped at rho = {t_old:.6g} of "
                     f"{rho_end:.6g}: {detail}")
-            done = solver.status == "finished"
-            t, y = solver.t, solver.y
-            g_new = y[0] - psi_stop
+            done = sign * (t - rho_end) >= 0.0
+            end = t
+            state = y.tolist()
+            g_new = state[0] - psi_stop
             if g <= 0.0 <= g_new:
-                piece = solver.dense_output()
-                t = brentq(lambda r: piece(r)[0] - psi_stop, solver.t_old, t,
+                solver.t_old, solver.t = t_old, t
+                piece = solver._dense_output_impl()
+                t = brentq(lambda r: piece(r)[0] - psi_stop, t_old, t,
                            xtol=4.0 * EPS, rtol=4.0 * EPS)
-                y = piece(t)
+                state = piece(t)
+                if len(ts) > 1 and ts[-1] == t:
+                    break
                 done = True
+            elif t == t_old:
+                raise ToleranceFailure(
+                    f"profile solver stalled at rho = {t!r} of "
+                    f"{rho_end:.6g}: its step no longer advances rho")
             g = g_new
-            if len(ts) > 1 and ts[-1] == t:
-                continue
             ts.append(t)
-            ys.append(y)
-            ends.append(solver.t)
+            ys.append(state)
+            ends.append(end)
             work.append(rwork[_RWORK_STEP].copy())
             orders.append((iwork[13], iwork[14]))
     for w in caught:
@@ -198,7 +224,7 @@ class StepPolynomials:
     """
 
     def __init__(self, ts, ys, ends, work, orders):
-        self.x, self.y = np.array(ts), np.vstack(ys)
+        self.x, self.y = np.array(ts), np.array(ys)
         self.origin = np.array(ends)
         # work[:, j] is rwork[10 + j]
         work = np.array(work)
@@ -255,8 +281,8 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
     every step end and Gauss point.
 
     Returns (steps, n_steps).  Raises ToleranceFailure when LSODA fails
-    (its message, its warnings and the rho reached) and ConeExit at the
-    first inadmissible point.
+    (its message, its warnings and the rho reached) or stalls (the rho it
+    stopped advancing at), and ConeExit at the first inadmissible point.
     """
     kind, (p0, p1, p2) = speed.kind, speed.params
 

@@ -250,11 +250,13 @@ def cmd_shrinker(sp, o, outdir) -> int:
 
 
 def _write_history(outdir, name, hist, extra_meta=None):
-    times = np.repeat(hist.times, hist.z.size)
-    zz = np.tile(hist.z, hist.times.size)
-    vals = hist.snapshots.reshape(-1)
+    # every time and every height repeats across the table: format each once
+    times = np.array(output.format_column(hist.times), dtype=object)
+    zz = np.array(output.format_column(hist.z), dtype=object)
     output.write_csv(os.path.join(outdir, f"{name}.csv"),
-                     {"t": times, "z": zz, "v": vals},
+                     {"t": np.repeat(times, hist.z.size),
+                      "z": np.tile(zz, hist.times.size),
+                      "v": hist.snapshots.reshape(-1)},
                      {"representation": hist.representation,
                       "speed": hist.speed.kind, "n": hist.speed.n,
                       **(extra_meta or {})})

@@ -2,8 +2,10 @@
 
 All floats are written with shortest round-trip ``repr`` so identical inputs
 produce byte-identical files; JSON keys are sorted.
-The CSV writer formats each distinct float bit pattern of a row block once:
-a flow history repeats every time and every grid height hundreds of times.
+The CSV writer formats a float column with one ``repr`` per cell and writes
+a column of ``str`` as given.  A caller whose columns repeat by construction
+(the flow history's t and z) formats each distinct value once with
+``format_column`` and passes the repeated strings.
 """
 
 from __future__ import annotations
@@ -27,15 +29,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _fmt_column(a: np.ndarray) -> list:
-    """``_fmt`` of every entry; a float64-or-narrower column widened to float64
-    and formatted once per distinct bit pattern, which keeps -0.0 apart."""
-    if not (a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8):
-        return [_fmt(x) for x in a]
-    bits = a.astype(np.float64, copy=False).view(np.int64).tolist()
-    values = dict(zip(bits, a.tolist()))
-    text = dict(zip(values, map(repr, values.values())))
-    return list(map(text.__getitem__, bits))
+def format_column(a: np.ndarray) -> list:
+    """``_fmt`` of every entry; a float64-or-narrower column goes through
+    ``repr`` of Python floats, which spells nan and +-inf as ``_fmt`` does."""
+    if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+        return list(map(repr, a.tolist()))
+    return [_fmt(x) for x in a]
 
 
 def write_csv(path: str, columns: Mapping[str, Sequence],
@@ -54,7 +53,7 @@ def write_csv(path: str, columns: Mapping[str, Sequence],
         fh.write("\n".join(lines) + "\n")
         # row blocks bound the memory held by the formatted strings
         for lo in range(0, length, _CSV_BLOCK):
-            cells = [_fmt_column(a[lo:lo + _CSV_BLOCK]) for a in arrays]
+            cells = [format_column(a[lo:lo + _CSV_BLOCK]) for a in arrays]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

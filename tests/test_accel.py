@@ -1,14 +1,23 @@
-"""The profile driver's stop, the stepping clock, the graph Jacobian and
-the stepping kernels' arithmetic, bit for bit."""
+"""The profile driver's stop, its stepping loop against scipy's public
+``LSODA.step()``, the stepping clock, the graph Jacobian and the stepping
+kernels' arithmetic, bit for bit."""
+
+import contextlib
+import math
+import signal
 
 import numpy as np
 import pytest
+from scipy.integrate import LSODA
 from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.optimize import brentq
 
 import gflowlab as gf
 from gflowlab import _accel
+from gflowlab.errors import ToleranceFailure
 from gflowlab.flow import (BoundaryCondition, state_from_reference, step_plan,
                            translating_bowl_reference)
+from gflowlab.solitons import neck_constants
 from gflowlab.speeds import SpeedFunction
 
 
@@ -42,7 +51,6 @@ def test_profile_driver_stops_at_psi_stop():
 def test_lsoda_dense_output_fields():
     # the psi_stop crossing step takes its root on LSODA's dense output, and
     # the test below compares each step's polynomial with that object's
-    from scipy.integrate import LSODA
     from scipy.integrate._ivp.lsoda import LsodaDenseOutput
     solver = LSODA(lambda t, y: -y, 0.0, [1.0, 2.0], 1.0)
     solver.step()
@@ -59,24 +67,124 @@ def test_lsoda_dense_output_fields():
     np.testing.assert_array_equal(piece.yh[:, 0], solver.y)
 
 
+def _profile_rhs_jac(sp, inv_a2):
+    p0, p1, p2 = sp.params
+
+    def rhs(rho, y):
+        return [y[1], _accel._profile_slope(sp.kind, p0, p1, p2, inv_a2, rho,
+                                            y[0], y[1])]
+
+    def jac(rho, y):
+        j21, j22 = _accel._profile_jacobian(sp.kind, p0, p1, p2, inv_a2, rho,
+                                            y[0], y[1])
+        return [[0.0, 1.0], [j21, j22]]
+
+    return rhs, jac
+
+
+def _step_loop(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
+    """``_accel._lsoda_steps`` written through scipy's public
+    ``LSODA.step()`` and ``dense_output()``: the oracle its direct calls of
+    LSODA's compiled runner must match bit for bit."""
+    solver = LSODA(rhs, rho0, [psi0, psip0], rho_end, jac=jac, rtol=rtol,
+                   atol=atol)
+    integrator = solver._lsoda_solver._integrator
+    rwork, iwork = integrator.rwork, integrator.iwork
+    ts, ys, ends, work, orders = [rho0], [[psi0, psip0]], [], [], []
+    g = psi0 - psi_stop
+    done = False
+    while not done:
+        solver.step()
+        assert solver.status != "failed"
+        done = solver.status == "finished"
+        t, y = solver.t, solver.y
+        g_new = y[0] - psi_stop
+        if g <= 0.0 <= g_new:
+            piece = solver.dense_output()
+            t = brentq(lambda r: piece(r)[0] - psi_stop, solver.t_old, t,
+                       xtol=4.0 * _accel.EPS, rtol=4.0 * _accel.EPS)
+            y = piece(t)
+            done = True
+        g = g_new
+        if len(ts) > 1 and ts[-1] == t:
+            continue
+        ts.append(t)
+        ys.append(y)
+        ends.append(solver.t)
+        work.append(rwork[_accel._RWORK_STEP].copy())
+        orders.append((iwork[13], iwork[14]))
+    return ts, ys, ends, work, orders
+
+
+@pytest.mark.parametrize("kind", ["sum", "bh"])
+@pytest.mark.parametrize("stop", ["rho_end", "psi_stop"])
+def test_lsoda_runner_loop_matches_step_loop(kind, stop):
+    # the bowl runs to rho_end; the a = 50 shrinker cap stops where psi
+    # crosses a (a - L0), short of its rho_end
+    sp = SpeedFunction(kind, 3)
+    if stop == "rho_end":
+        a, r0, rho_end, psi_stop = np.inf, 1e-4, 20.0, np.inf
+    else:
+        a, r0 = 50.0, 2.0 ** -8
+        rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sp.F01) * a
+        psi_stop = a * (a - neck_constants(sp)["L0"])
+    rhs, jac = _profile_rhs_jac(sp, 1.0 / a ** 2)
+    args = (rhs, jac, r0, r0 ** 2 / (4.0 * sp.F11), r0 / (2.0 * sp.F11),
+            rho_end, psi_stop, 1e-12, 1e-14)
+    ts, ys, ends, work, orders = _accel._lsoda_steps(*args)
+    want = _step_loop(*args)
+    assert len(ts) == len(want[0]) > 100
+    np.testing.assert_array_equal(np.array(ts), np.array(want[0]))
+    np.testing.assert_array_equal(np.array(ys), np.array(want[1]))
+    for got, expected in zip((ends, work, orders), want[2:]):
+        np.testing.assert_array_equal(np.array(got), np.array(expected))
+    if stop == "rho_end":
+        assert ts[-1] == ends[-1] == rho_end
+    else:
+        assert ts[-1] < ends[-1] < rho_end
+        assert ys[-1][0] == pytest.approx(psi_stop, rel=4.0 * _accel.EPS)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the test after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_lsoda_stall_raises():
+    # psi'' = psi'^3 with psi'(0) = 1 blows up at rho = 1/2: LSODA's step
+    # shrinks until rho stops moving, and one-step calls never reach its
+    # steps-per-call limit, so only the loop's own check ends the solve
+    def rhs(rho, y):
+        return [y[1], y[1] ** 3]
+
+    def jac(rho, y):
+        return [[0.0, 1.0], [0.0, 3.0 * y[1] ** 2]]
+
+    with _deadline(20.0), pytest.raises(ToleranceFailure,
+                                        match="stalled at rho = ") as info:
+        _accel._lsoda_steps(rhs, jac, 0.0, 0.0, 1.0, 1.0, np.inf, 1e-10,
+                            1e-12)
+    rho = float(str(info.value).split("rho = ")[1].split()[0])
+    assert 0.5 - 1e-6 < rho < 0.5
+
+
 def test_step_polynomials_match_lsoda_dense_output():
     # StepPolynomials reads each step off LSODA's private work arrays; a
     # second solver stepped alongside gives every step's dense_output(),
     # which must match bit for bit, rescaled order-decrease steps included
-    from scipy.integrate import LSODA
     from scipy.integrate._ivp.lsoda import LsodaDenseOutput
     sp = SpeedFunction("sum", 3)
-    p0, p1, p2 = sp.params
-
-    def rhs(rho, y):
-        return [y[1], _accel._profile_slope(sp.kind, p0, p1, p2, 0.0, rho,
-                                            y[0], y[1])]
-
-    def jac(rho, y):
-        j21, j22 = _accel._profile_jacobian(sp.kind, p0, p1, p2, 0.0, rho,
-                                            y[0], y[1])
-        return [[0.0, 1.0], [j21, j22]]
-
+    rhs, jac = _profile_rhs_jac(sp, 0.0)
     r0 = 1e-4
     y0 = [r0 ** 2 / (4.0 * sp.F11), r0 / (2.0 * sp.F11)]
     steps = _accel.StepPolynomials(*_accel._lsoda_steps(

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from gflowlab import SpeedFunction
+from gflowlab.cli import _write_history
+from gflowlab.flow import FlowHistory
 from gflowlab.output import _CSV_BLOCK, _fmt, read_csv, write_csv
 
 EXPECTED = """\
@@ -34,10 +37,9 @@ def test_write_csv_exact_text(tmp_path):
 
 
 def test_write_csv_repeated_values_exact_text(tmp_path):
-    # the writer formats each distinct bit pattern of a row block once; the
-    # text must still be _fmt of every cell: -0.0 beside 0.0 (equal as
-    # floats, apart as bits), repeated non-finite values, float32 repeats,
-    # and runs of one value that cross the block boundary
+    # the text is _fmt of every cell: -0.0 beside 0.0 (equal as floats,
+    # apart as bits), repeated non-finite values, float32 repeats, and runs
+    # of one value that cross the block boundary
     n = _CSV_BLOCK + 700
     special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -np.nan, 0.1,
                         1e-300, -0.0, 0.0])
@@ -57,3 +59,33 @@ def test_write_csv_repeated_values_exact_text(tmp_path):
                           + rows) + "\n"
     assert path.read_bytes() == expected.encode()
     assert rows[0].startswith("0.0,0.0,") and rows[1].startswith("-0.0,-0.0,")
+
+
+def test_write_csv_passes_str_through(tmp_path):
+    # a column of str is written as given, numeric-looking or not
+    text = ["1.50", "-0", "nan", "x y", "1e5"]
+    path = tmp_path / "s.csv"
+    write_csv(str(path), {"s": np.array(text, dtype=object),
+                          "u": np.array(text)})
+    rows = path.read_text().splitlines()[2:]
+    assert rows == [f"{x},{x}" for x in text]
+
+
+def test_write_history_text_is_fmt_of_every_cell(tmp_path):
+    # _write_history formats each time and height once and repeats the
+    # strings; the table must read as _fmt of every (t, z, v) cell, with
+    # -0.0 kept apart from 0.0 and non-finite values spelled out
+    z = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+    times = np.array([0.0, 0.1, 0.2, 0.30000000000000004])
+    snapshots = np.arange(20.0).reshape(4, 5) / 3.0
+    snapshots[1, 2], snapshots[2, 0], snapshots[3, 4] = np.nan, np.inf, -np.inf
+    hist = FlowHistory("radial", z, times, snapshots, SpeedFunction("sum", 3),
+                       0.1, "heun")
+    _write_history(str(tmp_path), "h", hist, {"preset": "test"})
+    rows = [",".join(map(_fmt, (t, zj, snapshots[i, j])))
+            for i, t in enumerate(times) for j, zj in enumerate(z)]
+    expected = "\n".join(["# gflowlab-csv v1", "# n=3", "# preset=test",
+                          "# representation=radial", "# speed=sum", "t,z,v"]
+                         + rows) + "\n"
+    assert (tmp_path / "h.csv").read_text() == expected
+    assert rows[1].startswith("0.0,-0.0,") and rows[2].startswith("0.0,0.0,")
