@@ -36,9 +36,9 @@ from scipy.optimize import brentq
 
 from .errors import ConeExit, Pinch, StabilityViolation, ToleranceFailure
 
-# integrate_profile: internal tolerance relative to the profile's, and the
+# profile_tolerances: LSODA's rtol per unit of a profile's tol, and the
 # smallest rtol scipy accepts without clamping it
-INNER_TOL = 1e-3
+PROFILE_TOL = 7e-4
 EPS = np.finfo(float).eps
 RTOL_FLOOR = 100.0 * EPS
 # 3-point Gauss-Legendre nodes on [0, 1]
@@ -267,6 +267,14 @@ class StepPolynomials:
         return self.x[:-1, None] + np.diff(self.x)[:, None] * GAUSS3
 
 
+def profile_tolerances(tol):
+    """LSODA's (rtol, atol) for a bowl or cap solve at ``tol``; PROFILE_TOL
+    is the loosest factor that kept a measured grid of profiles inside the
+    cone and their certificates (Cauchy gap, defect) tenfold inside."""
+    rtol = max(PROFILE_TOL * tol, RTOL_FLOOR)
+    return rtol, 1e-2 * rtol
+
+
 def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
                       rtol, atol):
     """Stiff (LSODA) integration of a rotation-profile ODE for the speed
@@ -274,9 +282,8 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
 
     inv_a2 = 1/a^2 selects the self-shrinking profile; inv_a2 = 0 gives the
     translating one.  Stops at rho_end or once psi reaches psi_stop (see
-    ``_lsoda_steps``).  The solve runs at ``INNER_TOL`` times (rtol, atol),
-    or at the larger factor that puts rtol at ``RTOL_FLOOR``, so atol/rtol
-    holds at the floor too.  The solution is the solver's own steps
+    ``_lsoda_steps``) at (rtol, atol), which the profile solvers take from
+    ``profile_tolerances``.  The solution is the solver's own steps
     (``StepPolynomials``); admissibility, F(0,1) < z/y < Q, is checked at
     every step end and Gauss point.
 
@@ -296,10 +303,8 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
         j21, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip)
         return [[0.0, 1.0], [j21, j22]]
 
-    scale = max(INNER_TOL, RTOL_FLOOR / rtol)
     steps = StepPolynomials(*_lsoda_steps(
-        rhs, jac, rho0, psi0, psip0, rho_end, psi_stop,
-        max(scale * rtol, RTOL_FLOOR), scale * atol))
+        rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol))
     # each step's start followed by its Gauss points, then the last end
     rho = np.append(np.column_stack([steps.x[:-1], steps.gauss_points()]),
                     steps.x[-1])
@@ -390,11 +395,11 @@ def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every):
     reaches r_floor.  The time after step s is (s + 1) dt, so no rounding
     accumulates.
 
-    Returns (times, snapshots, nsteps): the initial state and the state
-    after every rec_every-th step.
+    Returns (times, snapshots, nsteps): the initial state, the state after
+    every rec_every-th step, and the final state.
     """
     v = v0.copy()
-    times = dt * np.arange(0, nsteps + 1, rec_every)
+    times = dt * np.append(np.arange(0, nsteps, rec_every), nsteps)
     snapshots = np.empty((times.size, v.size))
     snapshots[0] = v
     for s in range(nsteps):
@@ -406,6 +411,7 @@ def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every):
             raise Pinch(f"radius hit the floor at t = {(s + 1) * dt:.6g}")
         if (s + 1) % rec_every == 0:
             snapshots[(s + 1) // rec_every] = v
+    snapshots[-1] = v
     return times, snapshots, nsteps
 
 
@@ -418,7 +424,7 @@ def flow_run(kind, p0, p1, p2, cfac, mode,
     cfl_limit = safety * dz^2 / 2; the run raises StabilityViolation when
     dt exceeds cfl_limit / max(dF/dx), and ConeExit or Pinch as in
     ``graph_rhs`` and ``_stepping_loop``.  Snapshots are kept every
-    rec_every steps (plus the initial state).
+    rec_every steps, plus the initial and the final state.
 
     Returns (times, snapshots, n_steps).
     """

@@ -149,10 +149,10 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     method ROS2 (second order in time, L-stable, no CFL limit).  Both step
     either representation with Dirichlet or frozen boundaries; another
     boundary mode or scheme is a ValueError.  Snapshots are recorded every
-    ``record_every`` steps (default: ~200 records per run).  The kernels
-    raise ConeExit (a state leaves the admissible cone), Pinch (the radius
-    reaches ``r_floor``) or StabilityViolation (Heun's CFL limit, a
-    singular ROS2 step matrix) at the failing step.
+    ``record_every`` steps (default: ~200 records per run) and after the
+    last.  The kernels raise ConeExit (a state leaves the admissible cone),
+    Pinch (the radius reaches ``r_floor``) or StabilityViolation (Heun's CFL
+    limit, a singular ROS2 step matrix) at the failing step.
     """
     bc = bc or BoundaryCondition()
     mode = REPRESENTATIONS.index(state.representation)

@@ -170,13 +170,11 @@ def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
     zeta = rho^2/(4 F(1,1)), zeta' = rho/(2 F(1,1)), whose curvature matches
     the regular solution at the tip.
 
-    The solver runs internally at (1e-3 tol, 1e-5 tol) relative/absolute,
-    with the relative part floored at 100 machine epsilons (~2.2e-14), the
-    smallest value scipy accepts without substituting its own.  The arrays
-    hold its step ends and the tip node, ``poly`` its step polynomials and
-    the tip series; ``residual_norms`` is their collocation defect in units
-    of tol.  A ``rho_max``, ``tol`` or ``rho_start`` that is not finite and
-    positive raises ValueError.
+    LSODA runs at ``_accel.profile_tolerances(tol)``, the map both profiles
+    share.  The arrays hold its step ends and the tip node, ``poly`` its
+    step polynomials and the tip series; ``residual_norms`` is their
+    collocation defect in units of tol.  A ``rho_max``, ``tol`` or
+    ``rho_start`` that is not finite and positive raises ValueError.
     """
     rho_max = require_positive("rho_max", rho_max)
     tol = require_positive("tol", tol)
@@ -184,10 +182,10 @@ def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
     if rho_max <= rho_start:
         raise ValueError("rho_max must exceed the regularized start")
     f11 = speed.F11
-    psi0 = rho_start ** 2 / (4.0 * f11)
-    psip0 = rho_start / (2.0 * f11)
-    poly, _ = _accel.integrate_profile(speed, 0.0, rho_start, psi0, psip0,
-                                       rho_max, np.inf, tol, tol * 1e-2)
+    poly, _ = _accel.integrate_profile(
+        speed, 0.0, rho_start, rho_start ** 2 / (4.0 * f11),
+        rho_start / (2.0 * f11), rho_max, np.inf,
+        *_accel.profile_tolerances(tol))
     rho, (zeta, zeta_rho) = poly.x, poly.y.T
     zeta_rr, _ = _ode(speed, 0.0, rho, zeta, zeta_rho)
     monitor = EllipticityMonitor.from_profile(speed, rho, zeta, zeta_rho,
@@ -323,8 +321,7 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
                    Theta: float | None = None,
                    tol: float = 1e-8,
                    z_min: float | None = None,
-                   rho_max: float | None = None,
-                   rtol: float | None = None) -> ShrinkerProfile:
+                   rho_max: float | None = None) -> ShrinkerProfile:
     """Construct the self-shrinking cap profile for parameter ``a``.
 
     The ODE is singular at rho = 0, so it is integrated outward from the
@@ -333,19 +330,16 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     neck constant L0) or rho reaches ``rho_max``.  The series matches the
     regular solution to second order (the z-term (rho psi' - psi)/(2 a^2)
     vanishes at the tip), so its start error is far below the solver's.
-    Two solves are made: a primary one from rho = 2^-8 at ``rtol`` and a
-    check one from 2^-10 at ``rtol``/10.  The tighter check makes their
-    gap, the Cauchy test against ``tol`` in sup norm, bound the primary
-    solve's own error too; the check solve is returned.  Both must stay
-    between the subsolution theta rho^2/(4 F(1,1)) and the supersolution
-    Theta rho^2/(4 F(1,1)) of the existence proof.
-
-    Each IVP is solved at (1e-3, 1e-5) times its relative tolerance, with
-    ``rtol`` defaulting to 1e-2 tol; the internal relative tolerance is
-    floored at 100 machine epsilons (~2.2e-14).  Tighter requests solve at
-    the floor; a ``tol`` that this accuracy cannot meet fails the Cauchy
-    test (NonConvergence).  An ``a``, ``tol``, ``rtol`` or ``rho_max``
-    that is not finite and positive raises ValueError.
+    Two solves are made: a primary one from rho = 2^-8 at
+    ``_accel.profile_tolerances(tol)`` and a check one from 2^-10 at the
+    same map of tol/10.  The tighter check makes their gap, the Cauchy test
+    against ``tol`` in sup norm, bound the primary solve's own error too;
+    the check solve is returned, and ``rtol`` = 1e-2 tol is the relative
+    unit of its ``residual_norms``.  Both must stay between the subsolution
+    theta rho^2/(4 F(1,1)) and the supersolution Theta rho^2/(4 F(1,1)) of
+    the existence proof.  A ``tol`` the floored solver cannot meet fails
+    the Cauchy test (NonConvergence).  An ``a``, ``tol`` or ``rho_max`` not
+    finite and positive, or a ``rho_max`` <= 2^-8, raises ValueError.
     """
     F01, f11, Q = speed.F01, speed.F11, speed.Q
     lo = f11 / Q if math.isfinite(Q) else 0.0
@@ -357,10 +351,12 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
         raise ValueError("Theta must exceed F(1,1)/F(0,1)")
     a = require_positive("a", a)
     tol = require_positive("tol", tol)
-    if rtol is not None:
-        rtol = require_positive("rtol", rtol)
+    rho_s = 2.0 ** -8
     if rho_max is not None:
         rho_max = require_positive("rho_max", rho_max)
+        if rho_max <= rho_s:
+            raise ValueError(f"rho_max = {rho_max:g} must exceed the "
+                             "tip-series start 2^-8")
 
     consts = neck_constants(speed)
     L0 = consts["L0"]
@@ -377,17 +373,15 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     else:
         rho_end = min(rho_max, rho_ceiling)
         psi_stop = np.inf
-    rtol = tol * 1e-2 if rtol is None else rtol
     dz_target = min(0.01 * a, 0.05)
 
     inv_a2 = 1.0 / a ** 2
-    rho_s = 2.0 ** -8
     solves = []
-    for start, solve_rtol in ((rho_s, rtol), (0.25 * rho_s, 0.1 * rtol)):
+    for start, solve_tol in ((rho_s, tol), (0.25 * rho_s, 0.1 * tol)):
         solve, _ = _accel.integrate_profile(
             speed, inv_a2, start, start ** 2 / (4.0 * f11),
-            start / (2.0 * f11), rho_end, psi_stop, solve_rtol,
-            solve_rtol * 1e-2)
+            start / (2.0 * f11), rho_end, psi_stop,
+            *_accel.profile_tolerances(solve_tol))
         _barrier_checks(speed, a, theta, Theta, solve.x, *solve.y.T)
         solves.append(solve)
     primary, poly = solves
@@ -440,7 +434,7 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
     rho_full = np.concatenate([rho_of_z, [0.0]])
 
     return ShrinkerProfile(
-        speed=speed, a=a, theta=theta, Theta=Theta, tol=tol, rtol=rtol,
+        speed=speed, a=a, theta=theta, Theta=Theta, tol=tol, rtol=1e-2 * tol,
         rho=rho, psi=psi, psi_rho=psip, psi_rhorho=psipp,
         z=z_full, v=v_full, v_z=vz_full, w=w_full, rho_of_z=rho_full,
         L0=L0, K=consts["K"], c_lower=consts["c"], monitor=monitor,

@@ -90,6 +90,17 @@ def test_flow_cylinder_preset(tmp_path):
     assert set(data) == {"t", "z", "v"}
 
 
+def test_flow_stride_ends_on_the_final_state(tmp_path):
+    # --stride 3 does not divide the 500 steps: the last row and the
+    # final error still come from t-end
+    code = _run(tmp_path, "flow", "--preset", "cylinder", "--stride", "3")
+    assert code == 0
+    manifest = json.loads((tmp_path / "flow_manifest.json").read_text())
+    assert manifest["final_error"] <= 1e-6
+    data, _ = read_csv(tmp_path / "flow.csv")
+    assert float(data["t"][-1]) == 0.25
+
+
 def test_rescaled_k2_preset(tmp_path):
     code = _run(tmp_path, "rescaled", "--seed-mode", "k2",
                 "--tau-end", "1.0", "--delta", "0.1", "--window", "10")

@@ -52,6 +52,21 @@ def test_cylinder_order_of_accuracy(sum3):
     assert errs[1] / errs[2] >= 3.5
 
 
+@pytest.mark.parametrize("scheme", ["rk2", "semi_implicit"])
+def test_run_flow_records_the_final_state(sum3, scheme):
+    # a stride that does not divide nsteps still ends on the state at t_end
+    ref = shrinking_cylinder_reference(sum3, 2.0)
+    st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
+    bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
+    dt = 1e-3
+    hist = run_flow(st, dt, 10, bc=bc, scheme=scheme, record_every=3)
+    every = run_flow(st, dt, 10, bc=bc, scheme=scheme, record_every=1)
+    assert hist.times[-1] == 10 * dt
+    np.testing.assert_array_equal(hist.times, every.times[[0, 3, 6, 9, 10]])
+    np.testing.assert_array_equal(hist.snapshots,
+                                  every.snapshots[[0, 3, 6, 9, 10]])
+
+
 def test_run_flow_single_step(sum3):
     ref = shrinking_cylinder_reference(sum3, 2.0)
     st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)

@@ -267,19 +267,37 @@ def test_shrinker_matches_subsolution_start(sum3, shrinker_sum3_a50):
     assert gap < p.tol
 
 
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("kind, n, k", [("sum", 3, None), ("bh", 3, None),
+                                        ("sigma_ratio", 4, 2)])
+def test_profile_tolerance_map_margins(kind, n, k, tol):
+    # the margins _accel.PROFILE_TOL was chosen by: a cap's Cauchy gap at
+    # most a tenth of its gate tol, every collocation defect at most a tenth
+    # of its gate 10
+    speed = gf.SpeedFunction(kind, n, k)
+    cap = solve_shrinker(speed, 25.0, tol=tol)
+    bowl = solve_bowl(speed, 1000.0, tol=tol)
+    assert cap.cauchy_gap <= tol / 10
+    assert float(np.max(cap.residual_norms())) <= 1.0
+    assert float(np.max(bowl.residual_norms())) <= 1.0
+
+
 def test_floored_tolerances_solve_alike(sum3):
-    # rtol 5e-12, 3e-12 and 2e-12 all put the internal rtol at its floor;
-    # atol follows it there, so the three requests make the same solve up
-    # to the rounding of atol (with atol shrinking past the floor instead,
-    # they differed by 1e-9)
+    # tol 3e-11, 2e-11 and 1e-11 all put LSODA's rtol at its floor; atol
+    # follows it there, so the three requests make the same solve up to the
+    # rounding of atol (with atol shrinking past the floor instead, they
+    # differed by 1e-9)
     a, r0 = 50.0, 2.0 ** -8
     rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sum3.F01) * a
     psi_stop = a * (a - neck_constants(sum3)["L0"])
+    tols = (3e-11, 2e-11, 1e-11)
+    assert all(_accel.profile_tolerances(tol)[0] == _accel.RTOL_FLOOR
+               for tol in tols)
     polys = [_accel.integrate_profile(
                  sum3, 1.0 / a ** 2, r0, r0 ** 2 / (4.0 * sum3.F11),
-                 r0 / (2.0 * sum3.F11), rho_end, psi_stop, rtol,
-                 rtol * 1e-2)[0]
-             for rtol in (5e-12, 3e-12, 2e-12)]
+                 r0 / (2.0 * sum3.F11), rho_end, psi_stop,
+                 *_accel.profile_tolerances(tol))[0]
+             for tol in tols]
     grid = np.geomspace(r0, 0.999 * min(p.x[-1] for p in polys), 400)
     ref = polys[0](grid)
     for poly in polys[1:]:
@@ -298,7 +316,6 @@ def test_shrinker_theta_window_checked(sum3, bh3):
     (solve_bowl, (20.0,), {"tol": 0.0}, "tol"),
     (solve_bowl, (20.0,), {"tol": math.nan}, "tol"),
     (solve_shrinker, (50.0,), {"tol": math.nan}, "tol"),
-    (solve_shrinker, (50.0,), {"rtol": 0.0}, "rtol"),
 ])
 def test_profile_tolerances_must_be_finite_positive(sum3, solve, args,
                                                     kwargs, name):
@@ -306,6 +323,13 @@ def test_profile_tolerances_must_be_finite_positive(sum3, solve, args,
     # ConeExit (or a ZeroDivisionError) that named no input
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         solve(sum3, *args, **kwargs)
+
+
+def test_shrinker_rho_max_below_the_start_is_named(sum3):
+    # below the tip-series start rho = 2^-8 both solves ran backwards and
+    # the error blamed their Cauchy gap
+    with pytest.raises(ValueError, match="^rho_max = 0.001 must exceed"):
+        solve_shrinker(sum3, 50.0, rho_max=0.001)
 
 
 # -- w diagnostic --------------------------------------------------------------
