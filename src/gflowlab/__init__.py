@@ -8,11 +8,10 @@ spectral decomposition of the linearized rescaled flow.
 """
 
 from .errors import (BarrierViolation, ConeExit, ConeViolation,
-                     DomainViolation, GFlowError, InsufficientTail,
-                     NonConvergence, Pinch, QuadratureFailure,
-                     StabilityViolation, ToleranceFailure, TruncationWarning,
+                     DomainViolation, GFlowError, NonConvergence, Pinch,
+                     QuadratureFailure, StabilityViolation, ToleranceFailure,
                      WindowTooNarrow, WindowTooShort)
-from .speeds import CurvatureVector, ImplicitInverse, SpeedFunction
+from .speeds import ImplicitInverse, SpeedFunction
 from .solitons import (BowlProfile, EllipticityMonitor, ShrinkerProfile,
                        neck_constants, shrinker_to_bowl_convergence,
                        shrinker_upper_bound_check, shrinker_w_diagnostic,
@@ -21,12 +20,11 @@ from .flow import (BoundaryCondition, FlowHistory, RadialFlowState,
                    cylinder_radius, heat_barrier_psi,
                    heat_barrier_psi_quadrature,
                    linearize_rescaled_at_cylinder, run_flow,
-                   tip_neck_diagnostics, translation_speed)
-from .spectral import (GammaTrace, HermiteBasis, SpectralDecomposition,
-                       build_basis, decompose, eigen_table, eigenvalue,
-                       gamma_trace_from_run, merle_zaag_classifier)
-from .geometry import (CylinderGraph, expansion_error_A, expansion_error_G,
-                       trace_gamma)
+                   translation_speed)
+from .spectral import (GammaTrace, HermiteBasis, build_basis, eigen_table,
+                       eigenvalue, gamma_trace_from_run,
+                       merle_zaag_classifier)
+from .geometry import CylinderGraph, expansion_error_G, trace_gamma
 from .fits import (AsymptoticFit, fit_bowl_expansion, fit_shrinker_neck,
                    measure_rescaled_decay)
 

@@ -239,7 +239,7 @@ def cmd_shrinker(sp, o, outdir) -> int:
               "rows": rows}
     if sweep is not None:
         report["bounds"] = sweep
-        ok = ok and sweep["lower_ok"] and sweep["upper"]["stable"]
+        ok = ok and sweep["upper"]["stable"]
     report["pass"] = ok
     output.write_json(os.path.join(outdir, "shrinker_report.json"), report)
     output.write_plot_script(os.path.join(outdir, "shrinker.gp"),

@@ -1,5 +1,5 @@
-"""Exception and warning types raised across the package, and the check
-of positive numeric inputs."""
+"""Exception types raised across the package, and the check of positive
+numeric inputs."""
 
 import math
 
@@ -41,10 +41,6 @@ class StabilityViolation(GFlowError, RuntimeError):
     or makes the linearly implicit step matrix singular."""
 
 
-class InsufficientTail(GFlowError, RuntimeError):
-    """The z-window is too small for a stable tail fit."""
-
-
 class QuadratureFailure(GFlowError, RuntimeError):
     """Quadrature-based orthogonality checks exceeded tolerance."""
 
@@ -55,10 +51,6 @@ class WindowTooShort(GFlowError, ValueError):
 
 class WindowTooNarrow(GFlowError, ValueError):
     """A fit window does not span the required range."""
-
-
-class TruncationWarning(UserWarning):
-    """Spectral tail energy exceeds the configured fraction of the total."""
 
 
 def require_positive(name, value):

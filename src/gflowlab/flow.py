@@ -24,7 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import erf
 
 from . import _accel
-from .errors import DomainViolation, InsufficientTail, require_positive
+from .errors import DomainViolation, require_positive
 from .speeds import SpeedFunction
 from .solitons import BowlProfile
 
@@ -92,10 +92,14 @@ class BoundaryCondition:
 
     def tables(self, t0, dt, nsteps):
         """(left, right) boundary values at t0 + dt * (0, ..., nsteps), one
-        callback call per side.  An unknown mode is a ValueError."""
+        callback call per side.  An unknown mode, or a Dirichlet side without
+        its callable, is a ValueError."""
         if self.mode not in BOUNDARY_MODES:
             raise ValueError(f"unknown boundary mode {self.mode!r}; choose "
                              f"from {BOUNDARY_MODES}")
+        for side in ("left", "right"):
+            if self.mode == "dirichlet" and getattr(self, side) is None:
+                raise ValueError(f"dirichlet boundary has no {side} callable")
         times = t0 + dt * np.arange(nsteps + 1)
         bl = np.zeros(nsteps + 1)
         br = np.zeros(nsteps + 1)
@@ -276,72 +280,6 @@ def translation_speed(history: FlowHistory, level: float) -> dict:
     speed, intercept, rms = line_fit(history.times,
                                      level_set_positions(history, level))
     return {"speed": speed, "intercept": intercept, "rms": rms}
-
-
-@dataclass
-class TipDiagnostics:
-    """Neck-side diagnostics of a radial run.
-
-    When a tip speed is supplied, first_derivative_bound carries
-    4 (F(0,1) + C0 eps0) / G with the run's spread standing in for the
-    neck-quality term C0 eps0, and bound_ok flags r r_z staying below it.
-    """
-
-    rr_z_tail: float
-    rr_z_spread: float
-    window: tuple
-    G_est: float | None
-    extinction: np.ndarray | None
-    extinction_bound_min: float | None
-    first_derivative_bound: float | None = None
-    bound_ok: bool | None = None
-
-
-def tip_neck_diagnostics(history: FlowHistory,
-                         window: tuple | None = None,
-                         g_tip: float | None = None,
-                         shrinking: bool = False) -> TipDiagnostics:
-    """Estimate lim_{z->inf} r r_z by tail averaging, and (for shrinking
-    data) extinction-time estimates T(z) with the lower-bound check
-    2 F(0,1)(T(z) - t) <= r(z,t)^2.
-    """
-    z = history.z
-    dz = float(z[1] - z[0])
-    if window is None:
-        window = (z[0] + 0.25 * (z[-1] - z[0]), z[-1])
-    sel = (z[1:-1] >= window[0]) & (z[1:-1] <= window[1])
-    if np.count_nonzero(sel) < 8:
-        raise InsufficientTail("fewer than 8 interior nodes in the window")
-    half = max(1, history.snapshots.shape[0] // 2)
-    snaps = history.snapshots[-half:]
-    rz, _ = _accel.central_differences(snaps, dz)
-    vals = (snaps[:, 1:-1] * rz)[:, sel]
-    est = float(np.mean(vals))
-    spread = float(np.max(vals) - np.min(vals))
-    if spread > max(0.5 * abs(est), 1e-4 * (1.0 + abs(est))):
-        raise InsufficientTail("tail fit unstable over the window")
-
-    extinction = None
-    bound_min = None
-    if shrinking:
-        f01 = history.speed.F01
-        last = history.snapshots[-1]
-        t_last = history.times[-1]
-        extinction = t_last + last ** 2 / (2.0 * f01)
-        margins = []
-        for t, snap in zip(history.times, history.snapshots):
-            margins.append(np.min(snap ** 2 - 2.0 * f01 * (extinction - t)))
-        bound_min = float(np.min(margins))
-    fd_bound = None
-    bound_ok = None
-    if g_tip is not None:
-        eps0 = spread / max(abs(est), 1e-300)
-        fd_bound = 4.0 * history.speed.F01 * (1.0 + eps0) / g_tip
-        bound_ok = bool(np.max(vals) <= fd_bound)
-    return TipDiagnostics(rr_z_tail=est, rr_z_spread=spread, window=window,
-                          G_est=g_tip, extinction=extinction,
-                          extinction_bound_min=bound_min,
-                          first_derivative_bound=fd_bound, bound_ok=bound_ok)
 
 
 def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,

@@ -125,22 +125,6 @@ def _cone_curvatures(graph: CylinderGraph, speed: SpeedFunction):
     return kax, krot
 
 
-def expansion_error_A(graph: CylinderGraph) -> ExpansionReport:
-    """Error of the curvature expansion (0, 1/r) + (-u_zz, -u/r^2).
-
-    The reported ratio error / sup(u^2/r^3 + u_z^2/r) stays bounded as u is
-    scaled down (quadratic smallness).
-    """
-    graph._require_small()
-    r = graph.radius
-    kax, krot = graph.exact_curvatures()
-    err_ax = np.abs(kax - (-graph.u_zz))
-    err_rot = np.abs(krot - (1.0 / r - graph.u / r ** 2))
-    return _report(np.maximum(err_ax, err_rot), _quadratic(graph),
-                   {"sup_error_axial": float(np.max(err_ax)),
-                    "sup_error_rot": float(np.max(err_rot))})
-
-
 def expansion_error_G(graph: CylinderGraph,
                       speed: SpeedFunction) -> ExpansionReport:
     """Error of G ~ G_Sigma - dgamma^1(0,1,..,1) u_zz - gamma(0,1,..,1) u/r^2."""

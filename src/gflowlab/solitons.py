@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 # not called in this module: a module attribute for perfbench/tracer.py,
 # which counts scalar inversions under this name
 from scipy.optimize import brentq  # noqa: F401
@@ -250,10 +249,6 @@ class ShrinkerProfile:
         """Pointwise margin of v^2 over 2 F(0,1)(1 - z^2/a^2)."""
         rhs = 2.0 * self.speed.F01 * (1.0 - self.z ** 2 / self.a ** 2)
         return self.v ** 2 - rhs
-
-    def v_interp(self):
-        """Interpolant of v on [z_min, a) (tip node excluded)."""
-        return CubicHermiteSpline(self.z[:-1], self.v[:-1], self.v_z[:-1])
 
 
 def _barrier_checks(speed, a, theta, Theta, rho, psi, psip):

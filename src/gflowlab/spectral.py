@@ -15,14 +15,13 @@ bookkeeping of rescaled-flow runs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.interpolate import PchipInterpolator
 
-from .errors import QuadratureFailure, TruncationWarning, WindowTooShort
+from .errors import QuadratureFailure, WindowTooShort
 from .flow import cylinder_radius, line_fit
 
 # fewest windows a trace may have (one per time unit of the run), and the
@@ -145,71 +144,6 @@ def mode_energies(c) -> tuple[float, float, float]:
     c = np.asarray(c, dtype=float)
     return (float(np.sum(c[:2] ** 2)), float(np.sum(c[2:3] ** 2)),
             float(np.sum(c[3:] ** 2)))
-
-
-@dataclass
-class SpectralDecomposition:
-    """Coefficients of a rotationally symmetric profile in the z-eigenbasis.
-
-    The positive modes are k in {0, 1} (plus the l = 1 sphere mode, which a
-    rotationally symmetric pipeline never populates), the zero mode is
-    k = 2, and everything else is negative.
-    """
-
-    basis: HermiteBasis
-    n: int
-    coeffs: np.ndarray
-    norm_sq: float
-    tail_energy: float
-    mu: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.mu = np.array([eigenvalue(self.n, k, 0)
-                            for k in range(self.coeffs.size)])
-
-    @property
-    def plus_sq(self) -> float:
-        return mode_energies(self.coeffs)[0]
-
-    @property
-    def zero_sq(self) -> float:
-        return mode_energies(self.coeffs)[1]
-
-    @property
-    def minus_sq(self) -> float:
-        return mode_energies(self.coeffs)[2]
-
-    def reconstruct(self, z) -> np.ndarray:
-        return sum(c * self.basis.value(k, z)
-                   for k, c in enumerate(self.coeffs))
-
-
-def decompose(basis: HermiteBasis, u, n: int,
-              z_samples=None, tail_warn: float = 0.01) -> SpectralDecomposition:
-    """Weighted-quadrature coefficients of a profile u (callable or samples).
-
-    Emits TruncationWarning when the energy outside the retained modes
-    exceeds ``tail_warn`` of the total.
-    """
-    if callable(u):
-        u_nodes = np.asarray(u(basis.z), dtype=float)
-    else:
-        if z_samples is None:
-            u_nodes = np.asarray(u, dtype=float)
-            if u_nodes.size != basis.z.size:
-                raise ValueError("pass z_samples along with sampled data")
-        else:
-            u_nodes = basis.interpolate_samples(np.asarray(z_samples),
-                                                np.asarray(u))
-    coeffs = basis.project(u_nodes)
-    total = basis.norm_sq(u_nodes)
-    tail = max(total - float(np.sum(coeffs ** 2)), 0.0)
-    if total > 0 and tail > tail_warn * total:
-        warnings.warn(
-            f"tail energy {tail / total:.2%} of total exceeds {tail_warn:.0%}",
-            TruncationWarning, stacklevel=2)
-    return SpectralDecomposition(basis=basis, n=n, coeffs=coeffs,
-                                 norm_sq=total, tail_energy=tail)
 
 
 def smooth_cutoff(s):

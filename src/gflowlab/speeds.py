@@ -34,31 +34,7 @@ def _elementary_symmetric(lam: np.ndarray) -> np.ndarray:
     return e
 
 
-@dataclass(frozen=True)
-class CurvatureVector:
-    """An ordered list of principal curvatures lam_1 <= ... <= lam_n."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        ent = tuple(float(x) for x in self.entries)
-        if len(ent) < 2:
-            raise ValueError("need at least two principal curvatures")
-        if any(a > b for a, b in zip(ent, ent[1:])):
-            raise ValueError("entries must be sorted ascending")
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=float)
-
-
 def _as_lambda(lam) -> np.ndarray:
-    if isinstance(lam, CurvatureVector):
-        return lam.as_array()
     arr = np.asarray(lam, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("curvature vector must be 1D with n >= 2 entries")

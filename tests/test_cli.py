@@ -77,7 +77,8 @@ def test_shrinker_command(tmp_path):
     assert float(meta["theta"]) == 0.9
     report = json.loads((tmp_path / "shrinker_report.json").read_text())
     assert report["pass"] is True
-    assert report["bounds"]["lower_ok"] is True
+    assert all(row["lower_bound_violations"] == 0 for row in report["rows"])
+    assert set(report["bounds"]) == {"upper"}
 
 
 def test_flow_cylinder_preset(tmp_path):

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
 import gflowlab as gf
 from gflowlab.errors import ConeViolation
-from gflowlab.geometry import (CylinderGraph, expansion_error_A,
-                               expansion_error_G, trace_gamma,
+from gflowlab.geometry import (CylinderGraph, expansion_error_G, trace_gamma,
                                trace_gamma_expansion_error)
 
 Z = np.linspace(-6.0, 6.0, 241)
@@ -26,26 +26,17 @@ def test_zero_graph_reproduces_cylinder():
     kax, krot = g.exact_curvatures()
     assert np.all(kax == 0.0)
     assert np.allclose(krot, 0.5, rtol=0, atol=0)
-    assert expansion_error_A(g).sup_error == 0.0
 
 
 def test_constant_offset_closed_form():
-    # u = c: exact rotational curvature 1/(r+c) vs expansion 1/r - c/r^2,
-    # error c^2/(r^2 (r+c)), quadratic in c
+    # u = c: the exact curvatures are (0, 1/(r+c))
     r = 2.0
     for c in (0.05, 0.025):
         g = CylinderGraph.from_callable(r, Z, lambda z: c + 0.0 * z,
                                         lambda z: 0.0 * z, lambda z: 0.0 * z)
-        rep = expansion_error_A(g)
-        assert rep.sup_error == pytest.approx(c ** 2 / (r ** 2 * (r + c)),
-                                              rel=1e-10)
-
-
-def test_scaling_quadratic_A():
-    # halving u reduces the error by ~4x
-    e1 = expansion_error_A(_gauss_graph(2.0, 0.02)).sup_error
-    e2 = expansion_error_A(_gauss_graph(2.0, 0.01)).sup_error
-    assert e1 / e2 == pytest.approx(4.0, rel=0.2)
+        kax, krot = g.exact_curvatures()
+        assert np.all(kax == 0.0)
+        assert np.allclose(krot, 1.0 / (r + c), rtol=1e-15, atol=0)
 
 
 def test_expansion_G_scale_stable(bh3):
@@ -55,17 +46,10 @@ def test_expansion_G_scale_stable(bh3):
         assert abs(r / ratios[-1] - 1.0) < 0.2
 
 
-def test_expansion_A_scale_stable():
-    ratios = [expansion_error_A(_gauss_graph(2.0, 0.01 * 2.0 ** -j)).ratio
-              for j in range(6)]
-    for r in ratios:
-        assert abs(r / ratios[-1] - 1.0) < 0.2
-
-
-def test_smallness_precondition_enforced():
+def test_smallness_precondition_enforced(sum3):
     big = _gauss_graph(2.0, 0.5)
-    with pytest.raises(ValueError):
-        expansion_error_A(big)
+    with pytest.raises(ValueError, match="smallness"):
+        expansion_error_G(big, sum3)
 
 
 def test_G_expansion_linear_speed_structure(sum3):
@@ -124,7 +108,8 @@ def test_soliton_curvatures_match_graph_formulas(sum3, shrinker_sum3_a50):
     """Shrinker profile as a normal graph over a tangent cylinder: the
     graph-geometry curvatures must match the ODE-side values to 1e-8."""
     prof = shrinker_sum3_a50
-    vint = prof.v_interp()
+    # cubic Hermite interpolant of v on [z_min, a), tip node excluded
+    vint = CubicHermiteSpline(prof.z[:-1], prof.v[:-1], prof.v_z[:-1])
     z0, z1 = 10.0, 14.0
     h = 0.01
     z = np.arange(z0, z1, h)

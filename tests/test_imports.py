@@ -1,0 +1,41 @@
+"""Unused-import guard: each module of the package references every name it
+imports.  ``__init__`` is exempt (its imports are the package's re-exports),
+and so are ``from __future__`` imports and lines marked ``# noqa: F401``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gflowlab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_guard_flags_an_unused_import():
+    assert _unused_imports("import math\nimport os\nmath.pi\n") == [
+        "os (line 2)"]
+    assert _unused_imports("from a import b  # noqa: F401\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_its_imports(path):
+    assert _unused_imports(path.read_text()) == []

@@ -1,10 +1,13 @@
-"""README drift guard: the names it lists as public resolve in the package."""
+"""README drift guard: the names it lists as public resolve in the package,
+and every public function or class a listed module defines is listed."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import gflowlab as gf
+from gflowlab.errors import GFlowError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +42,29 @@ def test_readme_public_names_resolve():
         missing += [f"{module}.{name}" for name in names
                     if not hasattr(owner, name)]
     assert missing == []
+
+
+def _exempt(module, name, obj):
+    """The criteria, which README covers through run_criterion, and the
+    GFlowError subclasses, which it covers as "GFlowError and its
+    subclasses"."""
+    if module == "acceptance":
+        return re.fullmatch(r"criterion_\d+", name) is not None
+    return (module == "errors" and inspect.isclass(obj)
+            and issubclass(obj, GFlowError) and obj is not GFlowError)
+
+
+def test_readme_lists_every_public_definition():
+    unlisted = []
+    for module, names in _public_names().items():
+        if module == "SpeedFunction":
+            continue
+        mod = importlib.import_module(f"gflowlab.{module}")
+        for name, obj in vars(mod).items():
+            if (name.startswith("_") or name in names
+                    or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                    or obj.__module__ != mod.__name__
+                    or _exempt(module, name, obj)):
+                continue
+            unlisted.append(f"{module}.{name}")
+    assert unlisted == []

@@ -7,11 +7,12 @@ import pytest
 import sympy
 
 import gflowlab as gf
-from gflowlab.errors import TruncationWarning, WindowTooShort
+from gflowlab.errors import WindowTooShort
 from gflowlab.flow import (BoundaryCondition, RadialFlowState, cylinder_radius,
                            line_fit, run_flow, step_plan)
-from gflowlab.spectral import (GammaTrace, build_basis, decompose, eigen_table,
-                               eigenvalue, hermite_h, mode_sign, smooth_cutoff)
+from gflowlab.spectral import (GammaTrace, build_basis, eigen_table,
+                               eigenvalue, hermite_h, mode_energies, mode_sign,
+                               smooth_cutoff)
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -104,33 +105,36 @@ def test_quadrature_scaling():
     basis2 = build_basis(1.0, K=6, quad_order=80)
     def u(z):
         return 0.3 * basis1.value(0, z) - 1.2 * basis1.value(3, z)
-    c1 = decompose(basis1, u, 3).coeffs
-    c2 = decompose(basis2, u, 3).coeffs
+    c1 = basis1.project(u(basis1.z))
+    c2 = basis2.project(u(basis2.z))
     assert float(np.max(np.abs(c1 - c2))) <= 1e-12
 
 
-# -- decomposition ----------------------------------------------------------------
+# -- projection ---------------------------------------------------------------
 
 def test_constant_is_positive_mode():
     basis = build_basis(1.0, K=6)
-    dec = decompose(basis, lambda z: np.ones_like(z), 3)
-    assert dec.plus_sq == pytest.approx(dec.norm_sq, rel=1e-12)
-    assert dec.zero_sq <= 1e-20 and dec.minus_sq <= 1e-20
-    assert dec.mu[0] == 1.0
+    u = np.ones_like(basis.z)
+    plus_sq, zero_sq, minus_sq = mode_energies(basis.project(u))
+    assert plus_sq == pytest.approx(basis.norm_sq(u), rel=1e-12)
+    assert zero_sq <= 1e-20 and minus_sq <= 1e-20
+    assert eigenvalue(3, 0, 0) == 1.0
 
 
 def test_h2_is_zero_mode():
     # z^2/a - 2 equals H_2 at the scaled argument, the annihilated direction
     a = 0.5
     basis = build_basis(a, K=6)
-    dec = decompose(basis, lambda z: z ** 2 / a - 2.0, 3)
-    assert dec.zero_sq / dec.norm_sq == pytest.approx(1.0, rel=1e-12)
+    u = basis.z ** 2 / a - 2.0
+    zero_sq = mode_energies(basis.project(u))[1]
+    assert zero_sq / basis.norm_sq(u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_h3_is_negative_mode():
     basis = build_basis(1.0, K=6)
-    dec = decompose(basis, lambda z: hermite_h(3, z / 2.0), 3)
-    assert dec.minus_sq / dec.norm_sq == pytest.approx(1.0, rel=1e-12)
+    u = hermite_h(3, basis.z / 2.0)
+    minus_sq = mode_energies(basis.project(u))[2]
+    assert minus_sq / basis.norm_sq(u) == pytest.approx(1.0, rel=1e-12)
     assert eigenvalue(3, 3, 0) == -0.5
 
 
@@ -140,18 +144,20 @@ def test_round_trip_band_limited():
     coeffs = rng.normal(size=7)  # degree <= K - 2
     def u(z):
         return sum(c * basis.value(k, z) for k, c in enumerate(coeffs))
-    dec = decompose(basis, u, 3)
+    c = basis.project(u(basis.z))
     z = np.linspace(-8, 8, 100)
-    err = np.max(np.abs(dec.reconstruct(z) - u(z)))
-    assert err <= 1e-10
-    assert dec.tail_energy <= 1e-10 * dec.norm_sq + 1e-18
+    recon = sum(ck * basis.value(k, z) for k, ck in enumerate(c))
+    assert np.max(np.abs(recon - u(z))) <= 1e-10
+    total = basis.norm_sq(u(basis.z))
+    tail = max(total - float(np.sum(c ** 2)), 0.0)
+    assert tail <= 1e-10 * total + 1e-18
 
 
 def test_parseval_inequality():
     basis = build_basis(1.0, K=4)
-    with pytest.warns(TruncationWarning):
-        dec = decompose(basis, lambda z: np.cos(3.0 * z), 3)
-    assert np.sum(dec.coeffs ** 2) <= dec.norm_sq * (1 + 1e-12)
+    u = np.cos(3.0 * basis.z)
+    c = basis.project(u)
+    assert np.sum(c ** 2) <= basis.norm_sq(u) * (1 + 1e-12)
 
 
 # -- cutoff ------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import gflowlab as gf
 from gflowlab.errors import ConeViolation, DomainViolation
-from gflowlab.speeds import CurvatureVector, sample_cone_interior
+from gflowlab.speeds import sample_cone_interior
 
 
 # -- oracles ----------------------------------------------------------------
@@ -87,15 +87,6 @@ def test_sigma_ratio_values(sr24):
     # sigma_2/sigma_1 at (1,1,1,1) = 6/4
     assert sr24.gamma([1.0, 1.0, 1.0, 1.0]) == pytest.approx(1.5)
     assert sr24.F01 == pytest.approx(1.0)   # C(3,2)/C(3,1)
-
-
-def test_curvature_vector_validation():
-    with pytest.raises(ValueError):
-        CurvatureVector((3.0, 1.0, 2.0))
-    with pytest.raises(ValueError):
-        CurvatureVector((1.0,))
-    cv = CurvatureVector((0.0, 1.0, 1.0))
-    assert cv.n == 3
 
 
 # -- gradient ----------------------------------------------------------------
