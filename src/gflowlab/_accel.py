@@ -8,7 +8,7 @@ and the advance of rho after each step.  A profile is kept as its steps'
 Nordsieck polynomials (``StepPolynomials``), copied off LSODA's work
 arrays; only the step that crosses the height stop builds a dense-output
 object.  The explicit flow step is Heun's method and the semi-implicit step
-is the two-stage Rosenbrock method ROS2, with one LAPACK tridiagonal
+is the three-stage Rosenbrock method ROS3P, with one LAPACK tridiagonal
 factorization (``dgttrf``) per step.
 
 A kernel raises the typed error where its check fails: ``integrate_profile``
@@ -48,9 +48,15 @@ GAUSS3 = 0.5 + 0.5 * np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
 # the Nordsieck array of a 2-component system, 13 columns from rwork[20]
 _RWORK_STEP = slice(10, 20 + 2 * 13)
 
-# ROS2's diagonal coefficient 1 + 1/sqrt(2): the value that makes the
-# two-stage method L-stable
-ROS2_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+# ROS3P (Lang & Verwer 2001) in the transformed form of
+# ``radial_semi_implicit_run``: the diagonal gamma, the stage shift
+# a21 = a31 (a32 = 0), (c21, c31, c32), (gamma_1, gamma_2, gamma_3) of the
+# f_t term and the weights m
+ROS3P_GAMMA = 0.7886751345948129
+ROS3P_A21 = 1.267949192431123
+ROS3P_C = (-1.607695154586736, -3.464101615137755, -1.732050807568877)
+ROS3P_GAMMAS = (0.7886751345948129, -0.2113248654051871, -1.077350269189626)
+ROS3P_M = (2.0, 0.5773502691896258, 0.4226497308103742)
 
 
 def speed_F(kind, p0, p1, p2, x, y):
@@ -421,8 +427,9 @@ def flow_run(kind, p0, p1, p2, cfac, mode,
              r_floor, cfl_limit, rec_every):
     """Heun (explicit RK2) time stepping of a 1D graph flow.
 
-    cfl_limit = safety * dz^2 / 2; the run raises StabilityViolation when
-    dt exceeds cfl_limit / max(dF/dx), and ConeExit or Pinch as in
+    cfl_limit = s dz^2 / 2 for a safety fraction s <= 1 of the CFL limit
+    (``flow.CFL_SAFETY``); the run raises StabilityViolation when dt exceeds
+    cfl_limit / max(dF/dx), and ConeExit or Pinch as in
     ``graph_rhs`` and ``_stepping_loop``.  Snapshots are kept every
     rec_every steps, plus the initial and the final state.
 
@@ -451,36 +458,45 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
                              bc_mode, bcl, bcr,
                              r_floor, rec_every, mode):
     """Linearly implicit stepping of the radial (mode 0) or rescaled
-    (mode 1) flow: the two-stage L-stable Rosenbrock method ROS2 of Verwer,
-    Spee, Blom & Hundsdorfer (1999), second order in time.
+    (mode 1) flow: the three-stage Rosenbrock method ROS3P of Lang & Verwer
+    (2001), third order in time and free of order reduction on parabolic
+    problems with time-dependent Dirichlet data.
 
     On the interior nodes, with J the closed-form tridiagonal Jacobian
-    (``graph_jacobian``) at the step's start, gamma = ``ROS2_GAMMA`` and
-    W = I - gamma dt J factored once by LAPACK ``dgttrf``:
+    (``graph_jacobian``) at the step's start, gamma = ``ROS3P_GAMMA`` and
+    W = I - gamma dt J factored once by LAPACK ``dgttrf``, the stages of
+    the transformed form are
 
-        W k1 = f(t, v) + gamma dt f_t
-        W k2 = f(t + dt, v + dt k1) - 2 k1 - gamma dt f_t
-        v   += dt (3 k1 + k2) / 2
+        W U_i = gamma dt [f(t + alpha_i dt, v + sum_j a_ij U_j)
+                          + sum_j (c_ij / dt) U_j + gamma_i dt f_t]
+        v += sum_i m_i U_i
+
+    with the ``ROS3P_*`` coefficients.  Stages 2 and 3 share their state
+    (a31 = a21, a32 = 0, alpha = 1), so a step costs two rhs evaluations,
+    one factorization and three ``dgttrs`` solves.  A stage state at
+    t + dt takes the boundary data at t + dt.
 
     bc_mode "dirichlet" takes the tables bcl / bcr; f_t, the rhs's time
     derivative through the boundary data, is J's coupling to each boundary
     node times the data's time derivative (central differences of the
-    tables), so it is nonzero at the two end rows only.  Without it
-    the time-dependent data cost the method its order near the boundary
-    (Lubich & Ostermann 1995).  bc_mode "frozen" keeps the boundary values
-    fixed (f_t = 0).  No CFL limit applies.  A step or stage state outside
-    the admissible cone raises ConeExit, a singular W StabilityViolation, a
-    radius at r_floor Pinch.  z is only read by the rescaled drift.
+    tables), so it is nonzero at the two end rows only.  bc_mode "frozen"
+    keeps the boundary values fixed (f_t = 0).  No CFL limit applies.  A
+    step or stage state outside the admissible cone raises ConeExit, a
+    singular W StabilityViolation, a radius at r_floor Pinch.  z is only
+    read by the rescaled drift.
 
     Returns (times, snapshots, n_steps), as ``flow_run``.
     """
-    gdt = ROS2_GAMMA * dt
+    gdt = ROS3P_GAMMA * dt
+    c21, c31, c32 = (c / dt for c in ROS3P_C)
+    g1, g2, g3 = (gi * dt for gi in ROS3P_GAMMAS)
+    m1, m2, m3 = ROS3P_M
     dirichlet = bc_mode == "dirichlet"
     if dirichlet and bcl.size > 1:
         dbl = np.gradient(bcl, dt)
         dbr = np.gradient(bcr, dt)
 
-    def ros2(v, s):
+    def ros3p(v, s):
         f1, g, vz, x, y = _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz)
         fx = speed_Fx(kind, p0, p1, p2, x, y)
         lower, main, upper = graph_jacobian(mode, z, dz, vz, x, y, g, fx)
@@ -490,22 +506,21 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         if info != 0:
             raise StabilityViolation(
                 "singular linearly implicit step matrix; reduce dt")
-        if dirichlet:  # gamma dt f_t
-            ftl = gdt * lower[0] * dbl[s]
-            ftr = gdt * upper[-1] * dbr[s]
-            f1[0] += ftl
-            f1[-1] += ftr
-        k1, _ = dgttrs(dl, d, du, du2, ipiv, f1)
+
+        def solve(rhs, gi):
+            if dirichlet:  # gamma_i dt f_t
+                rhs[0] += gi * lower[0] * dbl[s]
+                rhs[-1] += gi * upper[-1] * dbr[s]
+            return dgttrs(dl, d, du, du2, ipiv, gdt * rhs)[0]
+
+        u1 = solve(f1, g1)
         stage = v.copy()
-        stage[1:-1] += dt * k1
+        stage[1:-1] += ROS3P_A21 * u1
         _apply_bc(stage, bc_mode, bcl[s + 1], bcr[s + 1])
         f2 = _rhs_terms(kind, p0, p1, p2, cfac, mode, stage, z, dz)[0]
-        f2 = f2 - 2.0 * k1
-        if dirichlet:
-            f2[0] -= ftl
-            f2[-1] -= ftr
-        k2, _ = dgttrs(dl, d, du, du2, ipiv, f2)
-        v[1:-1] += dt * (1.5 * k1 + 0.5 * k2)
+        u2 = solve(f2 + c21 * u1, g2)
+        u3 = solve(f2 + c31 * u1 + c32 * u2, g3)
+        v[1:-1] += m1 * u1 + m2 * u2 + m3 * u3
         _apply_bc(v, bc_mode, bcl[s + 1], bcr[s + 1])
 
-    return _stepping_loop(ros2, v0, dt, nsteps, r_floor, rec_every)
+    return _stepping_loop(ros3p, v0, dt, nsteps, r_floor, rec_every)

@@ -8,8 +8,9 @@ Two scalar 1D reductions are evolved on uniform grids:
 The rescaled form is the graph reduction of motion with normal velocity
 -(G - <x, nu>/2); its stationary points are the cylinder v = sqrt(2 F(0,1))
 and the shrinker caps, which the test suite uses as regressions.  Schemes:
-explicit Heun with a CFL guard (default) and the linearly implicit
-Rosenbrock method ROS2, second order in time with no CFL limit.
+explicit Heun with a CFL guard (``run_flow``'s default) and the linearly
+implicit Rosenbrock method ROS3P, third order in time with no CFL limit
+(the default of ``gflowlab flow``, ``rescaled`` and ``spectral``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .solitons import BowlProfile
 
 REPRESENTATIONS = ("radial", "rescaled")
 BOUNDARY_MODES = ("dirichlet", "frozen")
+# Heun's step as a fraction of its CFL limit delta^2 / (2 max F_x)
+CFL_SAFETY = 0.4
 
 
 def cylinder_radius(speed: SpeedFunction) -> float:
@@ -144,19 +147,18 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
              bc: BoundaryCondition | None = None,
              scheme: str = "rk2",
              record_every: int | None = None,
-             cfl_safety: float = 0.4,
              r_floor: float = 1e-6) -> FlowHistory:
     """Advance a radial/rescaled state by ``nsteps`` steps of size ``dt``.
 
-    ``scheme="rk2"`` is Heun's method (second order in time) under a CFL
-    guard.  ``scheme="semi_implicit"`` is the linearly implicit Rosenbrock
-    method ROS2 (second order in time, L-stable, no CFL limit).  Both step
-    either representation with Dirichlet or frozen boundaries; another
-    boundary mode or scheme is a ValueError.  Snapshots are recorded every
+    ``scheme="rk2"`` is Heun's method (second order in time) under the CFL
+    guard dt max(F_x) <= ``CFL_SAFETY`` dz^2 / 2.  ``scheme="semi_implicit"``
+    is the linearly implicit Rosenbrock method ROS3P (third order in time,
+    no CFL limit).  Both step either representation with Dirichlet or
+    frozen boundaries; another boundary mode or scheme is a ValueError.  Snapshots are recorded every
     ``record_every`` steps (default: ~200 records per run) and after the
     last.  The kernels raise ConeExit (a state leaves the admissible cone),
     Pinch (the radius reaches ``r_floor``) or StabilityViolation (Heun's CFL
-    limit, a singular ROS2 step matrix) at the failing step.
+    limit, a singular ROS3P step matrix) at the failing step.
     """
     bc = bc or BoundaryCondition()
     mode = REPRESENTATIONS.index(state.representation)
@@ -166,7 +168,7 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     bl, br = bc.tables(state.t, dt, nsteps)
     p0, p1, p2 = state.speed.params
-    cfl_limit = cfl_safety * state.dz ** 2 / 2.0 * (1.0 + 1e-9)
+    cfl_limit = CFL_SAFETY * state.dz ** 2 / 2.0 * (1.0 + 1e-9)
 
     if scheme == "rk2":
         times, snapshots, _ = _accel.flow_run(
@@ -185,26 +187,23 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     return FlowHistory(representation=state.representation, z=state.z,
                        times=state.t + times, snapshots=snapshots,
                        speed=state.speed, dt=dt, scheme=scheme,
-                       meta={"bc": bc.mode, "cfl_safety": cfl_safety,
-                             "r_floor": r_floor, "nsteps": nsteps})
+                       meta={"bc": bc.mode, "r_floor": r_floor,
+                             "nsteps": nsteps})
 
 
-def step_plan(speed: SpeedFunction, delta: float, t_end: float,
-              safety: float = 0.4) -> tuple[float, int]:
-    """(dt, nsteps) of an explicit run over [0, t_end] on grid spacing delta.
+def step_plan(speed: SpeedFunction, delta: float,
+              t_end: float) -> tuple[float, int]:
+    """(dt, nsteps) of a Heun run over [0, t_end] on grid spacing delta.
 
-    dt0 = safety delta^2 / (2 max(F_x(0,1), 1)), nsteps = ceil(t_end / dt0)
-    and dt = t_end / nsteps.  Takes the nominal spacing rather than a
-    state's dz, which linspace may round by an ulp.  delta and t_end must
-    be finite and positive, and 0 < safety <= 1: Heun's step is unstable
-    beyond the CFL limit itself.
+    dt0 = CFL_SAFETY delta^2 / (2 max(F_x(0,1), 1)),
+    nsteps = ceil(t_end / dt0) and dt = t_end / nsteps.  Takes the nominal
+    spacing rather than a state's dz, which linspace may round by an ulp.
+    delta and t_end must be finite and positive.
     """
     delta = require_positive("delta", delta)
     t_end = require_positive("t_end", t_end)
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"safety must lie in (0, 1], got {safety!r}")
     fx = np.max(np.asarray(speed.Fx(0.0, 1.0)))
-    dt0 = safety * delta ** 2 / (2.0 * max(fx, 1.0))
+    dt0 = CFL_SAFETY * delta ** 2 / (2.0 * max(fx, 1.0))
     nsteps = int(math.ceil(t_end / dt0))
     return t_end / nsteps, nsteps
 

@@ -254,7 +254,7 @@ def test_graph_jacobian_matches_finite_differences(kind, n, k, mode):
     assert np.max(np.abs(fd)) == 0.0
 
 
-# Oracles: the Heun and ROS2 steps written out, operation for operation, as
+# Oracles: the Heun and ROS3P steps written out, operation for operation, as
 # the kernels compute them.  The kernels must reproduce them bit for bit, so
 # a reordering of the kernels' arithmetic fails here even when it stays
 # within every tolerance of the other tests.
@@ -313,8 +313,11 @@ def _oracle_bands(mode, z, dz, g, fx, vz, x, y):
     return lower, main, upper
 
 
-def _oracle_ros2(sp, mode, v, z, dz, dt, bl, br, nsteps):
-    gdt = _accel.ROS2_GAMMA * dt
+def _oracle_ros3p(sp, mode, v, z, dz, dt, bl, br, nsteps):
+    gdt = _accel.ROS3P_GAMMA * dt
+    c21, c31, c32 = (c / dt for c in _accel.ROS3P_C)
+    g1, g2, g3 = (gi * dt for gi in _accel.ROS3P_GAMMAS)
+    m1, m2, m3 = _accel.ROS3P_M
     snaps = [v.copy()]
     for s in range(nsteps):
         f1, g, fx, vz, x, y = _oracle_terms(sp, mode, v, z, dz)
@@ -322,22 +325,31 @@ def _oracle_ros2(sp, mode, v, z, dz, dt, bl, br, nsteps):
         dl, d, du, du2, ipiv, info = dgttrf(
             -gdt * lower[1:], 1.0 - gdt * main, -gdt * upper[:-1])
         assert info == 0
-        if bl is not None:  # gamma dt f_t through the boundary data
-            ftl = gdt * lower[0] * np.gradient(bl, dt)[s]
-            ftr = gdt * upper[-1] * np.gradient(br, dt)[s]
-            f1[0] += ftl
-            f1[-1] += ftr
-        k1, _ = dgttrs(dl, d, du, du2, ipiv, f1)
-        stage = v.copy()
-        stage[1:-1] += dt * k1
-        _set_ends(stage, bl, br, s + 1)
-        f2 = _oracle_terms(sp, mode, stage, z, dz)[0] - 2.0 * k1
+        if bl is not None:  # f_t through the boundary data, end rows only
+            dbl, dbr = np.gradient(bl, dt)[s], np.gradient(br, dt)[s]
+        # stage 1 at (t, v)
+        r1 = f1
         if bl is not None:
-            f2[0] -= ftl
-            f2[-1] -= ftr
-        k2, _ = dgttrs(dl, d, du, du2, ipiv, f2)
+            r1[0] += g1 * lower[0] * dbl
+            r1[-1] += g1 * upper[-1] * dbr
+        u1, _ = dgttrs(dl, d, du, du2, ipiv, gdt * r1)
+        # stages 2 and 3 share the state v + a21 U1 at t + dt
+        stage = v.copy()
+        stage[1:-1] += _accel.ROS3P_A21 * u1
+        _set_ends(stage, bl, br, s + 1)
+        f2 = _oracle_terms(sp, mode, stage, z, dz)[0]
+        r2 = f2 + c21 * u1
+        if bl is not None:
+            r2[0] += g2 * lower[0] * dbl
+            r2[-1] += g2 * upper[-1] * dbr
+        u2, _ = dgttrs(dl, d, du, du2, ipiv, gdt * r2)
+        r3 = f2 + c31 * u1 + c32 * u2
+        if bl is not None:
+            r3[0] += g3 * lower[0] * dbl
+            r3[-1] += g3 * upper[-1] * dbr
+        u3, _ = dgttrs(dl, d, du, du2, ipiv, gdt * r3)
         v = v.copy()
-        v[1:-1] += dt * (1.5 * k1 + 0.5 * k2)
+        v[1:-1] += m1 * u1 + m2 * u2 + m3 * u3
         _set_ends(v, bl, br, s + 1)
         snaps.append(v)
     return np.array(snaps)
@@ -363,7 +375,7 @@ def stepping_window(request):
 
 
 def test_rhs_and_jacobian_match_written_out_terms(stepping_window):
-    # the Jacobian moves a ROS2 step only at the rounding level, which the
+    # the Jacobian moves a ROS3P step only at the rounding level, which the
     # snapshots below rarely show, so its bands are pinned here
     sp, mode, v0, z, dz, _ = stepping_window
     p0, p1, p2 = sp.params
@@ -393,7 +405,7 @@ def test_heun_kernel_matches_written_out_steps(stepping_window):
     assert n == nsteps and times.size == nsteps + 1
 
 
-def test_ros2_kernel_matches_written_out_steps(stepping_window):
+def test_ros3p_kernel_matches_written_out_steps(stepping_window):
     sp, mode, v0, z, dz, bc = stepping_window
     dt, nsteps = 0.02, 100
     bl, br = bc.tables(0.0, dt, nsteps)
@@ -404,5 +416,5 @@ def test_ros2_kernel_matches_written_out_steps(stepping_window):
     if bc.mode == "frozen":
         bl = br = None
     np.testing.assert_array_equal(
-        snaps, _oracle_ros2(sp, mode, v0, z, dz, dt, bl, br, nsteps))
+        snaps, _oracle_ros3p(sp, mode, v0, z, dz, dt, bl, br, nsteps))
     assert n == nsteps and times.size == nsteps + 1

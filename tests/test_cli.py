@@ -92,7 +92,7 @@ def test_flow_cylinder_preset(tmp_path):
 
 
 def test_flow_stride_ends_on_the_final_state(tmp_path):
-    # --stride 3 does not divide the 500 steps: the last row and the
+    # --stride 3 does not divide the 80 steps: the last row and the
     # final error still come from t-end
     code = _run(tmp_path, "flow", "--preset", "cylinder", "--stride", "3")
     assert code == 0
@@ -102,13 +102,28 @@ def test_flow_stride_ends_on_the_final_state(tmp_path):
     assert float(data["t"][-1]) == 0.25
 
 
+def test_flow_default_is_linearly_implicit(tmp_path):
+    # 320 ROS3P steps per time unit, at most 50 records after the first
+    code = _run(tmp_path, "flow", "--preset", "cylinder")
+    assert code == 0
+    manifest = json.loads((tmp_path / "flow_manifest.json").read_text())
+    assert manifest["scheme"] == "semi_implicit"
+    assert manifest["nsteps"] == 80
+    assert "cfl_safety" not in manifest
+    assert manifest["final_error"] <= 1e-7
+    data, _ = read_csv(tmp_path / "flow.csv")
+    times = sorted(set(data["t"]), key=float)
+    assert len(times) <= 51
+    assert float(times[-1]) == 0.25
+
+
 def test_rescaled_k2_preset(tmp_path):
     code = _run(tmp_path, "rescaled", "--seed-mode", "k2",
                 "--tau-end", "1.0", "--delta", "0.1", "--window", "10")
     assert code == 0
     manifest = json.loads((tmp_path / "rescaled_manifest.json").read_text())
     assert manifest["pass"] is True
-    # one ROS2 step per recorded snapshot
+    # one ROS3P step per recorded snapshot
     assert manifest["scheme"] == "semi_implicit"
     assert manifest["nsteps"] == 100
     assert manifest["dt"] == 1.0 / 100
@@ -120,7 +135,7 @@ def test_spectral_k2_neutral_verdict(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "spectral_manifest.json").read_text())
     assert manifest["verdict"]["verdict"] == "neutral-dominated"
-    # 8 ROS2 steps per time unit over windows + 1 = 9 units
+    # 8 ROS3P steps per time unit over windows + 1 = 9 units
     assert manifest["scheme"] == "semi_implicit"
     assert manifest["nsteps"] == 72
     assert manifest["dt"] == 9.0 / 72
@@ -215,7 +230,7 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     (["flow", "--delta", "0"], "delta must be finite and positive"),
     (["flow", "--t-end", "0"], "t_end must be finite and positive"),
     (["flow", "--r0", "0.1"], "cylinder vanishes at t = 0.0025"),
-    (["flow", "--safety", "10"], "safety must lie in (0, 1]"),
+    (["flow", "--t-end", "inf"], "t_end must be finite and positive"),
     (["rescaled", "--delta", "0"], "delta must be finite and positive"),
     (["rescaled", "--tau-end", "0"], "tau-end must be finite and positive"),
     (["spectral", "--windows", "-1"], "windows must be >= 7, got -1"),
@@ -307,8 +322,8 @@ def _run_config(tmp_path, command, text, *flags):
      "rescaled, spectral)"),
     ("verify", '{"spectrl": {}}', "config spectrl: unknown section"),
     ("flow", '{"flow": {"scheme": "euler"}}',
-     'config flow.scheme: invalid choice: "euler" (choose from rk2, '
-     'semi_implicit)'),
+     'config flow.scheme: invalid choice: "euler" (choose from '
+     'semi_implicit, rk2)'),
     ("bowl", "[1]", "cfg.json: holds no JSON object"),
     ("bowl", "not json", "cfg.json: Expecting value"),
 ])
@@ -421,7 +436,6 @@ _COMMAND_FRAGMENTS = st.one_of(
         "scheme": st.sampled_from(["rk2", "semi_implicit", "euler"]),
         "delta": st.sampled_from([0.0, -0.1, _NAN, 0.1, 0.2]),
         "t-end": st.sampled_from([0.0, -1.0, _NAN, _INF, 0.01, 0.05]),
-        "safety": st.sampled_from([0.0, -0.4, _NAN, 0.4, 1.0, 10.0]),
         "r0": st.sampled_from([0.0, -2.0, _NAN, 0.1, 2.0])})),
     st.tuples(st.just("shrinker"), _with_wrong_key("shrinker",
         st.fixed_dictionaries({"a": st.sampled_from(["25", [25.0], "nan"])},

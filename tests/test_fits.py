@@ -11,7 +11,7 @@ from gflowlab.errors import WindowTooNarrow, WindowTooShort
 from gflowlab.fits import (fit_bowl_expansion, fit_shrinker_neck,
                            measure_rescaled_decay)
 from gflowlab.flow import (BoundaryCondition, RadialFlowState,
-                           cylinder_radius, run_flow, step_plan)
+                           cylinder_radius, run_flow)
 from gflowlab.spectral import build_basis
 
 
@@ -94,8 +94,10 @@ def _rescaled_run(speed, u0_fn, T, delta=0.06, window=18.0):
     sigma = cylinder_radius(speed)
     z = np.linspace(-window, window, int(round(2 * window / delta)) + 1)
     st = RadialFlowState("rescaled", z, sigma + u0_fn(z), 0.0, speed)
-    dt, nsteps = step_plan(speed, delta, T)
-    return run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
+    nsteps = int(round(20 * T))
+    return run_flow(st, T / nsteps, nsteps,
+                    bc=BoundaryCondition(mode="frozen"),
+                    scheme="semi_implicit",
                     record_every=max(1, nsteps // 100))
 
 
