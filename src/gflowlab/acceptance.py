@@ -248,11 +248,8 @@ def criterion_10():
                              0.0, sp)
         hist = run_flow(st, 1.0 / 20, 20, bc=BoundaryCondition(mode="frozen"),
                         scheme="semi_implicit", record_every=1)
-        coeffs = []
-        for snap in hist.snapshots:
-            un = basis.interpolate_samples(z, snap - sigma)
-            coeffs.append(basis.project(un)[k])
-        coeffs = np.asarray(coeffs)
+        nodes = basis.interpolate_samples(z, (hist.snapshots - sigma).T)
+        coeffs = np.array([basis.project(un)[k] for un in nodes.T])
         if k == 2:
             drift = float(abs(coeffs[-1] - coeffs[0]))
             details["k=2 drift"] = drift

@@ -2,10 +2,15 @@
 
 All floats are written with shortest round-trip ``repr`` so identical inputs
 produce byte-identical files; JSON keys are sorted.
-The CSV writer formats a float column with one ``repr`` per cell and writes
-a column of ``str`` as given.  A caller whose columns repeat by construction
-(the flow history's t and z) formats each distinct value once with
-``format_column`` and passes the repeated strings.
+The CSV writer takes 1-D columns of one length.  It formats a float column
+with one ``repr`` per cell and writes a column of ``str`` as given; an
+object column whose cells are all exactly ``str`` is passed on whole, after
+one type check per row block.  Any other object column goes through
+``_fmt`` cell by cell: ``str(np.float32(x))`` is not ``repr(float(x))``, so
+an ``np.float32`` among strings still gets its float spelling.  A caller
+whose columns repeat by construction (the flow history's t and z) formats
+each distinct value once with ``format_column`` and passes the repeated
+strings.
 """
 
 from __future__ import annotations
@@ -30,18 +35,35 @@ def _fmt(x) -> str:
 
 
 def format_column(a: np.ndarray) -> list:
-    """``_fmt`` of every entry; a float64-or-narrower column goes through
-    ``repr`` of Python floats, which spells nan and +-inf as ``_fmt`` does."""
-    if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+    """``_fmt`` of every entry of a 1-D array.
+
+    A float64-or-narrower column goes through ``repr`` of Python floats,
+    which spells nan and +-inf as ``_fmt`` does.  An object column whose
+    cells are all exactly ``str`` is returned as it is, since ``_fmt`` of a
+    ``str`` is that ``str``; any other object column, say one holding an
+    ``np.float32``, goes through ``_fmt`` cell by cell.
+    """
+    if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
         return list(map(repr, a.tolist()))
+    if a.dtype.kind == "O":
+        cells = a.tolist()
+        if set(map(type, cells)) == {str}:
+            return cells
     return [_fmt(x) for x in a]
 
 
 def write_csv(path: str, columns: Mapping[str, Sequence],
               meta: Mapping | None = None) -> None:
-    """Write named columns with a schema line and ``# key=value`` metadata."""
+    """Write named 1-D columns of one length with a schema line and
+    ``# key=value`` metadata."""
     names = list(columns)
+    if not names:
+        raise ValueError("write_csv needs at least one column")
     arrays = [np.asarray(columns[c]) for c in names]
+    for name, a in zip(names, arrays):
+        if a.ndim != 1:
+            raise ValueError(
+                f"column {name!r} must be 1-D, got shape {a.shape}")
     length = arrays[0].shape[0]
     if any(a.shape[0] != length for a in arrays):
         raise ValueError("columns must share a length")

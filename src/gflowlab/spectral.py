@@ -105,7 +105,12 @@ class HermiteBasis:
         return float(np.sum(self.wz * u_nodes ** 2))
 
     def interpolate_samples(self, z_samples, u_samples) -> np.ndarray:
-        """Sampled profile resampled onto the quadrature nodes (0 outside)."""
+        """Sampled profiles resampled onto the quadrature nodes (0 outside).
+
+        z runs along axis 0 of ``u_samples``: one profile, or a
+        (z, profile) block whose columns one PCHIP call interpolates, bit
+        for bit as one call per column would.
+        """
         interp = PchipInterpolator(z_samples, u_samples, extrapolate=False)
         vals = interp(self.z)
         return np.where(np.isnan(vals), 0.0, vals)
@@ -210,7 +215,9 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
     Each window's profile is cut off by chi(delta_j^r z) before projecting,
     where delta_j is the running sup of |u| over |z| <= L from the window
     onward into the tail.  Note delta^{-r} grows extremely slowly for the
-    default r; runs that want a wide cutoff window pass a larger r.
+    default r; runs that want a wide cutoff window pass a larger r.  One
+    PCHIP call per window interpolates all of the window's snapshots, with
+    z along axis 0; each snapshot is then projected on its own.
     """
     sigma = cylinder_radius(history.speed)
     times = history.times
@@ -233,12 +240,12 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
         tail = times <= T - j
         delta[j] = float(np.max(sup_L[tail])) if np.any(tail) else 0.0
         in_win = (times >= T - j - 1) & (times <= T - j)
+        scale = delta[j] ** r if delta[j] > 0 else 1.0
+        u = (history.snapshots[in_win] - sigma).T
+        nodes = (basis.interpolate_samples(history.z, u)
+                 * smooth_cutoff(scale * basis.z)[:, None])
         best = np.zeros(4)
-        for idx in np.where(in_win)[0]:
-            u = history.snapshots[idx] - sigma
-            u_nodes = basis.interpolate_samples(history.z, u)
-            scale = delta[j] ** r if delta[j] > 0 else 1.0
-            u_nodes = u_nodes * smooth_cutoff(scale * basis.z)
+        for u_nodes in nodes.T:
             parts = np.array([basis.norm_sq(u_nodes),
                               *mode_energies(basis.project(u_nodes))])
             if parts[0] > best[0]:

@@ -84,6 +84,7 @@ class SpeedFunction:
             self.params = (float(n - 1), (n - 1) * (n - 2) / 4.0, 0.0)
             self.concavity = "concave"
             self.Q = 1.0 / self.params[1]
+            self._pairs = np.triu_indices(n, k=1)
         else:
             self.params = (float(math.comb(n - 1, k)),
                            float(math.comb(n - 1, k - 1)),
@@ -128,7 +129,7 @@ class SpeedFunction:
         if self.kind == "sum":
             return float(arr.sum())
         if self.kind == "bh":
-            i, j = np.triu_indices(self.n, k=1)
+            i, j = self._pairs
             return float(1.0 / np.sum(1.0 / (arr[i] + arr[j])))
         e = _elementary_symmetric(arr)
         return float(e[self.k] / e[self.k - 1])

@@ -1,11 +1,13 @@
 """CSV writer: the exact bytes of a table with special values."""
 
 import numpy as np
+import pytest
 
-from gflowlab import SpeedFunction
+from gflowlab import SpeedFunction, output
 from gflowlab.cli import _write_history
 from gflowlab.flow import FlowHistory
-from gflowlab.output import _CSV_BLOCK, _fmt, read_csv, write_csv
+from gflowlab.output import (_CSV_BLOCK, _fmt, format_column, read_csv,
+                             write_csv)
 
 EXPECTED = """\
 # gflowlab-csv v1
@@ -69,6 +71,42 @@ def test_write_csv_passes_str_through(tmp_path):
                           "u": np.array(text)})
     rows = path.read_text().splitlines()[2:]
     assert rows == [f"{x},{x}" for x in text]
+
+
+def test_format_column_returns_str_cells_as_they_are(monkeypatch):
+    # an object column of str skips _fmt: each cell is the object given
+    text = ["1.50", "-0", "nan", "x y"]
+    monkeypatch.setattr(output, "_fmt", None)
+    cells = format_column(np.array(text, dtype=object))
+    assert cells == text and all(a is b for a, b in zip(cells, text))
+
+
+def test_format_column_mixed_object_goes_through_fmt(monkeypatch, tmp_path):
+    # one np.float32 among the str sends the block through _fmt per cell:
+    # str(np.float32(0.1)) is "0.1", its float spelling is not
+    col = np.array(["a", np.float32(0.1), "b"], dtype=object)
+    seen = []
+    monkeypatch.setattr(output, "_fmt", lambda x: seen.append(x) or _fmt(x))
+    assert format_column(col) == ["a", "0.10000000149011612", "b"]
+    assert len(seen) == 3
+    write_csv(str(tmp_path / "m.csv"), {"m": col})
+    assert (tmp_path / "m.csv").read_text().splitlines()[2:] == [
+        "a", "0.10000000149011612", "b"]
+
+
+@pytest.mark.parametrize("columns, message", [
+    ({"a": np.arange(3.0), "b": np.ones((3, 2))},
+     "column 'b' must be 1-D, got shape (3, 2)"),
+    ({"s": 1.5}, "column 's' must be 1-D, got shape ()"),
+    ({}, "write_csv needs at least one column"),
+])
+def test_write_csv_rejects_columns_that_are_not_1d(tmp_path, columns,
+                                                   message):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError) as err:
+        write_csv(str(path), columns)
+    assert str(err.value) == message
+    assert not path.exists()
 
 
 def test_write_history_text_is_fmt_of_every_cell(tmp_path):

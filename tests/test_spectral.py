@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.interpolate import PchipInterpolator
 
 import gflowlab as gf
 from gflowlab.errors import WindowTooShort
@@ -153,6 +154,20 @@ def test_round_trip_band_limited():
     assert tail <= 1e-10 * total + 1e-18
 
 
+def test_interpolate_samples_block_matches_columns():
+    # one PCHIP over a (z, profile) block gives the per-column bits, zero
+    # at the nodes outside the sampled range
+    basis = build_basis(1.0, K=4)
+    z = np.linspace(-6.0, 6.0, 121)
+    block = np.column_stack([np.sin(k * z) * np.exp(-z ** 2 / 8.0)
+                             for k in range(1, 6)])
+    whole = basis.interpolate_samples(z, block)
+    assert whole.shape == (basis.z.size, 5)
+    assert np.any(np.abs(basis.z) > 6.0)
+    np.testing.assert_array_equal(whole, np.column_stack(
+        [basis.interpolate_samples(z, col) for col in block.T]))
+
+
 def test_parseval_inequality():
     basis = build_basis(1.0, K=4)
     u = np.cos(3.0 * basis.z)
@@ -249,6 +264,41 @@ def test_trace_default_r_formula(trace_setup):
     assert trace.r == 1e-4
     assert np.all(trace.gamma >= 0)
     assert np.all(np.diff(trace.Gamma) <= 1e-18)
+
+
+def test_trace_matches_per_snapshot_loop():
+    # the windowed trace equals, bit for bit, the loop with one PCHIP per
+    # snapshot and per window; window edges share their snapshot
+    sp = gf.SpeedFunction("sum", 3)
+    sigma = cylinder_radius(sp)
+    basis = build_basis(sp.a_lin, K=8, quad_order=80)
+    z = np.linspace(-14.0, 14.0, 281)
+    st = RadialFlowState("rescaled", z, sigma + 1e-4 * basis.value(2, z),
+                         0.0, sp)
+    hist = run_flow(st, 1.0 / 20, 60, bc=BoundaryCondition(mode="frozen"),
+                    scheme="semi_implicit", record_every=1)
+    r, L = 0.3, 10.0
+    trace = gf.gamma_trace_from_run(hist, basis, r=r, L=L)
+    T = hist.times[-1]
+    sup_L = hist.sup_deviation(sigma, window=L)
+    rows = []
+    for j in range(trace.gamma.size):
+        chi = smooth_cutoff(np.max(sup_L[hist.times <= T - j]) ** r * basis.z)
+        best = np.zeros(4)
+        for t, snap in zip(hist.times, hist.snapshots):
+            if T - j - 1 <= t <= T - j:
+                vals = PchipInterpolator(z, snap - sigma,
+                                         extrapolate=False)(basis.z)
+                u = np.where(np.isnan(vals), 0.0, vals) * chi
+                parts = np.array([basis.norm_sq(u),
+                                  *mode_energies(basis.project(u))])
+                if parts[0] > best[0]:
+                    best = parts
+        rows.append(best)
+    assert trace.gamma.size == 3
+    np.testing.assert_array_equal(
+        np.column_stack([trace.gamma, trace.gamma_plus, trace.gamma_zero,
+                         trace.gamma_minus]), rows)
 
 
 def test_trace_window_too_short(trace_setup):
