@@ -1,5 +1,5 @@
-"""Numeric kernels: the speed algebra, the profile integrator and the
-graph-flow stepping loops, in numpy and scipy.
+"""Numeric kernels: the speed algebra, the profile integrator, the
+graph-flow stepping loops and the PCHIP interpolant, in numpy and scipy.
 
 The speed algebra works elementwise on arrays and scalars.  Profiles are
 integrated by LSODA: a scipy ``LSODA`` object sets the solve up, and the
@@ -322,6 +322,62 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
         raise ConeExit("profile left the inversion cone near rho = "
                        f"{rho[bad[0]]:.6g}")
     return steps, steps.x.size - 1
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end node, kept shape-preserving."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(np.sign(d) != np.sign(m0), 0.0,
+                    np.where(steep, 3.0 * m0, d))
+
+
+def pchip(x, y, xi, extrapolate=True):
+    """Monotone piecewise-cubic Hermite interpolant of (x, y) at xi.
+
+    The Fritsch-Carlson slopes (Fritsch & Carlson 1980) with one-sided end
+    slopes, in the arithmetic of ``scipy.interpolate.PchipInterpolator``,
+    whose values it gives bit for bit.  x is strictly increasing; y runs
+    along axis 0 (one profile, or a block of them as columns).  The result
+    has shape ``xi.shape + y.shape[1:]``.  Points outside [x[0], x[-1]]
+    are extrapolated from the end cubics, or NaN unless ``extrapolate``.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    if x.ndim != 1 or x.size < 2 or y.shape[:1] != x.shape:
+        raise ValueError("pchip needs 1-D x of >= 2 nodes along y's axis 0")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("pchip needs finite x and y")
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    if not np.all(h > 0.0):
+        raise ValueError("pchip needs strictly increasing x")
+    m = np.diff(y, axis=0) / h
+    if x.size == 2:
+        d = np.concatenate([m, m])
+    else:
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        d = np.concatenate([
+            _pchip_end_slope(h[0], h[1], m[0], m[1])[None],
+            np.where(flat, 0.0, inner),
+            _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])[None]])
+    # the cubic on [x_i, x_i+1] in powers of s = xi - x_i, summed as
+    # scipy's PPoly sums it
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    c0, c1 = t / h, (m - d[:-1]) / h - t
+    i = np.clip(np.searchsorted(x, xi, "right") - 1, 0, x.size - 2)
+    s = (xi - x[i]).reshape(xi.shape + (1,) * (y.ndim - 1))
+    s2 = s * s
+    out = 0.0 + y[:-1][i] + d[:-1][i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+    if extrapolate:
+        return out
+    outside = (xi < x[0]) | (xi > x[-1])
+    return np.where(outside.reshape(s.shape), np.nan, out)
 
 
 def central_differences(v, dz):

@@ -10,7 +10,9 @@ one type check per row block.  Any other object column goes through
 an ``np.float32`` among strings still gets its float spelling.  A caller
 whose columns repeat by construction (the flow history's t and z) formats
 each distinct value once with ``format_column`` and passes the repeated
-strings.
+strings.  Rows are formatted and written in blocks of ``_CSV_BLOCK``
+(1,024) rows, so the formatted strings held at once are those of one
+block, whatever the table's length.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 CSV_SCHEMA = "gflowlab-csv v1"
-_CSV_BLOCK = 8192
+_CSV_BLOCK = 1024
 
 
 def _fmt(x) -> str:

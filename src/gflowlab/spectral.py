@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.interpolate import PchipInterpolator
 
+from . import _accel
 from .errors import QuadratureFailure, WindowTooShort
 from .flow import cylinder_radius, line_fit
 
@@ -111,8 +111,7 @@ class HermiteBasis:
         (z, profile) block whose columns one PCHIP call interpolates, bit
         for bit as one call per column would.
         """
-        interp = PchipInterpolator(z_samples, u_samples, extrapolate=False)
-        vals = interp(self.z)
+        vals = _accel.pchip(z_samples, u_samples, self.z, extrapolate=False)
         return np.where(np.isnan(vals), 0.0, vals)
 
 
@@ -216,8 +215,8 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
     where delta_j is the running sup of |u| over |z| <= L from the window
     onward into the tail.  Note delta^{-r} grows extremely slowly for the
     default r; runs that want a wide cutoff window pass a larger r.  One
-    PCHIP call per window interpolates all of the window's snapshots, with
-    z along axis 0; each snapshot is then projected on its own.
+    ``pchip`` call per window interpolates all of the window's snapshots,
+    with z along axis 0; each snapshot is then projected on its own.
     """
     sigma = cylinder_radius(history.speed)
     times = history.times

@@ -1,6 +1,7 @@
 """The profile driver's stop, its stepping loop against scipy's public
-``LSODA.step()``, the stepping clock, the graph Jacobian and the stepping
-kernels' arithmetic, bit for bit."""
+``LSODA.step()``, the stepping clock, the graph Jacobian, the stepping
+kernels' arithmetic and ``pchip`` against scipy's ``PchipInterpolator``,
+bit for bit."""
 
 import contextlib
 import math
@@ -9,6 +10,7 @@ import signal
 import numpy as np
 import pytest
 from scipy.integrate import LSODA
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
@@ -418,3 +420,67 @@ def test_ros3p_kernel_matches_written_out_steps(stepping_window):
     np.testing.assert_array_equal(
         snaps, _oracle_ros3p(sp, mode, v0, z, dz, dt, bl, br, nsteps))
     assert n == nsteps and times.size == nsteps + 1
+
+
+def _pchip_case(n, columns, kind, seed):
+    """Strictly increasing x of n nodes and y with ``columns`` columns (1-D
+    for None): smooth, or (kind "flat") with flat runs and sign changes."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.05, 2.0, n)) - 3.0
+    shape = (n,) if columns is None else (n, columns)
+    if kind == "flat":
+        y = np.round(2.0 * rng.normal(size=shape)) / 2.0
+        y[rng.random(n) < 0.3] = 0.0
+    else:
+        y = rng.normal(size=shape)
+    return x, y
+
+
+@pytest.mark.parametrize("kind", ["smooth", "flat"])
+@pytest.mark.parametrize("columns", [None, 1, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 60])
+def test_pchip_matches_scipy_bit_for_bit(n, columns, kind):
+    for seed in range(20):
+        x, y = _pchip_case(n, columns, kind, seed)
+        rng = np.random.default_rng(100 + seed)
+        # every node, both ends, -0.0 beside a node at 0, and points
+        # inside and outside the nodes
+        xi = np.concatenate([x, [x[0], x[-1], -0.0],
+                             rng.uniform(x[0] - 2.0, x[-1] + 2.0, 40)])
+        for extrapolate in (True, False):
+            want = PchipInterpolator(x, y, extrapolate=extrapolate)(xi)
+            got = _accel.pchip(x, y, xi, extrapolate=extrapolate)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (seed, extrapolate)
+    # a scalar point gives the scalar value
+    assert _accel.pchip(x, y, x[1]).tobytes() == \
+        PchipInterpolator(x, y)(x[1]).tobytes()
+
+
+def test_pchip_flat_and_sign_change_slopes_are_zero():
+    # a node between intervals of opposite sign, or beside a flat one, is
+    # a local extremum of the interpolant: no overshoot past its value
+    x = np.arange(6.0)
+    y = np.array([0.0, 1.0, 0.0, 0.0, 2.0, 2.0])
+    xi = np.linspace(0.0, 5.0, 501)
+    got = _accel.pchip(x, y, xi)
+    assert got.tobytes() == PchipInterpolator(x, y)(xi).tobytes()
+    assert got.max() == 2.0 and got.min() == 0.0
+    assert np.all(got[(xi >= 2.0) & (xi <= 3.0)] == 0.0)
+    # -0.0 at a peak, queried at -0.0: scipy's sum starts from +0.0
+    x = np.array([-2.0, -1.0, 0.0, 1.5, 2.0])
+    y = np.array([0.5, -2.0, -0.0, -2.0, -1.0])
+    got = _accel.pchip(x, y, np.array([-0.0, 0.0]))
+    assert got.tobytes() == PchipInterpolator(x, y)([-0.0, 0.0]).tobytes()
+    assert not np.any(np.signbit(got))
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                               [0.0, np.nan, 1.0, 2.0],
+                               [0.0, 1.0, 2.0, np.inf]],
+                         ids=["repeated", "decreasing", "nan", "inf"])
+def test_pchip_rejects_bad_nodes(x):
+    with pytest.raises(ValueError):
+        PchipInterpolator(x, np.arange(4.0))
+    with pytest.raises(ValueError):
+        _accel.pchip(x, np.arange(4.0), 0.5)

@@ -1,8 +1,12 @@
-"""Unused-import guard: each module of the package references every name it
-imports.  ``__init__`` is exempt (its imports are the package's re-exports),
-and so are ``from __future__`` imports and lines marked ``# noqa: F401``."""
+"""Import guards: each module of the package references every name it
+imports (``__init__`` is exempt, since its imports are the package's
+re-exports, and so are ``from __future__`` imports and lines marked
+``# noqa: F401``), and the CLI does not load ``scipy.interpolate``."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,14 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_scipy_interpolate():
+    # PCHIP is the package's own (``_accel.pchip``): importing
+    # scipy.interpolate would cost every command its ~30 modules
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, gflowlab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.interpolate')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -63,6 +63,21 @@ def test_write_csv_repeated_values_exact_text(tmp_path):
     assert rows[0].startswith("0.0,0.0,") and rows[1].startswith("-0.0,-0.0,")
 
 
+@pytest.mark.parametrize("rows", [1, _CSV_BLOCK - 1, _CSV_BLOCK,
+                                  _CSV_BLOCK + 1, 3 * _CSV_BLOCK + 5])
+def test_write_csv_blocks_match_one_block(tmp_path, monkeypatch, rows):
+    # the row blocks join into the text of a single-block write
+    columns = {"u": np.arange(rows) / 7.0,
+               "s": np.array([f"r{i}" for i in range(rows)], dtype=object),
+               "i": np.arange(rows)}
+    write_csv(str(tmp_path / "blocks.csv"), columns, {"tol": 0.5})
+    monkeypatch.setattr(output, "_CSV_BLOCK", 4 * _CSV_BLOCK)
+    write_csv(str(tmp_path / "whole.csv"), columns, {"tol": 0.5})
+    text = (tmp_path / "blocks.csv").read_bytes()
+    assert text == (tmp_path / "whole.csv").read_bytes()
+    assert text.count(b"\n") == rows + 3
+
+
 def test_write_csv_passes_str_through(tmp_path):
     # a column of str is written as given, numeric-looking or not
     text = ["1.50", "-0", "nan", "x y", "1e5"]
