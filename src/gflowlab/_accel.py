@@ -332,15 +332,15 @@ def _pchip_end_slope(h0, h1, m0, m1):
                     np.where(steep, 3.0 * m0, d))
 
 
-def pchip(x, y, xi, extrapolate=True):
+def pchip(x, y, xi):
     """Monotone piecewise-cubic Hermite interpolant of (x, y) at xi.
 
     The Fritsch-Carlson slopes (Fritsch & Carlson 1980) with one-sided end
     slopes, in the arithmetic of ``scipy.interpolate.PchipInterpolator``,
     whose values it gives bit for bit.  x is strictly increasing; y runs
     along axis 0 (one profile, or a block of them as columns).  The result
-    has shape ``xi.shape + y.shape[1:]``.  Points outside [x[0], x[-1]]
-    are extrapolated from the end cubics, or NaN unless ``extrapolate``.
+    has shape ``xi.shape + y.shape[1:]``, NaN at points outside
+    [x[0], x[-1]] (scipy's ``extrapolate=False``).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -374,8 +374,6 @@ def pchip(x, y, xi, extrapolate=True):
     s = (xi - x[i]).reshape(xi.shape + (1,) * (y.ndim - 1))
     s2 = s * s
     out = 0.0 + y[:-1][i] + d[:-1][i] * s + c1[i] * s2 + c0[i] * (s2 * s)
-    if extrapolate:
-        return out
     outside = (xi < x[0]) | (xi > x[-1])
     return np.where(outside.reshape(s.shape), np.nan, out)
 

@@ -247,16 +247,8 @@ def state_from_reference(speed, ref, z_lo, z_hi, delta,
 # -- diagnostics ------------------------------------------------------------
 
 def level_set_positions(history: FlowHistory, level: float) -> np.ndarray:
-    """z-position of the radius level set in each recorded snapshot.
-
-    The PCHIP value on the interval [v_j, v_j+1] that holds the level
-    depends only on nodes j-1 .. j+2: a node's slope comes from the two
-    intervals beside it, or at a grid end from the two end intervals.  So
-    each snapshot is interpolated over that window, which gives the
-    whole-grid value bit for bit.  A snapshot must be strictly monotone.
-    """
+    """z-position of the radius level set in each recorded snapshot."""
     out = np.empty(history.times.size)
-    n = history.z.size
     for i, snap in enumerate(history.snapshots):
         v = snap
         if v[0] > v[-1]:
@@ -266,11 +258,7 @@ def level_set_positions(history: FlowHistory, level: float) -> np.ndarray:
             zz = history.z
         if not (v.min() < level < v.max()):
             raise DomainViolation("level outside the snapshot range")
-        if not np.all(np.diff(v) > 0.0):
-            raise DomainViolation("snapshot is not strictly monotone in z")
-        j = int(np.searchsorted(v, level, "right")) - 1
-        w = slice(max(j - 1, 0), min(j + 3, n))
-        out[i] = _accel.pchip(v[w], zz[w], level)
+        out[i] = _accel.pchip(v, zz, level)
     return out
 
 

@@ -111,7 +111,7 @@ class HermiteBasis:
         (z, profile) block whose columns one PCHIP call interpolates, bit
         for bit as one call per column would.
         """
-        vals = _accel.pchip(z_samples, u_samples, self.z, extrapolate=False)
+        vals = _accel.pchip(z_samples, u_samples, self.z)
         return np.where(np.isnan(vals), 0.0, vals)
 
 

@@ -444,17 +444,16 @@ def test_pchip_matches_scipy_bit_for_bit(n, columns, kind):
         x, y = _pchip_case(n, columns, kind, seed)
         rng = np.random.default_rng(100 + seed)
         # every node, both ends, -0.0 beside a node at 0, and points
-        # inside and outside the nodes
+        # inside and outside (NaN) the nodes
         xi = np.concatenate([x, [x[0], x[-1], -0.0],
                              rng.uniform(x[0] - 2.0, x[-1] + 2.0, 40)])
-        for extrapolate in (True, False):
-            want = PchipInterpolator(x, y, extrapolate=extrapolate)(xi)
-            got = _accel.pchip(x, y, xi, extrapolate=extrapolate)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (seed, extrapolate)
+        want = PchipInterpolator(x, y, extrapolate=False)(xi)
+        got = _accel.pchip(x, y, xi)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), seed
     # a scalar point gives the scalar value
     assert _accel.pchip(x, y, x[1]).tobytes() == \
-        PchipInterpolator(x, y)(x[1]).tobytes()
+        PchipInterpolator(x, y, extrapolate=False)(x[1]).tobytes()
 
 
 def test_pchip_flat_and_sign_change_slopes_are_zero():
@@ -464,14 +463,16 @@ def test_pchip_flat_and_sign_change_slopes_are_zero():
     y = np.array([0.0, 1.0, 0.0, 0.0, 2.0, 2.0])
     xi = np.linspace(0.0, 5.0, 501)
     got = _accel.pchip(x, y, xi)
-    assert got.tobytes() == PchipInterpolator(x, y)(xi).tobytes()
+    assert got.tobytes() == PchipInterpolator(x, y, extrapolate=False)(
+        xi).tobytes()
     assert got.max() == 2.0 and got.min() == 0.0
     assert np.all(got[(xi >= 2.0) & (xi <= 3.0)] == 0.0)
     # -0.0 at a peak, queried at -0.0: scipy's sum starts from +0.0
     x = np.array([-2.0, -1.0, 0.0, 1.5, 2.0])
     y = np.array([0.5, -2.0, -0.0, -2.0, -1.0])
     got = _accel.pchip(x, y, np.array([-0.0, 0.0]))
-    assert got.tobytes() == PchipInterpolator(x, y)([-0.0, 0.0]).tobytes()
+    assert got.tobytes() == PchipInterpolator(x, y, extrapolate=False)(
+        [-0.0, 0.0]).tobytes()
     assert not np.any(np.signbit(got))
 
 

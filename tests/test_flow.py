@@ -5,18 +5,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 import gflowlab as gf
 from gflowlab import _accel
 from gflowlab.errors import (ConeExit, DomainViolation, Pinch,
                              StabilityViolation)
-from gflowlab.flow import (BoundaryCondition, FlowHistory, RadialFlowState,
+from gflowlab.flow import (BoundaryCondition, RadialFlowState,
                            cylinder_radius, heat_barrier_psi,
                            heat_barrier_psi_quadrature, run_flow,
                            shrinking_cylinder_reference, state_from_reference,
-                           level_set_positions, step_plan,
-                           translating_bowl_reference, translation_speed)
+                           step_plan, translating_bowl_reference,
+                           translation_speed)
 from gflowlab.spectral import build_basis
 
 
@@ -134,60 +134,6 @@ def test_bowl_translation(sum3, bowl_sum3):
     assert np.all(np.diff(snap) > 0)
     assert np.all(np.diff(snap, 2) < 0)
     assert res["speed"] == pytest.approx(0.5, abs=1e-3)
-
-
-def _whole_grid_level_set(hist, level):
-    """The level's z in each snapshot from one PCHIP over all its nodes."""
-    out = []
-    for v in hist.snapshots:
-        if v[0] > v[-1]:
-            out.append(PchipInterpolator(v[::-1], hist.z[::-1])(level))
-        else:
-            out.append(PchipInterpolator(v, hist.z)(level))
-    return np.array(out)
-
-
-def test_level_set_window_matches_whole_grid_bowl(sum3, bowl_sum3):
-    # the four nodes around each crossing give the whole-grid value
-    ref = translating_bowl_reference(bowl_sum3, tip_speed=0.5)
-    st = state_from_reference(sum3, ref, 5.0, 25.0, 0.05)
-    bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    hist = run_flow(st, 1.0 / 160, 160, bc=bc, scheme="semi_implicit",
-                    record_every=4)
-    lo = np.max(hist.snapshots[:, 0])
-    hi = np.min(hist.snapshots[:, -1])
-    # the CLI's level, and levels in the first and the last interval of
-    # the snapshots whose end values bound the common range
-    for level in (float(st.values[st.values.size // 2]),
-                  np.nextafter(lo, hi), np.nextafter(hi, lo)):
-        np.testing.assert_array_equal(level_set_positions(hist, level),
-                                      _whole_grid_level_set(hist, level))
-
-
-@pytest.mark.parametrize("n", [3, 4, 5, 40])
-def test_level_set_window_at_the_grid_ends(sum3, rng, n):
-    # the level in the first or the last interval, where the window meets
-    # the grid's end and its end slope, on rising and falling snapshots
-    z = np.linspace(-1.0, 2.0, n)
-    steps = rng.uniform(0.1, 1.0, (8, n - 1))
-    for j in (0, n - 2):
-        v = np.column_stack([np.zeros(8), np.cumsum(steps, axis=1)])
-        v += 1.0 - v[:, j:j + 1] - rng.uniform(0.01, 0.99, (8, 1)) * steps[
-            :, j:j + 1]
-        hist = FlowHistory("radial", z, np.arange(16.0),
-                           np.concatenate([v, v[:, ::-1]]), sum3, 1.0,
-                           "semi_implicit")
-        np.testing.assert_array_equal(level_set_positions(hist, 1.0),
-                                      _whole_grid_level_set(hist, 1.0))
-
-
-def test_level_set_rejects_a_snapshot_that_is_not_monotone(sum3):
-    z = np.linspace(0.0, 1.0, 6)
-    snaps = np.array([[1.0, 2.0, 3.0, 2.5, 4.0, 5.0]])
-    hist = FlowHistory("radial", z, np.zeros(1), snaps, sum3, 1.0,
-                       "semi_implicit")
-    with pytest.raises(DomainViolation, match="not strictly monotone"):
-        level_set_positions(hist, 1.5)
 
 
 def test_ordering_preserved_semi_implicit(sum3, rng):
