@@ -389,16 +389,18 @@ def central_differences(v, dz):
 def _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz):
     """(rhs, F, v_z, x, y) at the interior nodes from central differences,
     with the discrete curvature pair x = -v_zz/(1+v_z^2) and y = 1/v.
-    Raises ConeExit when some node leaves the admissible cone (x + cfac*y
-    <= 0), has a non-positive radius or is NaN (written so that a NaN fails
-    the test)."""
+    Raises ConeExit, naming the z of the first such node, when some node
+    leaves the admissible cone (x + cfac*y <= 0), has a non-positive radius
+    or is NaN (written so that a NaN fails the test)."""
     vz, vzz = central_differences(v, dz)
     core = v[1:-1]
     x = -vzz / (1.0 + vz * vz)
     y = 1.0 / core
     if not ((x + cfac * y).min() > 0.0 and core.min() > 0.0):
-        raise ConeExit("ellipticity lost: the discrete curvature pair left "
-                       "the admissible cone or is NaN")
+        bad = np.argmin((x + cfac * y > 0.0) & (core > 0.0))
+        raise ConeExit(f"ellipticity lost at z = {z[bad + 1]:.6g}: the "
+                       "discrete curvature pair left the admissible cone or "
+                       "is NaN")
     g = speed_F(kind, p0, p1, p2, x, y)
     rhs = -g
     if mode == 1:
@@ -451,8 +453,9 @@ def _apply_bc(v, bc_mode, bl, br):
 def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every):
     """Advance a copy of v0 by ``step(v, s)``, which updates v in place.
 
-    A failure the step raises names its step; Pinch is raised once a value
-    reaches r_floor.  The time after step s is (s + 1) dt, so no rounding
+    A failure the step raises names its step as "s of nsteps" (s from 0)
+    and the time the step starts from; Pinch is raised once a value reaches
+    r_floor.  The time after step s is (s + 1) dt, so no rounding
     accumulates.
 
     Returns (times, snapshots, nsteps): the initial state, the state after
@@ -466,7 +469,8 @@ def _stepping_loop(step, v0, dt, nsteps, r_floor, rec_every):
         try:
             step(v, s)
         except (ConeExit, StabilityViolation) as exc:
-            raise type(exc)(f"step {s}: {exc}") from exc
+            raise type(exc)(f"step {s} of {nsteps} (t = {s * dt:.6g}): "
+                            f"{exc}") from exc
         if v.min() <= r_floor:
             raise Pinch(f"radius hit the floor at t = {(s + 1) * dt:.6g}")
         if (s + 1) % rec_every == 0:

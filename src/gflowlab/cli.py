@@ -28,10 +28,10 @@ from .flow import (BoundaryCondition, RadialFlowState, run_flow,
                    translating_bowl_reference, translation_speed)
 from .speeds import SpeedFunction
 
-# steps of the linearly implicit (ROS3P) runs of `rescaled` and `spectral`:
-# one per recorded snapshot
-RESCALED_STEPS = 100
-SPECTRAL_STEPS_PER_UNIT = 8
+# ROS3P steps per unit tau of `rescaled` and `spectral`: at 4x as many, the k1
+# rate at tau = 1 and the monotone decay at tau = 7 of sum n=3, bh n=3 and
+# sigma_ratio n=4 k=2 move by < 3e-5 (relative), fitted at the same times
+RESCALED_STEPS_PER_UNIT = 8
 # steps per time unit of a linearly implicit `flow` run, whatever delta: on
 # the README's grid of cylinder runs, half as many fail the 1e-6 check where
 # Heun at its CFL step passes it; these fail only where Heun fails too
@@ -254,6 +254,12 @@ def cmd_shrinker(sp, o, outdir) -> int:
     return 0 if ok else 1
 
 
+def _ros3p_plan(name, span, per_unit):
+    """(dt, nsteps): ceil(per_unit * span) equal ROS3P steps over span."""
+    nsteps = math.ceil(per_unit * require_positive(name, span))
+    return span / nsteps, nsteps
+
+
 def _write_history(outdir, name, hist, extra_meta=None):
     # every time and every height repeats across the table: format each once
     times = np.array(output.format_column(hist.times), dtype=object)
@@ -271,13 +277,9 @@ def cmd_flow(sp, o, outdir) -> int:
     preset, delta, t_end, r0 = o.preset, o.delta, o.t_end, o.r0
     if o.stride < 0:
         raise ValueError(f"stride must be >= 0, got {o.stride}")
-    if o.scheme == "rk2":
-        dt, nsteps = step_plan(sp, delta, t_end)
-    else:
-        require_positive("delta", delta)
-        nsteps = math.ceil(FLOW_STEPS_PER_UNIT
-                           * require_positive("t_end", t_end))
-        dt = t_end / nsteps
+    require_positive("delta", delta)
+    dt, nsteps = (step_plan(sp, delta, t_end) if o.scheme == "rk2" else
+                  _ros3p_plan("t_end", t_end, FLOW_STEPS_PER_UNIT))
     if preset == "cylinder":
         t_vanish = require_positive("r0", r0) ** 2 / (2.0 * sp.F01)
         if not t_vanish > t_end:
@@ -292,9 +294,8 @@ def cmd_flow(sp, o, outdir) -> int:
         st = state_from_reference(sp, ref, 5.0, 25.0, delta)
         target = 0.5
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    # at most 50 snapshots after the initial state
     hist = run_flow(st, dt, nsteps, bc=bc, scheme=o.scheme,
-                    record_every=o.stride or -(-nsteps // 50))
+                    record_every=o.stride or None)
     manifest = {"speed": sp.to_config(), "preset": preset,
                 "grid": {"z_lo": float(st.z[0]), "z_hi": float(st.z[-1]),
                          "delta": delta},
@@ -336,8 +337,9 @@ def _rescaled_seed(mode, amp, sp, basis, z):
 def cmd_rescaled(sp, o, outdir) -> int:
     seed_mode, amp, tau_end, delta, window = (o.seed_mode, o.amp, o.tau_end,
                                               o.delta, o.window)
-    for name, value in (("tau-end", tau_end), ("delta", delta),
-                        ("window", window), ("measure-l", o.measure_l)):
+    dt, nsteps = _ros3p_plan("tau-end", tau_end, RESCALED_STEPS_PER_UNIT)
+    for name, value in (("delta", delta), ("window", window),
+                        ("measure-l", o.measure_l)):
         require_positive(name, value)
 
     basis = spectral.build_basis(sp.a_lin, K=8, quad_order=80)
@@ -345,10 +347,8 @@ def cmd_rescaled(sp, o, outdir) -> int:
     z = np.linspace(-window, window, n)
     st = RadialFlowState("rescaled", z, _rescaled_seed(seed_mode, amp, sp,
                                                        basis, z), 0.0, sp)
-    nsteps = RESCALED_STEPS
-    dt = tau_end / nsteps
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
-                    scheme="semi_implicit", record_every=1)
+                    scheme="semi_implicit")
     manifest = {"speed": sp.to_config(), "seed_mode": seed_mode, "amp": amp,
                 "grid": {"window": window, "delta": delta},
                 "scheme": hist.scheme, "dt": dt, "nsteps": nsteps,
@@ -397,9 +397,7 @@ def cmd_spectral(sp, o, outdir) -> int:
     st = RadialFlowState("rescaled", z,
                          _rescaled_seed(seed_mode, amp, sp, basis, z),
                          0.0, sp)
-    tau_end = float(windows + 1)
-    nsteps = int(SPECTRAL_STEPS_PER_UNIT * tau_end)
-    dt = tau_end / nsteps
+    dt, nsteps = _ros3p_plan("windows", windows + 1, RESCALED_STEPS_PER_UNIT)
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     scheme="semi_implicit", record_every=1)
     trace = spectral.gamma_trace_from_run(hist, basis, r=r_exp, L=big_l)

@@ -153,16 +153,17 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     guard dt max(F_x) <= ``CFL_SAFETY`` dz^2 / 2.  ``scheme="semi_implicit"``
     is the linearly implicit Rosenbrock method ROS3P (third order in time,
     no CFL limit).  Both step either representation with Dirichlet or
-    frozen boundaries; another boundary mode or scheme is a ValueError.  Snapshots are recorded every
-    ``record_every`` steps (default: ~200 records per run) and after the
-    last.  The kernels raise ConeExit (a state leaves the admissible cone),
-    Pinch (the radius reaches ``r_floor``) or StabilityViolation (Heun's CFL
-    limit, a singular ROS3P step matrix) at the failing step.
+    frozen boundaries; another boundary mode or scheme is a ValueError.
+    Snapshots are recorded every ``record_every`` steps (default: every
+    ceil(nsteps/50)-th, so at most 50 after the initial state) and after
+    the last.  The kernels raise ConeExit (a state leaves the admissible
+    cone), Pinch (the radius reaches ``r_floor``) or StabilityViolation
+    (Heun's CFL limit, a singular ROS3P step matrix) at the failing step.
     """
     bc = bc or BoundaryCondition()
     mode = REPRESENTATIONS.index(state.representation)
     if record_every is None:
-        record_every = max(1, nsteps // 200)
+        record_every = max(1, -(-nsteps // 50))
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     bl, br = bc.tables(state.t, dt, nsteps)

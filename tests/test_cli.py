@@ -6,17 +6,19 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gflowlab
-from gflowlab import acceptance, errors
+from gflowlab import acceptance, cli, errors, fits
 from gflowlab.cli import (OPTIONS, float_list, _options, build_parser,
                           main, parse_config)
 from gflowlab.output import read_csv
@@ -123,10 +125,46 @@ def test_rescaled_k2_preset(tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "rescaled_manifest.json").read_text())
     assert manifest["pass"] is True
-    # one ROS3P step per recorded snapshot
+    # ceil(8 tau) ROS3P steps, the plan of `spectral` too
     assert manifest["scheme"] == "semi_implicit"
-    assert manifest["nsteps"] == 100
-    assert manifest["dt"] == 1.0 / 100
+    assert manifest["nsteps"] == math.ceil(8 * 1.0)
+    assert manifest["dt"] == 1.0 / manifest["nsteps"]
+
+
+_FAMILIES = {"sum3": ("sum", 3, None), "bh3": ("bh", 3, None),
+             "sigma_ratio42": ("sigma_ratio", 4, 2)}
+
+
+@pytest.mark.parametrize("seed", [
+    ["--seed-mode", "k1", "--tau-end", "1"],
+    ["--seed-mode", "monotone", "--amp", "1e-5", "--tau-end", "7"]],
+    ids=["k1_rate", "monotone_decay"])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_rescaled_step_plan_is_accurate(tmp_path, family, seed):
+    # the planned steps give the rate of 4x as many, fitted at the same
+    # times, within 0.5%: a tenth of the 5% check on the k1 rate
+    kind, n, k = _FAMILIES[family]
+    assert _run(tmp_path, "rescaled", "--speed", kind, "--n", str(n),
+                *(["--k", str(k)] if k else []), *seed,
+                "--delta", "0.1", "--window", "10") == 0
+    m = json.loads((tmp_path / "rescaled_manifest.json").read_text())
+    rate = m["decay"]["slope"] if "decay" in m else m["sup_growth_rate"]
+
+    # the same run at 4x the steps, built as cmd_rescaled builds it
+    sp = gflowlab.SpeedFunction(kind, n, k)
+    dt, nsteps = cli._ros3p_plan("tau-end", m["tau_end"],
+                                 4 * cli.RESCALED_STEPS_PER_UNIT)
+    assert nsteps == 4 * m["nsteps"]
+    basis = gflowlab.build_basis(sp.a_lin, K=8, quad_order=80)
+    z = np.linspace(-10.0, 10.0, 201)
+    state = gflowlab.RadialFlowState("rescaled", z, cli._rescaled_seed(
+        m["seed_mode"], m["amp"], sp, basis, z), 0.0, sp)
+    hist = gflowlab.run_flow(
+        state, dt, nsteps, bc=gflowlab.BoundaryCondition(mode="frozen"),
+        scheme="semi_implicit", record_every=4 * math.ceil(m["nsteps"] / 50))
+    fit = (fits.measure_rescaled_decay if "decay" in m
+           else fits.sup_growth_fit)(hist, L=4.0)
+    assert abs(rate - fit["slope"]) <= 5e-3 * abs(fit["slope"])
 
 
 def test_spectral_k2_neutral_verdict(tmp_path):
