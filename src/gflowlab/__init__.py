@@ -14,8 +14,7 @@ from .errors import (BarrierViolation, ConeExit, ConeViolation,
 from .speeds import ImplicitInverse, SpeedFunction
 from .solitons import (BowlProfile, EllipticityMonitor, ShrinkerProfile,
                        neck_constants, shrinker_to_bowl_convergence,
-                       shrinker_upper_bound_check, shrinker_w_diagnostic,
-                       solve_bowl, solve_shrinker)
+                       shrinker_w_diagnostic, solve_bowl, solve_shrinker)
 from .flow import (BoundaryCondition, FlowHistory, RadialFlowState,
                    cylinder_radius, heat_barrier_psi,
                    heat_barrier_psi_quadrature,

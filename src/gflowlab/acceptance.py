@@ -173,7 +173,7 @@ def criterion_7():
     """Simulated bowl window translates at its soliton speed 1/2."""
     sp = _speed("sum", 3)
     bowl = _bowl("sum", 3, None, 60.0, 1e-10)
-    ref = translating_bowl_reference(bowl, tip_speed=0.5)
+    ref = translating_bowl_reference(bowl)
     delta = 0.05
     st = state_from_reference(sp, ref, 5.0, 25.0, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])

@@ -290,7 +290,7 @@ def cmd_flow(sp, o, outdir) -> int:
         target = math.sqrt(r0 ** 2 - 2.0 * sp.F01 * t_end)
     else:  # bowl-translation
         bowl = solitons.solve_bowl(sp, rho_max=60.0, tol=1e-10)
-        ref = translating_bowl_reference(bowl, tip_speed=0.5)
+        ref = translating_bowl_reference(bowl)
         st = state_from_reference(sp, ref, 5.0, 25.0, delta)
         target = 0.5
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
@@ -382,6 +382,8 @@ def cmd_spectral(sp, o, outdir) -> int:
     if windows < SPECTRAL_MIN_WINDOWS:
         raise ValueError(f"windows must be >= {SPECTRAL_MIN_WINDOWS}, "
                          f"got {windows}")
+    require_positive("r", r_exp)
+    require_positive("l", big_l)
 
     basis = spectral.build_basis(sp.a_lin, K=o.kmax, quad_order=o.quad_order)
     table = spectral.eigen_table(sp.n, 6, 6)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import WindowTooNarrow, WindowTooShort
 from .flow import FlowHistory, cylinder_radius, line_fit
 from .solitons import (BowlProfile, ShrinkerProfile,
-                       shrinker_upper_bound_check)
+                       shrinker_upper_bound_fit)
 
 # shortest tau range measure_rescaled_decay fits a slope over
 MIN_DECAY_SPAN = 6.0
@@ -68,17 +68,22 @@ def fit_bowl_expansion(bowl: BowlProfile, window: tuple) -> AsymptoticFit:
 
 
 def fit_shrinker_neck(profiles: list[ShrinkerProfile], L: float) -> dict:
-    """Upper-bound correction fit on a sweep: the constant is fitted per a
-    and the report carries the boundedness verdict across the sweep.  The
-    lower bound v^2 >= 2F(0,1)(1 - z^2/a^2) is checked per profile by
-    ``ShrinkerProfile.lower_bound_margin``.
+    """Upper-bound correction fit on a sweep: the constant is fitted per a,
+    and the verified claim is boundedness: ``stable`` flags whether the
+    fitted constants of the top three parameters stay within a factor of
+    two.  The lower bound v^2 >= 2F(0,1)(1 - z^2/a^2) is checked per
+    profile by ``ShrinkerProfile.lower_bound_margin``.
     """
     if len(profiles) < 1:
         raise ValueError("need at least one profile")
     a_vals = sorted(p.a for p in profiles)
     if len(profiles) >= 4 and a_vals[-1] < 8.0 * a_vals[0]:
         raise WindowTooNarrow("a-sweep should span a factor >= 8")
-    return {"upper": shrinker_upper_bound_check(list(profiles), L)}
+    rows = [{"a": p.a, "C_fit": shrinker_upper_bound_fit(p, L)}
+            for p in sorted(profiles, key=lambda q: q.a)]
+    top = [r["C_fit"] for r in rows[-3:]]
+    stable = bool(max(top) <= 2.0 * min(top)) if len(top) >= 2 else True
+    return {"upper": {"L": L, "rows": rows, "stable": stable}}
 
 
 def sup_growth_fit(history: FlowHistory, L: float) -> dict:

@@ -16,7 +16,7 @@ implicit Rosenbrock method ROS3P, third order in time with no CFL limit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,10 @@ REPRESENTATIONS = ("radial", "rescaled")
 BOUNDARY_MODES = ("dirichlet", "frozen")
 # Heun's step as a fraction of its CFL limit delta^2 / (2 max F_x)
 CFL_SAFETY = 0.4
+# linearize_rescaled_at_cylinder's random directions, their seed and eps
+LINEARIZE_DIRECTIONS = 20
+LINEARIZE_SEED = 12345
+LINEARIZE_EPS = 1e-6
 
 
 def cylinder_radius(speed: SpeedFunction) -> float:
@@ -81,11 +85,6 @@ class BoundaryCondition:
     right: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
-    def dirichlet(cls, left: Callable[[np.ndarray], np.ndarray],
-                  right: Callable[[np.ndarray], np.ndarray]):
-        return cls(mode="dirichlet", left=left, right=right)
-
-    @classmethod
     def from_reference(cls, ref: Callable[[np.ndarray, np.ndarray],
                                           np.ndarray],
                        z_left: float, z_right: float):
@@ -113,16 +112,15 @@ class BoundaryCondition:
 
 @dataclass
 class FlowHistory:
-    """Recorded run: times and snapshots, plus the grid and run metadata."""
+    """Recorded run: times and snapshots, plus the grid, the speed and the
+    scheme that stepped it."""
 
     representation: str
     z: np.ndarray
     times: np.ndarray
     snapshots: np.ndarray
     speed: SpeedFunction
-    dt: float
     scheme: str
-    meta: dict = field(default_factory=dict)
 
     @property
     def final_state(self) -> RadialFlowState:
@@ -130,15 +128,12 @@ class FlowHistory:
                                self.snapshots[-1], float(self.times[-1]),
                                self.speed)
 
-    def sup_deviation(self, level: float, window: float | None = None):
+    def sup_deviation(self, level: float, window: float):
         """sup_{|z| <= window} |values - level| per recorded time; a
         ValueError naming the window when it holds no grid node."""
-        sel = np.ones(self.z.size, dtype=bool)
-        if window is not None:
-            sel = np.abs(self.z) <= window
-            if not np.any(sel):
-                raise ValueError(f"window |z| <= {window:g} holds no grid "
-                                 "node")
+        sel = np.abs(self.z) <= window
+        if not np.any(sel):
+            raise ValueError(f"window |z| <= {window:g} holds no grid node")
         return np.max(np.abs(self.snapshots[:, sel] - level), axis=1)
 
 
@@ -156,10 +151,15 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
     frozen boundaries; another boundary mode or scheme is a ValueError.
     Snapshots are recorded every ``record_every`` steps (default: every
     ceil(nsteps/50)-th, so at most 50 after the initial state) and after
-    the last.  The kernels raise ConeExit (a state leaves the admissible
-    cone), Pinch (the radius reaches ``r_floor``) or StabilityViolation
-    (Heun's CFL limit, a singular ROS3P step matrix) at the failing step.
+    the last.  A ``dt`` that is not finite and positive, or an ``nsteps``
+    that is not an int >= 1, is a ValueError.  The kernels raise ConeExit
+    (a state leaves the admissible cone), Pinch (the radius reaches
+    ``r_floor``) or StabilityViolation (Heun's CFL limit, a singular ROS3P
+    step matrix) at the failing step.
     """
+    dt = require_positive("dt", dt)
+    if not isinstance(nsteps, (int, np.integer)) or nsteps < 1:
+        raise ValueError(f"nsteps must be an int >= 1, got {nsteps!r}")
     bc = bc or BoundaryCondition()
     mode = REPRESENTATIONS.index(state.representation)
     if record_every is None:
@@ -186,9 +186,7 @@ def run_flow(state: RadialFlowState, dt: float, nsteps: int,
         raise ValueError(f"unknown scheme {scheme!r}")
     return FlowHistory(representation=state.representation, z=state.z,
                        times=state.t + times, snapshots=snapshots,
-                       speed=state.speed, dt=dt, scheme=scheme,
-                       meta={"bc": bc.mode, "r_floor": r_floor,
-                             "nsteps": nsteps})
+                       speed=state.speed, scheme=scheme)
 
 
 def step_plan(speed: SpeedFunction, delta: float,
@@ -223,26 +221,28 @@ def shrinking_cylinder_reference(speed: SpeedFunction, r0: float):
     return ref
 
 
-def translating_bowl_reference(bowl: BowlProfile, tip_speed: float = 0.5):
-    """Radial graph r(z, t) of the bowl translating vertically.
+def translating_bowl_reference(bowl: BowlProfile):
+    """Radial graph r(z, t) of the bowl translating vertically at its
+    soliton speed 1/2, the speed ``solve_bowl``'s profile moves at.
 
-    The tip sits at height 0 at t = 0, so r(z, t) = zeta^{-1}(z - tip_speed*t);
+    The tip sits at height 0 at t = 0, so r(z, t) = zeta^{-1}(z - t/2);
     z and t broadcast against each other.
     """
     inverse = bowl.radius_of_height()
 
     def ref(z, t):
         return inverse(np.asarray(z, dtype=float)
-                       - tip_speed * np.asarray(t, dtype=float))
+                       - 0.5 * np.asarray(t, dtype=float))
 
     return ref
 
 
-def state_from_reference(speed, ref, z_lo, z_hi, delta,
-                         representation="radial", t=0.0):
+def state_from_reference(speed, ref, z_lo, z_hi, delta):
+    """The radial state ref(z, 0) at t = 0 on the grid z_lo + delta k that
+    spans [z_lo, z_hi]."""
     n = int(round((z_hi - z_lo) / delta)) + 1
     z = np.linspace(z_lo, z_lo + delta * (n - 1), n)
-    return RadialFlowState(representation, z, ref(z, t), t, speed)
+    return RadialFlowState("radial", z, ref(z, 0.0), 0.0, speed)
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -282,24 +282,24 @@ def translation_speed(history: FlowHistory, level: float) -> dict:
 
 
 def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
-                                   window: float, n_dirs: int = 20,
-                                   eps: float = 1e-6,
-                                   seed: int = 12345) -> dict:
+                                   window: float) -> dict:
     """Directional-derivative check of the rescaled operator at the cylinder.
 
     Compares (N(sigma + eps u) - N(sigma - eps u)) / (2 eps) against the
     drift-diffusion operator L u = a u_zz - z u_z / 2 + u with
     a = dgamma^1(0,1,...,1), both discretized with the same central
-    differences.  Expected deviation O(eps) + O(delta^2).
+    differences, over ``LINEARIZE_DIRECTIONS`` random directions u.
+    Expected deviation O(eps) + O(delta^2), eps = ``LINEARIZE_EPS``.
     """
     sigma = cylinder_radius(speed)
     a = speed.a_lin
+    eps = LINEARIZE_EPS
     n = int(round(2 * window / delta)) + 1
     z = -window + delta * np.arange(n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(LINEARIZE_SEED)
     p0, p1, p2 = speed.params
     dev = []
-    for _ in range(n_dirs):
+    for _ in range(LINEARIZE_DIRECTIONS):
         c = rng.normal(size=6)
         width = rng.uniform(2.0, 6.0)
         u = np.zeros_like(z)

@@ -28,17 +28,6 @@ from .errors import ConeViolation
 from .speeds import SpeedFunction
 
 
-def _fd5(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Interior 5-point finite differences (4th order); edges trimmed."""
-    v = values
-    if order == 1:
-        return (-v[4:] + 8 * v[3:-1] - 8 * v[1:-3] + v[:-4]) / (12 * h)
-    if order == 2:
-        return (-v[4:] + 16 * v[3:-1] - 30 * v[2:-2] + 16 * v[1:-3]
-                - v[:-4]) / (12 * h * h)
-    raise ValueError("order must be 1 or 2")
-
-
 @dataclass
 class CylinderGraph:
     """A rotationally symmetric normal graph u(z) over R x S^{n-1}(r)."""
@@ -54,20 +43,14 @@ class CylinderGraph:
             raise ValueError("cylinder radius must be positive")
 
     @classmethod
-    def from_callable(cls, radius: float, z: np.ndarray,
-                      fn: Callable, dfn: Callable | None = None,
-                      d2fn: Callable | None = None) -> "CylinderGraph":
-        """Build from a height function; derivatives by 5-point finite
-        differences when not supplied analytically."""
+    def from_callable(cls, radius: float, z: np.ndarray, fn: Callable,
+                      dfn: Callable, d2fn: Callable) -> "CylinderGraph":
+        """Build from a height function u and its derivatives u_z, u_zz,
+        each evaluated at the heights z."""
         z = np.asarray(z, dtype=float)
-        u = np.asarray(fn(z), dtype=float)
-        if dfn is not None and d2fn is not None:
-            return cls(radius, z, u, np.asarray(dfn(z), dtype=float),
-                       np.asarray(d2fn(z), dtype=float))
-        h = z[1] - z[0]
-        if not np.allclose(np.diff(z), h):
-            raise ValueError("finite-difference derivatives need a uniform grid")
-        return cls(radius, z[2:-2], u[2:-2], _fd5(u, h, 1), _fd5(u, h, 2))
+        return cls(radius, z, np.asarray(fn(z), dtype=float),
+                   np.asarray(dfn(z), dtype=float),
+                   np.asarray(d2fn(z), dtype=float))
 
     def _first_order(self) -> np.ndarray:
         r = self.radius

@@ -133,8 +133,7 @@ def write_json(path: str, obj) -> None:
 
 
 def write_plot_script(path: str, csv_name: str, x: str, ycols: Sequence[str],
-                      title: str, logx: bool = False,
-                      logy: bool = False) -> None:
+                      title: str, logy: bool = False) -> None:
     """Emit a plain gnuplot script referencing a CSV written by write_csv."""
     lines = [
         "# gnuplot script generated by gflowlab",
@@ -143,8 +142,6 @@ def write_plot_script(path: str, csv_name: str, x: str, ycols: Sequence[str],
         f"set title '{title}'",
         f"set xlabel '{x}'",
     ]
-    if logx:
-        lines.append("set logscale x")
     if logy:
         lines.append("set logscale y")
     plots = ", ".join(

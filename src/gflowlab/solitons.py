@@ -31,6 +31,11 @@ from .errors import (BarrierViolation, NonConvergence, WindowTooNarrow,
                      require_positive)
 from .speeds import SpeedFunction
 
+# radius where a bowl solve starts from its tip series
+BOWL_RHO_START = 1e-4
+# solver tolerance of shrinker_to_bowl_convergence's profiles
+CONVERGENCE_TOL = 1e-8
+
 
 def estimate_c_lower(speed: SpeedFunction) -> float:
     """Positive lower bound c = inf_{t>=0} df/dz(1, t + F(0,1)).
@@ -160,37 +165,37 @@ def _tip_curvature(poly, at):
     return float((4.0 * ma - mb) / 3.0)
 
 
-def solve_bowl(speed: SpeedFunction, rho_max: float, tol: float = 1e-10,
-               rho_start: float = 1e-4) -> BowlProfile:
+def solve_bowl(speed: SpeedFunction, rho_max: float,
+               tol: float = 1e-10) -> BowlProfile:
     """Integrate the bowl ODE zeta'' = (1+zeta'^2) f(zeta'/rho, 1/2).
 
     The equation is singular at rho = 0 (the inverse argument is 0/0), so
-    integration starts at ``rho_start`` from the two-term tip series
+    integration starts at ``BOWL_RHO_START`` from the two-term tip series
     zeta = rho^2/(4 F(1,1)), zeta' = rho/(2 F(1,1)), whose curvature matches
     the regular solution at the tip.
 
     LSODA runs at ``_accel.profile_tolerances(tol)``, the map both profiles
     share.  The arrays hold its step ends and the tip node, ``poly`` its
     step polynomials and the tip series; ``residual_norms`` is their
-    collocation defect in units of tol.  A ``rho_max``, ``tol`` or
-    ``rho_start`` that is not finite and positive raises ValueError.
+    collocation defect in units of tol.  A ``rho_max`` or ``tol`` that is
+    not finite and positive, or a ``rho_max`` <= ``BOWL_RHO_START``, raises
+    ValueError.
     """
     rho_max = require_positive("rho_max", rho_max)
     tol = require_positive("tol", tol)
-    rho_start = require_positive("rho_start", rho_start)
-    if rho_max <= rho_start:
+    rho_s = BOWL_RHO_START
+    if rho_max <= rho_s:
         raise ValueError("rho_max must exceed the regularized start")
     f11 = speed.F11
     poly, _ = _accel.integrate_profile(
-        speed, 0.0, rho_start, rho_start ** 2 / (4.0 * f11),
-        rho_start / (2.0 * f11), rho_max, np.inf,
-        *_accel.profile_tolerances(tol))
+        speed, 0.0, rho_s, rho_s ** 2 / (4.0 * f11), rho_s / (2.0 * f11),
+        rho_max, np.inf, *_accel.profile_tolerances(tol))
     rho, (zeta, zeta_rho) = poly.x, poly.y.T
     zeta_rr, _ = _ode(speed, 0.0, rho, zeta, zeta_rho)
     monitor = EllipticityMonitor.from_profile(speed, rho, zeta, zeta_rho,
                                               zeta_rr, 0.0)
     # stations inside the solved range
-    tip = _tip_curvature(poly, at=max(min(0.01, 0.003 * rho_max), rho_start))
+    tip = _tip_curvature(poly, at=max(min(0.01, 0.003 * rho_max), rho_s))
     # exact tip node: zeta(0) = zeta_rho(0) = 0, zeta_rr(0) -> measured limit
     poly.prepend_tip()
     return BowlProfile(speed=speed, rho=poly.x, zeta=poly.y[:, 0],
@@ -313,37 +318,33 @@ def _monotone_inverse(spline, x, y, targets):
 
 
 def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
-                   Theta: float | None = None,
                    tol: float = 1e-8,
-                   z_min: float | None = None,
                    rho_max: float | None = None) -> ShrinkerProfile:
     """Construct the self-shrinking cap profile for parameter ``a``.
 
     The ODE is singular at rho = 0, so it is integrated outward from the
     two-term tip series psi = rho^2/(4 F(1,1)), psi' = rho/(2 F(1,1)) until
-    the height coordinate z = a - psi/a drops to ``z_min`` (default: the
-    neck constant L0) or rho reaches ``rho_max``.  The series matches the
-    regular solution to second order (the z-term (rho psi' - psi)/(2 a^2)
-    vanishes at the tip), so its start error is far below the solver's.
+    the height coordinate z = a - psi/a drops to the neck constant L0 or
+    rho reaches ``rho_max``.  The series matches the regular solution to
+    second order (the z-term (rho psi' - psi)/(2 a^2) vanishes at the tip),
+    so its start error is far below the solver's.
     Two solves are made: a primary one from rho = 2^-8 at
     ``_accel.profile_tolerances(tol)`` and a check one from 2^-10 at the
     same map of tol/10.  The tighter check makes their gap, the Cauchy test
     against ``tol`` in sup norm, bound the primary solve's own error too;
     the check solve is returned, and ``rtol`` = 1e-2 tol is the relative
     unit of its ``residual_norms``.  Both must stay between the subsolution
-    theta rho^2/(4 F(1,1)) and the supersolution Theta rho^2/(4 F(1,1)) of
-    the existence proof.  A ``tol`` the floored solver cannot meet fails
-    the Cauchy test (NonConvergence).  An ``a``, ``tol`` or ``rho_max`` not
-    finite and positive, or a ``rho_max`` <= 2^-8, raises ValueError.
+    theta rho^2/(4 F(1,1)) and the supersolution Theta rho^2/(4 F(1,1)),
+    Theta = 2 F(1,1)/F(0,1), of the existence proof.  A ``tol`` the floored
+    solver cannot meet fails the Cauchy test (NonConvergence).  An ``a``,
+    ``tol`` or ``rho_max`` not finite and positive, an ``a`` <= L0, or a
+    ``rho_max`` <= 2^-8, raises ValueError.
     """
     F01, f11, Q = speed.F01, speed.F11, speed.Q
     lo = f11 / Q if math.isfinite(Q) else 0.0
     if not (lo < theta < 1.0):
         raise ValueError(f"theta must lie in (F(1,1)/Q, 1) = ({lo:.6g}, 1)")
-    if Theta is None:
-        Theta = 2.0 * f11 / F01
-    if not Theta > f11 / F01:
-        raise ValueError("Theta must exceed F(1,1)/F(0,1)")
+    Theta = 2.0 * f11 / F01
     a = require_positive("a", a)
     tol = require_positive("tol", tol)
     rho_s = 2.0 ** -8
@@ -355,16 +356,15 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
 
     consts = neck_constants(speed)
     L0 = consts["L0"]
-    if z_min is None:
-        z_min = L0
-    if z_min >= a:
-        raise ValueError(f"z_min = {z_min:.4g} must be below the tip a = {a}")
+    if L0 >= a:
+        raise ValueError(f"a = {a} must exceed the neck constant "
+                         f"L0 = {L0:.4g}, where the cap is cut off")
 
     sigma2 = 2.0 * F01
     rho_ceiling = (1.0 - 1e-9) * math.sqrt(sigma2) * a
     if rho_max is None:
         rho_end = rho_ceiling
-        psi_stop = a * (a - z_min)
+        psi_stop = a * (a - L0)
     else:
         rho_end = min(rho_max, rho_ceiling)
         psi_stop = np.inf
@@ -400,7 +400,7 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
 
     # z-representation on a uniform grid by monotone inversion of the psi
     # polynomial, all grid nodes in one vectorized Newton pass
-    z_lo = max(z_min, a - psi[-1] * (1.0 - 1e-12) / a)
+    z_lo = max(L0, a - psi[-1] * (1.0 - 1e-12) / a)
     z_grid = np.arange(z_lo, a - 0.5 * dz_target, dz_target)
     psi_targets = np.minimum(a * (a - z_grid), psi[-1])
     rho_of_z = _monotone_inverse(poly, rho, psi, psi_targets)
@@ -519,23 +519,11 @@ def shrinker_upper_bound_fit(profile: ShrinkerProfile, L: float) -> float:
     return hi
 
 
-def shrinker_upper_bound_check(profiles, L: float) -> dict:
-    """Fit the upper-bound correction constant across an a-sweep.
-
-    The verified claim is boundedness: the report flags whether the fitted
-    constants of the top three parameters stay within a factor of two.
-    """
-    rows = [{"a": p.a, "C_fit": shrinker_upper_bound_fit(p, L)}
-            for p in sorted(profiles, key=lambda q: q.a)]
-    top = [r["C_fit"] for r in rows[-3:]]
-    stable = bool(max(top) <= 2.0 * min(top)) if len(top) >= 2 else True
-    return {"L": L, "rows": rows, "stable": stable}
-
-
 def shrinker_to_bowl_convergence(speed: SpeedFunction,
-                                 a_list: Sequence[float], M: float,
-                                 tol: float = 1e-8) -> list[dict]:
-    """Sup-norm gaps sup_{rho<=M} |psi_a - zeta| (and derivative gaps) per a.
+                                 a_list: Sequence[float],
+                                 M: float) -> list[dict]:
+    """Sup-norm gaps sup_{rho<=M} |psi_a - zeta| (and derivative gaps) per a,
+    bowl and shrinkers solved at ``CONVERGENCE_TOL``.
 
     The gap is expected to decrease in a: the shrinker's z-term
     (rho psi' - psi)/(2a^2) vanishes in the limit, recovering the bowl ODE.
@@ -543,13 +531,14 @@ def shrinker_to_bowl_convergence(speed: SpeedFunction,
     a_list = sorted(a_list)
     if M >= min(a_list) * math.sqrt(2.0 * speed.F01):
         raise ValueError("M must fit inside every shrinker's rho-range")
-    bowl = solve_bowl(speed, rho_max=1.3 * M, tol=tol)
+    bowl = solve_bowl(speed, rho_max=1.3 * M, tol=CONVERGENCE_TOL)
     grid = np.geomspace(0.05, M, 400)
     zeta = bowl.zeta_at(grid)
     zeta_rho = bowl.zeta_rho_at(grid)
     rows = []
     for a in a_list:
-        prof = solve_shrinker(speed, a, tol=tol, rho_max=1.2 * M)
+        prof = solve_shrinker(speed, a, tol=CONVERGENCE_TOL,
+                              rho_max=1.2 * M)
         gap = float(np.max(np.abs(prof.psi_at(grid) - zeta)))
         gap_rho = float(np.max(np.abs(prof.psi_rho_at(grid) - zeta_rho)))
         rows.append({"a": a, "sup_gap": gap, "sup_gap_rho": gap_rho})

@@ -21,13 +21,16 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from . import _accel
-from .errors import QuadratureFailure, WindowTooShort
+from .errors import QuadratureFailure, WindowTooShort, require_positive
 from .flow import cylinder_radius, line_fit
 
 # fewest windows a trace may have (one per time unit of the run), and the
 # fewest the mode-dominance classifier fits
 MIN_TRACE_WINDOWS = 2
 MIN_CLASSIFIER_WINDOWS = 8
+# merle_zaag_classifier's thresholds on the log-ratio slope and on the share
+SLOPE_THRESHOLD = -0.1
+RATIO_THRESHOLD = 0.1
 
 
 def eigenvalue(n: int, k: int, l: int) -> float:
@@ -50,16 +53,6 @@ def eigen_table(n: int, kmax: int, lmax: int) -> np.ndarray:
     """Eigenvalues mu_{k,l} for 0 <= k <= kmax, 0 <= l <= lmax."""
     return np.array([[eigenvalue(n, k, l) for l in range(lmax + 1)]
                      for k in range(kmax + 1)])
-
-
-def hermite_h(k: int, x):
-    """Physicists' Hermite polynomial H_k (raw, unnormalized)."""
-    x = np.asarray(x, dtype=float)
-    hkm1 = np.zeros_like(x)
-    hk = np.ones_like(x)
-    for j in range(k):
-        hkm1, hk = hk, 2.0 * x * hk - 2.0 * j * hkm1
-    return hk
 
 
 def _hermite_functions(K: int, x) -> np.ndarray:
@@ -115,19 +108,17 @@ class HermiteBasis:
         return np.where(np.isnan(vals), 0.0, vals)
 
 
-def build_basis(a: float, K: int, quad_order: int | None = None) -> HermiteBasis:
+def build_basis(a: float, K: int, quad_order: int) -> HermiteBasis:
     """Gauss-Hermite basis adapted to the weight e^{-z^2/4a}.
 
-    Nodes are rescaled by z = 2 sqrt(a) x.  Requires quad_order >= 2K + 2 so
-    that pairwise products of retained modes are integrated exactly; raises
-    QuadratureFailure when the Gram matrix deviates from the identity.
+    Nodes are rescaled by z = 2 sqrt(a) x.  Requires a finite and positive
+    and quad_order >= 2K + 2, so that pairwise products of retained modes
+    are integrated exactly; raises QuadratureFailure when the Gram matrix
+    deviates from the identity (or is not finite).
     """
-    if a <= 0:
-        raise ValueError("scale a must be positive")
+    a = require_positive("a", a)
     if K < 0:
         raise ValueError("max degree K must be >= 0")
-    if quad_order is None:
-        quad_order = max(2 * K + 2, 40)
     if quad_order < 2 * K + 2:
         raise ValueError("quad_order must be at least 2K + 2")
     x, w = hermgauss(quad_order)
@@ -136,7 +127,7 @@ def build_basis(a: float, K: int, quad_order: int | None = None) -> HermiteBasis
     wz = s * w
     gram = vals @ (vals * wz).T
     gram_err = float(np.max(np.abs(gram - np.eye(K + 1))))
-    if gram_err > 1e-10:
+    if not gram_err <= 1e-10:
         raise QuadratureFailure(
             f"orthogonality defect {gram_err:.3g} exceeds 1e-10")
     return HermiteBasis(a=a, z=s * x, wz=wz, values=vals, gram_error=gram_err)
@@ -194,29 +185,17 @@ class GammaTrace:
         self.Gamma_zero = suffix_max(self.gamma_zero)
         self.Gamma_minus = suffix_max(self.gamma_minus)
 
-    @classmethod
-    def from_arrays(cls, gamma_plus, gamma_zero, gamma_minus, r=1e-4, L=10.0,
-                    delta=None):
-        """Assemble a trace from raw per-window parts (synthetic inputs)."""
-        gp = np.asarray(gamma_plus, dtype=float)
-        g0 = np.asarray(gamma_zero, dtype=float)
-        gm = np.asarray(gamma_minus, dtype=float)
-        g = gp + g0 + gm
-        return cls(gamma=g, gamma_plus=gp, gamma_zero=g0, gamma_minus=gm,
-                   delta=np.asarray(np.sqrt(g) if delta is None else delta),
-                   r=r, L=L, sandwich_constant=1.0)
 
-
-def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
-                         L: float = 10.0) -> GammaTrace:
+def gamma_trace_from_run(history, basis: HermiteBasis, r: float,
+                         L: float) -> GammaTrace:
     """Windowed weighted norms of u = v - sigma from a rescaled-flow run.
 
     Each window's profile is cut off by chi(delta_j^r z) before projecting,
     where delta_j is the running sup of |u| over |z| <= L from the window
-    onward into the tail.  Note delta^{-r} grows extremely slowly for the
-    default r; runs that want a wide cutoff window pass a larger r.  One
-    ``pchip`` call per window interpolates all of the window's snapshots,
-    with z along axis 0; each snapshot is then projected on its own.
+    onward into the tail.  delta^{-r} grows slowly for a small r, so a
+    small r keeps only |z| <~ 1 of the weight.  One ``pchip`` call per
+    window interpolates all of the window's snapshots, with z along axis 0;
+    each snapshot is then projected on its own.
     """
     sigma = cylinder_radius(history.speed)
     times = history.times
@@ -260,12 +239,12 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float = 1e-4,
                       sandwich_constant=sandwich)
 
 
-def _log_ratio_stats(num, den, half: bool = True):
+def _log_ratio_stats(num, den):
     """(slope, last, max) of log(num/den) over the later half of the windows."""
     valid = (num > 0) & (den > 0)
     k = np.arange(num.size)[valid]
     y = np.log(num[valid] / den[valid])
-    if half and k.size >= 4:
+    if k.size >= 4:
         cut = k.size // 2
         k, y = k[cut:], y[cut:]
     if k.size < 2:
@@ -274,13 +253,12 @@ def _log_ratio_stats(num, den, half: bool = True):
     return slope, float(y[-1]), float(np.max(y))
 
 
-def merle_zaag_classifier(trace: GammaTrace, slope_threshold: float = -0.1,
-                          ratio_threshold: float = 0.1) -> dict:
+def merle_zaag_classifier(trace: GammaTrace) -> dict:
     """Mode-dominance verdict from the fitted decay of the non-dominant parts.
 
     A part dominates when the others' share either trends to zero (log-ratio
-    slope below ``slope_threshold`` per window over the later half) or stays
-    below ``ratio_threshold`` at every fitted window.  The latter clause
+    slope below ``SLOPE_THRESHOLD`` per window over the later half) or stays
+    below ``RATIO_THRESHOLD`` at every fitted window.  The latter clause
     covers runs whose contamination is a flat cutoff-mixing floor or a fixed
     seed admixture.  Inconclusive when neither part qualifies.
     """
@@ -291,12 +269,12 @@ def merle_zaag_classifier(trace: GammaTrace, slope_threshold: float = -0.1,
     rest_0 = trace.Gamma_plus + trace.Gamma_minus
     slope_p, last_p, max_p = _log_ratio_stats(rest_p, trace.Gamma_plus)
     slope_0, last_0, max_0 = _log_ratio_stats(rest_0, trace.Gamma_zero)
-    log_thresh = math.log(ratio_threshold)
+    log_thresh = math.log(RATIO_THRESHOLD)
 
     def dominated(slope, last, peak):
         if slope is None:
             return False
-        if slope < slope_threshold and last < 0:
+        if slope < SLOPE_THRESHOLD and last < 0:
             return True
         return peak < log_thresh
 

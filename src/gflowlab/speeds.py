@@ -23,6 +23,10 @@ from . import _accel
 from .errors import ConeViolation, DomainViolation
 
 KINDS = ("sum", "bh", "sigma_ratio")
+# ImplicitInverse's Newton polish stops at |F(x, y) - z| <= INVERSE_TOL z
+INVERSE_TOL = 1e-12
+# sample_cone_interior's samples lie inside the cone by at least this margin
+SAMPLE_MARGIN = 0.05
 
 
 def _elementary_symmetric(lam: np.ndarray) -> np.ndarray:
@@ -196,10 +200,6 @@ class SpeedFunction:
             cfg["k"] = self.k
         return cfg
 
-    @classmethod
-    def from_config(cls, cfg: dict) -> "SpeedFunction":
-        return cls(cfg["kind"], cfg["n"], cfg.get("k"))
-
     def label(self) -> str:
         if self.kind == "sigma_ratio":
             return f"sigma_ratio(k={self.k}) n={self.n}"
@@ -215,11 +215,10 @@ class ImplicitInverse:
 
     Defined on the open cone U = {(y, z): F(0,1) < z/y < Q}.  Root finding
     is bracketing + bisection followed by a Newton polish; the residual
-    satisfies |F(x, y) - z| <= tol * z.
+    satisfies |F(x, y) - z| <= ``INVERSE_TOL`` z.
     """
 
     speed: SpeedFunction
-    tol: float = 1e-12
 
     def __call__(self, y: float, z: float) -> float:
         y = float(y)
@@ -254,7 +253,7 @@ class ImplicitInverse:
         x = 0.5 * (lo + hi)
         for _ in range(8):
             res = self.speed.F(x, y) - z
-            if abs(res) <= self.tol * z:
+            if abs(res) <= INVERSE_TOL * z:
                 break
             step = res / self.speed.Fx(x, y)
             x_new = x - step
@@ -269,15 +268,16 @@ class ImplicitInverse:
 
 
 def sample_cone_interior(speed: SpeedFunction, rng: np.random.Generator,
-                         count: int, margin: float = 0.05) -> np.ndarray:
-    """Random curvature vectors strictly inside the cone (for property tests)."""
+                         count: int) -> np.ndarray:
+    """Random curvature vectors inside the cone by ``SAMPLE_MARGIN`` (for
+    property tests)."""
     out = np.empty((count, speed.n))
     got = 0
     while got < count:
         lam = rng.uniform(-0.4, 3.0, size=speed.n)
         if speed.kind == "sigma_ratio":
-            lam = rng.uniform(margin, 3.0, size=speed.n)
-        if speed.contains_cone(lam, margin=margin):
+            lam = rng.uniform(SAMPLE_MARGIN, 3.0, size=speed.n)
+        if speed.contains_cone(lam, margin=SAMPLE_MARGIN):
             out[got] = np.sort(lam)
             got += 1
     return out

@@ -370,7 +370,7 @@ def stepping_window(request):
         return sp, 1, v0, z, z[1] - z[0], BoundaryCondition(mode="frozen")
     sp = SpeedFunction(request.param[:-1], 3)
     bowl = gf.solve_bowl(sp, rho_max=60.0, tol=1e-10)
-    ref = translating_bowl_reference(bowl, tip_speed=0.5)
+    ref = translating_bowl_reference(bowl)
     st = state_from_reference(sp, ref, 5.0, 25.0, 0.2)
     return (sp, 0, st.values, st.z, st.dz,
             BoundaryCondition.from_reference(ref, st.z[0], st.z[-1]))

@@ -282,9 +282,15 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     (["flow", "--stride", "-1"], "stride must be >= 0, got -1"),
     (["shrinker", "--a", "50", "--m-knob", "-5"],
      "m-knob must be finite and positive, got -5.0"),
+    (["shrinker", "--a", "3"],
+     "a = 3.0 must exceed the neck constant L0 = 5.123"),
+    (["spectral", "--r", "nan"], "r must be finite and positive, got nan"),
+    (["spectral", "--r", "-1"], "r must be finite and positive, got -1.0"),
+    (["spectral", "--l", "-1"], "l must be finite and positive, got -1.0"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert _run(tmp_path, *argv) == 1
+    assert list(tmp_path.iterdir()) == []
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     # a fit window the profile cannot serve is the fit's own error
     expected = "WindowTooNarrow" if "--fit-hi" in argv else "ValueError"

@@ -77,6 +77,20 @@ def test_run_flow_single_step(sum3):
     assert np.all(new.values < st.values)
 
 
+@pytest.mark.parametrize("dt, nsteps, name", [
+    (1e-3, -1, "nsteps"),      # once returned a history at t = -0.001
+    (-1e-3, 10, "dt"),         # once stepped the flow backwards
+    (math.nan, 10, "dt"),      # once reported as "ellipticity lost"
+    (1e-3, 2.5, "nsteps"),     # once a bare numpy TypeError
+])
+def test_run_flow_rejects_a_step_it_cannot_take(sum3, dt, nsteps, name):
+    ref = shrinking_cylinder_reference(sum3, 2.0)
+    st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
+    for scheme in ("rk2", "semi_implicit"):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            run_flow(st, dt, nsteps, scheme=scheme)
+
+
 def test_cfl_violation_raises(sum3):
     ref = shrinking_cylinder_reference(sum3, 2.0)
     st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
@@ -124,7 +138,7 @@ def test_nan_state_stops_at_the_cone_guard(sum3, scheme):
 
 
 def test_bowl_translation(sum3, bowl_sum3):
-    ref = translating_bowl_reference(bowl_sum3, tip_speed=0.5)
+    ref = translating_bowl_reference(bowl_sum3)
     delta = 0.05
     st = state_from_reference(sum3, ref, 5.0, 25.0, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
@@ -145,8 +159,9 @@ def test_ordering_preserved_semi_implicit(sum3, rng):
         z = np.linspace(-2.0, 2.0, 41)
         base = 3.0 + 0.05 * rng.normal() * np.sin(rng.uniform(0.3, 0.7) * z)
         bump = np.cos(np.pi * z / 4) ** 2 * rng.uniform(0.01, 0.05)
-        bc = BoundaryCondition.dirichlet(lambda t, v=base[0]: v,
-                                         lambda t, v=base[-1]: v)
+        bc = BoundaryCondition(mode="dirichlet",
+                               left=lambda t, v=base[0]: v,
+                               right=lambda t, v=base[-1]: v)
         st1 = RadialFlowState("radial", z, base, 0.0, sum3)
         st2 = RadialFlowState("radial", z, base + bump, 0.0, sum3)
         h1 = run_flow(st1, 2e-4, 5, bc=bc, scheme="semi_implicit",
@@ -196,7 +211,7 @@ def bowl_window(sum3):
     """Criterion 7's window z in [5, 25] on a tight (tol 1e-12) sum n=3
     bowl: (translating reference, state and Dirichlet data at delta)."""
     bowl = gf.solve_bowl(sum3, rho_max=60.0, tol=1e-12)
-    ref = translating_bowl_reference(bowl, tip_speed=0.5)
+    ref = translating_bowl_reference(bowl)
 
     def at(delta):
         st = state_from_reference(sum3, ref, 5.0, 25.0, delta)
@@ -444,8 +459,9 @@ def test_dirichlet_tables_one_call_per_side(sum3, bowl_sum3):
         calls.append(np.shape(t))
         return 2.5  # a scalar broadcasts over the times
 
-    ref = translating_bowl_reference(bowl_sum3, tip_speed=0.5)
-    bc = BoundaryCondition.dirichlet(left, lambda t: ref(25.0, t))
+    ref = translating_bowl_reference(bowl_sum3)
+    bc = BoundaryCondition(mode="dirichlet", left=left,
+                           right=lambda t: ref(25.0, t))
     bl, br = bc.tables(0.5, 0.01, 40)
     assert calls == [(41,)]
     assert np.all(bl == 2.5)

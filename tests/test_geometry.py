@@ -115,8 +115,9 @@ def test_soliton_curvatures_match_graph_formulas(sum3, shrinker_sum3_a50):
     z = np.arange(z0, z1, h)
     v = np.asarray(vint(z))
     rbar = float(np.mean(v))
-    graph = CylinderGraph.from_callable(rbar, z, lambda zz: np.asarray(
-        vint(zz)) - rbar)
+    graph = CylinderGraph.from_callable(rbar, z, lambda zz: vint(zz) - rbar,
+                                        vint.derivative(1),
+                                        vint.derivative(2))
     kax_g, krot_g = graph.exact_curvatures()
 
     # ODE side: v_z from the profile data, v_zz from the inverted equation
@@ -136,12 +137,3 @@ def test_soliton_curvatures_match_graph_formulas(sum3, shrinker_sum3_a50):
     krot_ode = 1.0 / (vv * np.sqrt(1.0 + v_z ** 2))
     assert np.max(np.abs(kax_g - kax_ode)) <= 1e-6
     assert np.max(np.abs(krot_g - krot_ode)) <= 1e-6
-
-
-def test_fd_derivative_fallback():
-    g_exact = _gauss_graph(2.0, 0.01)
-    g_fd = CylinderGraph.from_callable(2.0, Z,
-                                       lambda z: 0.01 * np.exp(-z ** 2))
-    sel = slice(2, -2)
-    assert np.allclose(g_fd.u_z, g_exact.u_z[sel], atol=1e-7)
-    assert np.allclose(g_fd.u_zz, g_exact.u_zz[sel], atol=1e-6)

@@ -1,0 +1,121 @@
+"""Knob-creep guard: every defaulted parameter of a public function, method
+or dataclass field in ``src/gflowlab`` is passed by at least one call in the
+package.  A default that no call overrides is a constant in disguise; it
+belongs in the module as one."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gflowlab"
+
+# (function, parameter): why the default stays although no package call
+# passes the parameter
+ALLOWED = {
+    ("main", "argv"): "the entry point: the console script calls main() "
+                      "and tests pass their own argv",
+    ("run_flow", "r_floor"): "the Pinch safety check, which tests reach "
+                             "through this parameter",
+}
+
+
+def _defaulted(node):
+    """(name, position or None) of each parameter of ``node`` with a
+    default; ``self``/``cls`` do not count as positions."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _field_defaults(cls):
+    """(name, position) of each annotated class field with a default: the
+    constructor parameters of a dataclass or NamedTuple."""
+    out, pos = [], 0
+    for stmt in cls.body:
+        if not (isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)):
+            continue
+        if (isinstance(stmt.value, ast.Call)
+                and getattr(stmt.value.func, "id", None) == "field"):
+            kw = {k.arg: k.value for k in stmt.value.keywords}
+            if getattr(kw.get("init"), "value", True) is False:
+                continue
+            has_default = "default" in kw or "default_factory" in kw
+        else:
+            has_default = stmt.value is not None
+        if has_default:
+            out.append((stmt.target.id, pos))
+        pos += 1
+    return out
+
+
+def unpassed_defaults(sources):
+    """Sorted (function, parameter) pairs of public definitions in
+    ``sources`` whose default no call among them overrides.  Calls match
+    by the called name (``cls`` inside a class is that class); a call with
+    ``*args`` or ``**kwargs`` passes every parameter of its kind."""
+    params, passed = {}, set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if not child.name.startswith("_"):
+                    params.setdefault(child.name, []).extend(
+                        _field_defaults(child))
+                visit(child, child)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if owner is not None and name == "__init__":
+                    name = owner.name
+                if (not name.startswith("_")
+                        and not (owner and owner.name.startswith("_"))):
+                    params.setdefault(name, []).extend(_defaulted(child))
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", "")
+                if name == "cls" and owner is not None:
+                    name = owner.name
+                for i, arg in enumerate(child.args):
+                    passed.add((name, "*" if isinstance(arg, ast.Starred)
+                                else i))
+                for kw in child.keywords:
+                    passed.add((name, kw.arg or "**"))
+            visit(child, owner)
+
+    for source in sources:
+        visit(ast.parse(source), None)
+
+    def is_passed(fn, arg, pos):
+        keys = {(fn, arg), (fn, "**")}
+        if pos is not None:
+            keys |= {(fn, pos), (fn, "*")}
+        return bool(keys & passed)
+
+    return sorted((fn, arg) for fn, args in params.items()
+                  for arg, pos in args if not is_passed(fn, arg, pos))
+
+
+def test_guard_flags_a_default_no_call_passes():
+    source = ("def f(x, a=1, b=2, *, c=3):\n    pass\n"
+              "def g():\n    f(0, 5)\n    f(0, c=4)\n")
+    assert unpassed_defaults([source]) == [("f", "b")]
+    assert unpassed_defaults(["class C:\n    def m(self, x, a=1):\n"
+                              "        pass\n"
+                              "C().m(0, 2)\n"]) == []
+    assert unpassed_defaults(["from dataclasses import dataclass, field\n"
+                              "@dataclass\nclass D:\n    x: int\n"
+                              "    y: int = 0\n"
+                              "    z: list = field(default_factory=list)\n"
+                              "    w: int = field(init=False)\n"
+                              "D(1, z=[])\n"]) == [("D", "y")]
+
+
+def test_every_public_default_is_passed_somewhere():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert [pair for pair in unpassed_defaults(sources)
+            if pair not in ALLOWED] == []

@@ -133,7 +133,7 @@ def test_write_history_text_is_fmt_of_every_cell(tmp_path):
     snapshots = np.arange(20.0).reshape(4, 5) / 3.0
     snapshots[1, 2], snapshots[2, 0], snapshots[3, 4] = np.nan, np.inf, -np.inf
     hist = FlowHistory("radial", z, times, snapshots, SpeedFunction("sum", 3),
-                       0.1, "heun")
+                       "heun")
     _write_history(str(tmp_path), "h", hist, {"preset": "test"})
     rows = [",".join(map(_fmt, (t, zj, snapshots[i, j])))
             for i, t in enumerate(times) for j, zj in enumerate(z)]

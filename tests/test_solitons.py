@@ -388,7 +388,7 @@ def test_c_lower_positive(all_speeds):
 # -- upper bound and convergence to the bowl -----------------------------------
 
 def test_upper_bound_fit_sweep(shrinker_sum3_sweep):
-    rep = gf.shrinker_upper_bound_check(shrinker_sum3_sweep, L=15.0)
+    rep = gf.fit_shrinker_neck(shrinker_sum3_sweep, L=15.0)["upper"]
     assert rep["stable"]
     cs = [r["C_fit"] for r in rep["rows"]]
     assert all(c > 0 for c in cs)

@@ -12,8 +12,19 @@ from gflowlab.errors import WindowTooShort
 from gflowlab.flow import (BoundaryCondition, RadialFlowState, cylinder_radius,
                            line_fit, run_flow, step_plan)
 from gflowlab.spectral import (GammaTrace, build_basis, eigen_table,
-                               eigenvalue, hermite_h, mode_energies, mode_sign,
+                               eigenvalue, mode_energies, mode_sign,
                                smooth_cutoff)
+
+
+def hermite_h(k, x):
+    """Physicists' Hermite polynomial H_k (raw, unnormalized): the oracle
+    for the basis's normalized recurrence."""
+    x = np.asarray(x, dtype=float)
+    hkm1 = np.zeros_like(x)
+    hk = np.ones_like(x)
+    for j in range(k):
+        hkm1, hk = hk, 2.0 * x * hk - 2.0 * j * hkm1
+    return hk
 
 
 # -- eigenvalues ---------------------------------------------------------------
@@ -51,7 +62,7 @@ def test_eigen_table_shape():
 def test_gaussian_weight_normalization():
     # <1, 1> = integral of e^{-z^2/4a} = 2 sqrt(pi a)
     for a in (0.32, 1.0, 2.5):
-        basis = build_basis(a, K=4)
+        basis = build_basis(a, K=4, quad_order=40)
         one = np.ones_like(basis.z)
         assert basis.norm_sq(one) == pytest.approx(
             2.0 * math.sqrt(math.pi * a), rel=1e-13)
@@ -81,7 +92,7 @@ def test_value_matches_normalized_raw_hermite():
     # the recurrence against H_k(z / (2 sqrt a)) / ||H_k||, norm squared
     # 2 sqrt(pi a) 2^k k!
     a = 0.7
-    basis = build_basis(a, K=10)
+    basis = build_basis(a, K=10, quad_order=40)
     z = np.linspace(-9.0, 9.0, 181)
     for k in range(13):
         norm = math.sqrt(2.0 * math.sqrt(math.pi * a) * 2.0 ** k
@@ -100,6 +111,14 @@ def test_quad_order_guard():
         build_basis(1.0, K=10, quad_order=10)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+def test_build_basis_rejects_a_bad_scale(a):
+    # a NaN scale once gave a basis full of NaN: its NaN Gram error passed
+    # the orthogonality check
+    with pytest.raises(ValueError, match="a must be finite and positive"):
+        build_basis(a, K=4, quad_order=40)
+
+
 def test_quadrature_scaling():
     # doubling quad_order leaves coefficients of band-limited input unchanged
     basis1 = build_basis(1.0, K=6, quad_order=40)
@@ -114,7 +133,7 @@ def test_quadrature_scaling():
 # -- projection ---------------------------------------------------------------
 
 def test_constant_is_positive_mode():
-    basis = build_basis(1.0, K=6)
+    basis = build_basis(1.0, K=6, quad_order=40)
     u = np.ones_like(basis.z)
     plus_sq, zero_sq, minus_sq = mode_energies(basis.project(u))
     assert plus_sq == pytest.approx(basis.norm_sq(u), rel=1e-12)
@@ -125,14 +144,14 @@ def test_constant_is_positive_mode():
 def test_h2_is_zero_mode():
     # z^2/a - 2 equals H_2 at the scaled argument, the annihilated direction
     a = 0.5
-    basis = build_basis(a, K=6)
+    basis = build_basis(a, K=6, quad_order=40)
     u = basis.z ** 2 / a - 2.0
     zero_sq = mode_energies(basis.project(u))[1]
     assert zero_sq / basis.norm_sq(u) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_h3_is_negative_mode():
-    basis = build_basis(1.0, K=6)
+    basis = build_basis(1.0, K=6, quad_order=40)
     u = hermite_h(3, basis.z / 2.0)
     minus_sq = mode_energies(basis.project(u))[2]
     assert minus_sq / basis.norm_sq(u) == pytest.approx(1.0, rel=1e-12)
@@ -140,7 +159,7 @@ def test_h3_is_negative_mode():
 
 
 def test_round_trip_band_limited():
-    basis = build_basis(1.0, K=8)
+    basis = build_basis(1.0, K=8, quad_order=40)
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=7)  # degree <= K - 2
     def u(z):
@@ -157,7 +176,7 @@ def test_round_trip_band_limited():
 def test_interpolate_samples_block_matches_columns():
     # one PCHIP over a (z, profile) block gives the per-column bits, zero
     # at the nodes outside the sampled range
-    basis = build_basis(1.0, K=4)
+    basis = build_basis(1.0, K=4, quad_order=40)
     z = np.linspace(-6.0, 6.0, 121)
     block = np.column_stack([np.sin(k * z) * np.exp(-z ** 2 / 8.0)
                              for k in range(1, 6)])
@@ -169,7 +188,7 @@ def test_interpolate_samples_block_matches_columns():
 
 
 def test_parseval_inequality():
-    basis = build_basis(1.0, K=4)
+    basis = build_basis(1.0, K=4, quad_order=40)
     u = np.cos(3.0 * basis.z)
     c = basis.project(u)
     assert np.sum(c ** 2) <= basis.norm_sq(u) * (1 + 1e-12)
@@ -255,12 +274,12 @@ def test_trace_monotone_seed(trace_setup):
     assert gf.merle_zaag_classifier(trace)["verdict"] == "positive-dominated"
 
 
-def test_trace_default_r_formula(trace_setup):
-    # with the asymptotic default r = 1e-4 the cutoff radius delta^{-r}
-    # stays near 1 for finite amplitudes; the trace is still well formed
+def test_trace_small_r_is_well_formed(trace_setup):
+    # with a small r = 1e-4 the cutoff radius delta^{-r} stays near 1 for
+    # finite amplitudes; the trace is still well formed
     sp, basis, z, run = trace_setup
     hist = run(1e-4 * basis.value(0, z), T=4.0)
-    trace = gf.gamma_trace_from_run(hist, basis, L=10.0)
+    trace = gf.gamma_trace_from_run(hist, basis, r=1e-4, L=10.0)
     assert trace.r == 1e-4
     assert np.all(trace.gamma >= 0)
     assert np.all(np.diff(trace.Gamma) <= 1e-18)
@@ -310,27 +329,35 @@ def test_trace_window_too_short(trace_setup):
 
 # -- classifier on synthetic traces ---------------------------------------------
 
+def _synthetic_trace(gamma_plus, gamma_zero, gamma_minus):
+    """A trace assembled from raw per-window parts."""
+    gp, g0, gm = (np.asarray(g, dtype=float)
+                  for g in (gamma_plus, gamma_zero, gamma_minus))
+    g = gp + g0 + gm
+    return GammaTrace(gamma=g, gamma_plus=gp, gamma_zero=g0, gamma_minus=gm,
+                      delta=np.sqrt(g), r=1e-4, L=10.0, sandwich_constant=1.0)
+
+
 def test_classifier_synthetic_positive():
     k = np.arange(10)
-    trace = GammaTrace.from_arrays(np.exp(-k), np.exp(-2.0 * k),
-                                   np.exp(-3.0 * k))
+    trace = _synthetic_trace(np.exp(-k), np.exp(-2.0 * k), np.exp(-3.0 * k))
     assert gf.merle_zaag_classifier(trace)["verdict"] == "positive-dominated"
 
 
 def test_classifier_synthetic_neutral():
     k = np.arange(10)
-    trace = GammaTrace.from_arrays(0.5 * np.exp(-2.0 * k), np.ones(10),
-                                   np.exp(-3.0 * k))
+    trace = _synthetic_trace(0.5 * np.exp(-2.0 * k), np.ones(10),
+                             np.exp(-3.0 * k))
     assert gf.merle_zaag_classifier(trace)["verdict"] == "neutral-dominated"
 
 
 def test_classifier_synthetic_inconclusive():
-    trace = GammaTrace.from_arrays(np.ones(10), 0.9 * np.ones(10),
-                                   0.1 * np.ones(10))
+    trace = _synthetic_trace(np.ones(10), 0.9 * np.ones(10),
+                             0.1 * np.ones(10))
     assert gf.merle_zaag_classifier(trace)["verdict"] == "inconclusive"
 
 
 def test_classifier_needs_windows():
-    trace = GammaTrace.from_arrays(np.ones(4), np.ones(4), np.ones(4))
+    trace = _synthetic_trace(np.ones(4), np.ones(4), np.ones(4))
     with pytest.raises(WindowTooShort):
         gf.merle_zaag_classifier(trace)

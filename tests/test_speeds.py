@@ -282,7 +282,7 @@ def test_concavity_flags(all_speeds, rng):
 
 def test_config_round_trip(all_speeds):
     for sp in all_speeds:
-        again = gf.SpeedFunction.from_config(sp.to_config())
+        again = gf.SpeedFunction(**sp.to_config())
         assert again.kind == sp.kind and again.n == sp.n and again.k == sp.k
 
 
