@@ -177,10 +177,11 @@ def criterion_7():
     delta = 0.05
     st = state_from_reference(sp, ref, 5.0, 25.0, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    # 40 ROS3P steps, each recorded: the level-set fit's rms depends on where
-    # the samples fall on the grid, and the verify baseline holds it for the
-    # samples t = k/40
-    hist = run_flow(st, 1.0 / 40, 40, bc=bc, scheme="semi_implicit",
+    # the plan of `flow --preset bowl-translation --t-end 1`, each step
+    # recorded: the level-set fit's rms depends on where the samples fall on
+    # the grid, and the verify baseline holds it for the samples t = k/40
+    nsteps = flow.TRANSLATION_STEPS_PER_UNIT
+    hist = run_flow(st, 1.0 / nsteps, nsteps, bc=bc, scheme="semi_implicit",
                     record_every=1)
     level = float(st.values[st.values.size // 2])
     res = translation_speed(hist, level)

@@ -21,20 +21,23 @@ import numpy as np
 from scipy.special import erf
 
 from . import acceptance, fits, output, solitons, spectral
-from .errors import GFlowError, WindowTooNarrow, require_positive
-from .flow import (BoundaryCondition, RadialFlowState, run_flow,
-                   cylinder_radius, shrinking_cylinder_reference,
-                   state_from_reference, step_plan,
-                   translating_bowl_reference, translation_speed)
+from .errors import (GFlowError, WindowTooNarrow, require_finite,
+                     require_positive)
+from .flow import (TRANSLATION_STEPS_PER_UNIT, BoundaryCondition,
+                   RadialFlowState, run_flow, cylinder_radius,
+                   shrinking_cylinder_reference, state_from_reference,
+                   step_plan, translating_bowl_reference, translation_speed)
 from .speeds import SpeedFunction
 
 # ROS3P steps per unit tau of `rescaled` and `spectral`: at 4x as many, the k1
 # rate at tau = 1 and the monotone decay at tau = 7 of sum n=3, bh n=3 and
 # sigma_ratio n=4 k=2 move by < 3e-5 (relative), fitted at the same times
 RESCALED_STEPS_PER_UNIT = 8
-# steps per time unit of a linearly implicit `flow` run, whatever delta: on
-# the README's grid of cylinder runs, half as many fail the 1e-6 check where
-# Heun at its CFL step passes it; these fail only where Heun fails too
+# steps per time unit of a linearly implicit `flow --preset cylinder` run,
+# whatever delta: on the README's grid of cylinder runs, half as many fail
+# the 1e-6 check where Heun at its CFL step passes it; these fail only where
+# Heun fails too.  A translating bowl has no vanishing time to resolve and
+# takes flow.TRANSLATION_STEPS_PER_UNIT
 FLOW_STEPS_PER_UNIT = 320
 # a spectral run spans windows + 1 time units, one trace window each, and
 # spectral.merle_zaag_classifier needs MIN_CLASSIFIER_WINDOWS of them
@@ -72,8 +75,10 @@ OPTIONS = {
                     ("cylinder", "bowl-translation")),
              Option("delta", float, 0.05), Option("t-end", float, 0.25),
              Option("scheme", str, "semi_implicit", ("semi_implicit", "rk2"),
-                    help=f"semi_implicit: ROS3P, {FLOW_STEPS_PER_UNIT} steps "
-                         "per unit time; rk2: Heun at its CFL step"),
+                    help=f"semi_implicit: ROS3P, {FLOW_STEPS_PER_UNIT} "
+                         "steps per unit time for the cylinder, "
+                         f"{TRANSLATION_STEPS_PER_UNIT} for bowl-translation; "
+                         "rk2: Heun at its CFL step"),
              Option("r0", float, 2.0), Option("stride", int, 0)),
     "rescaled": (Option("seed-mode", str, "k1"), Option("amp", float, 1e-4),
                  Option("tau-end", float, 1.0),
@@ -278,8 +283,10 @@ def cmd_flow(sp, o, outdir) -> int:
     if o.stride < 0:
         raise ValueError(f"stride must be >= 0, got {o.stride}")
     require_positive("delta", delta)
+    per_unit = (FLOW_STEPS_PER_UNIT if preset == "cylinder"
+                else TRANSLATION_STEPS_PER_UNIT)
     dt, nsteps = (step_plan(sp, delta, t_end) if o.scheme == "rk2" else
-                  _ros3p_plan("t_end", t_end, FLOW_STEPS_PER_UNIT))
+                  _ros3p_plan("t_end", t_end, per_unit))
     if preset == "cylinder":
         t_vanish = require_positive("r0", r0) ** 2 / (2.0 * sp.F01)
         if not t_vanish > t_end:
@@ -322,13 +329,13 @@ def cmd_flow(sp, o, outdir) -> int:
     return 0 if ok else 1
 
 
-def _rescaled_seed(mode, amp, sp, basis, z):
+def _rescaled_seed(mode, amp, sp, z):
     sigma = cylinder_radius(sp)
     k = re.fullmatch(r"k=?(\d+)", mode)
     if mode == "cylinder":
         return sigma + 0.0 * z
     if k:
-        return sigma + amp * basis.value(int(k[1]), z)
+        return sigma + amp * spectral.eigenfunction(sp.a_lin, int(k[1]), z)
     if mode == "monotone":
         return sigma - amp * erf(z / (2.0 * math.sqrt(sp.a_lin)))
     raise ValueError(f"unknown seed mode {mode!r}")
@@ -341,12 +348,12 @@ def cmd_rescaled(sp, o, outdir) -> int:
     for name, value in (("delta", delta), ("window", window),
                         ("measure-l", o.measure_l)):
         require_positive(name, value)
+    require_finite("amp", amp)
 
-    basis = spectral.build_basis(sp.a_lin, K=8, quad_order=80)
     n = int(round(2 * window / delta)) + 1
     z = np.linspace(-window, window, n)
-    st = RadialFlowState("rescaled", z, _rescaled_seed(seed_mode, amp, sp,
-                                                       basis, z), 0.0, sp)
+    st = RadialFlowState("rescaled", z, _rescaled_seed(seed_mode, amp, sp, z),
+                         0.0, sp)
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     scheme="semi_implicit")
     manifest = {"speed": sp.to_config(), "seed_mode": seed_mode, "amp": amp,
@@ -384,6 +391,9 @@ def cmd_spectral(sp, o, outdir) -> int:
                          f"got {windows}")
     require_positive("r", r_exp)
     require_positive("l", big_l)
+    require_finite("amp", amp)
+    if o.kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {o.kmax}")
 
     basis = spectral.build_basis(sp.a_lin, K=o.kmax, quad_order=o.quad_order)
     table = spectral.eigen_table(sp.n, 6, 6)
@@ -397,8 +407,7 @@ def cmd_spectral(sp, o, outdir) -> int:
     n = int(round(36.0 / delta)) + 1
     z = np.linspace(-18.0, 18.0, n)
     st = RadialFlowState("rescaled", z,
-                         _rescaled_seed(seed_mode, amp, sp, basis, z),
-                         0.0, sp)
+                         _rescaled_seed(seed_mode, amp, sp, z), 0.0, sp)
     dt, nsteps = _ros3p_plan("windows", windows + 1, RESCALED_STEPS_PER_UNIT)
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     scheme="semi_implicit", record_every=1)

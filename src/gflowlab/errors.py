@@ -60,3 +60,12 @@ def require_positive(name, value):
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return value
+
+
+def require_finite(name, value):
+    """``value`` as a float, or ValueError naming ``name`` unless it is
+    finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value

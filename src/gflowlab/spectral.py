@@ -69,6 +69,14 @@ def _hermite_functions(K: int, x) -> np.ndarray:
     return out
 
 
+def eigenfunction(a: float, k: int, z) -> np.ndarray:
+    """The eigenfunction n_k, normalized for the weight e^{-z^2/4a}, at
+    arbitrary points z: no quadrature nodes are needed for it."""
+    s = 2.0 * math.sqrt(a)
+    x = np.asarray(z, dtype=float) / s
+    return _hermite_functions(k, x)[k] / math.sqrt(s)
+
+
 @dataclass
 class HermiteBasis:
     """Orthonormal Hermite-eigenfunction basis for the weight e^{-z^2/4a}.
@@ -86,9 +94,7 @@ class HermiteBasis:
 
     def value(self, k: int, z):
         """Normalized eigenfunction n_k at arbitrary points."""
-        s = 2.0 * math.sqrt(self.a)
-        x = np.asarray(z, dtype=float) / s
-        return _hermite_functions(k, x)[k] / math.sqrt(s)
+        return eigenfunction(self.a, k, z)
 
     def project(self, u_nodes: np.ndarray) -> np.ndarray:
         """Coefficients <u, n_k>, one per row of ``values``."""

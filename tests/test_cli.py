@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gflowlab
-from gflowlab import acceptance, cli, errors, fits
+from gflowlab import acceptance, cli, errors, fits, flow
 from gflowlab.cli import (OPTIONS, float_list, _options, build_parser,
                           main, parse_config)
 from gflowlab.output import read_csv
@@ -119,6 +119,51 @@ def test_flow_default_is_linearly_implicit(tmp_path):
     assert float(times[-1]) == 0.25
 
 
+_FAMILIES = {"sum3": ("sum", 3, None), "bh3": ("bh", 3, None),
+             "sigma_ratio42": ("sigma_ratio", 4, 2)}
+
+
+def test_flow_bowl_translation_is_criterion_7(tmp_path):
+    # 40 ROS3P steps per time unit, each recorded at t-end 1: the run of
+    # verify's criterion 7, to the last bit of its speed
+    assert _run(tmp_path, "flow", "--preset", "bowl-translation",
+                "--t-end", "1") == 0
+    manifest = json.loads((tmp_path / "flow_manifest.json").read_text())
+    assert manifest["scheme"] == "semi_implicit"
+    assert manifest["nsteps"] == 40
+    assert manifest["dt"] == 0.025
+    details = acceptance.criterion_7()[5]
+    assert manifest["translation"]["speed"] == details["speed"]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_translation_step_plan_is_accurate(tmp_path, family):
+    # the planned steps give the speed of 4x as many, fitted at the same
+    # times, within a thousandth of the speed's spatial error
+    kind, n, k = _FAMILIES[family]
+    assert _run(tmp_path, "flow", "--preset", "bowl-translation",
+                "--speed", kind, "--n", str(n),
+                *(["--k", str(k)] if k else []), "--t-end", "1") == 0
+    m = json.loads((tmp_path / "flow_manifest.json").read_text())
+
+    # the same run at 4x the steps, built as cmd_flow builds it
+    sp = gflowlab.SpeedFunction(kind, n, k)
+    dt, nsteps = cli._ros3p_plan("t_end", 1.0,
+                                 4 * flow.TRANSLATION_STEPS_PER_UNIT)
+    assert nsteps == 4 * m["nsteps"]
+    ref = flow.translating_bowl_reference(
+        gflowlab.solve_bowl(sp, rho_max=60.0, tol=1e-10))
+    state = flow.state_from_reference(sp, ref, 5.0, 25.0, 0.05)
+    bc = gflowlab.BoundaryCondition.from_reference(ref, state.z[0],
+                                                   state.z[-1])
+    hist = gflowlab.run_flow(state, dt, nsteps, bc=bc,
+                             scheme="semi_implicit", record_every=4)
+    fine = flow.translation_speed(
+        hist, float(state.values[state.values.size // 2]))["speed"]
+    assert (abs(m["translation"]["speed"] - fine)
+            <= 1e-3 * abs(fine - m["target_speed"]))
+
+
 def test_rescaled_k2_preset(tmp_path):
     code = _run(tmp_path, "rescaled", "--seed-mode", "k2",
                 "--tau-end", "1.0", "--delta", "0.1", "--window", "10")
@@ -129,10 +174,6 @@ def test_rescaled_k2_preset(tmp_path):
     assert manifest["scheme"] == "semi_implicit"
     assert manifest["nsteps"] == math.ceil(8 * 1.0)
     assert manifest["dt"] == 1.0 / manifest["nsteps"]
-
-
-_FAMILIES = {"sum3": ("sum", 3, None), "bh3": ("bh", 3, None),
-             "sigma_ratio42": ("sigma_ratio", 4, 2)}
 
 
 @pytest.mark.parametrize("seed", [
@@ -155,10 +196,9 @@ def test_rescaled_step_plan_is_accurate(tmp_path, family, seed):
     dt, nsteps = cli._ros3p_plan("tau-end", m["tau_end"],
                                  4 * cli.RESCALED_STEPS_PER_UNIT)
     assert nsteps == 4 * m["nsteps"]
-    basis = gflowlab.build_basis(sp.a_lin, K=8, quad_order=80)
     z = np.linspace(-10.0, 10.0, 201)
     state = gflowlab.RadialFlowState("rescaled", z, cli._rescaled_seed(
-        m["seed_mode"], m["amp"], sp, basis, z), 0.0, sp)
+        m["seed_mode"], m["amp"], sp, z), 0.0, sp)
     hist = gflowlab.run_flow(
         state, dt, nsteps, bc=gflowlab.BoundaryCondition(mode="frozen"),
         scheme="semi_implicit", record_every=4 * math.ceil(m["nsteps"] / 50))
@@ -287,6 +327,10 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     (["spectral", "--r", "nan"], "r must be finite and positive, got nan"),
     (["spectral", "--r", "-1"], "r must be finite and positive, got -1.0"),
     (["spectral", "--l", "-1"], "l must be finite and positive, got -1.0"),
+    (["rescaled", "--amp", "nan"], "amp must be finite, got nan"),
+    (["rescaled", "--amp", "inf"], "amp must be finite, got inf"),
+    (["spectral", "--amp", "nan"], "amp must be finite, got nan"),
+    (["spectral", "--kmax", "-1"], "kmax must be >= 0, got -1"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert _run(tmp_path, *argv) == 1
