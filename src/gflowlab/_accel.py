@@ -1,27 +1,20 @@
-"""Numeric kernels: the speed algebra, the profile integrator, the
-graph-flow stepping loops and the PCHIP interpolant, in numpy and scipy.
+"""Numeric kernels: the profile integrator, the graph-flow stepping loops
+and the PCHIP interpolant, in numpy and scipy.
 
-The speed algebra works elementwise on arrays and scalars.  Profiles are
-integrated by LSODA: a scipy ``LSODA`` object sets the solve up, and the
-loop calls its compiled one-step runner itself, testing the height stop
-and the advance of rho after each step.  A profile is kept as its steps'
-Nordsieck polynomials (``StepPolynomials``), copied off LSODA's work
-arrays; only the step that crosses the height stop builds a dense-output
-object.  The explicit flow step is Heun's method and the semi-implicit step
-is the three-stage Rosenbrock method ROS3P, with one LAPACK tridiagonal
-factorization (``dgttrf``) per step.
+Profiles are integrated by LSODA: a scipy ``LSODA`` object sets the solve
+up, and the loop calls its compiled one-step runner itself, testing the
+height stop and the advance of rho after each step.  A profile is kept as
+its steps' Nordsieck polynomials (``StepPolynomials``), copied off LSODA's
+work arrays; only the step that crosses the height stop builds a
+dense-output object.  The explicit flow step is Heun's method and the
+semi-implicit step is the three-stage Rosenbrock method ROS3P, with one
+LAPACK tridiagonal factorization (``dgttrf``) per step.  A speed enters
+through its ``speeds.closed_forms`` F, F_x and f.
 
 A kernel raises the typed error where its check fails: ``integrate_profile``
-raises ``ToleranceFailure`` and ``ConeExit``, ``graph_rhs`` ``ConeExit``, and
-the stepping kernels ``StabilityViolation`` (CFL limit, singular W) and
+raises ``ToleranceFailure`` and ``ConeExit``, ``_rhs_terms`` ``ConeExit``,
+and the stepping kernels ``StabilityViolation`` (CFL limit, singular W) and
 ``Pinch``.  The stepping kernels allocate and return their own records.
-
-The speed kernels take ``SpeedFunction.kind`` and its per-kind constants
-(p0, p1, p2), ``SpeedFunction.params``:
-
-    sum          F(x, y) = x + p0*y
-    bh           F(x, y) = 1 / (p0/(x+y) + p1/y)
-    sigma_ratio  F(x, y) = y*(p0*y + p1*x) / (p1*y + p2*x)
 """
 
 from __future__ import annotations
@@ -35,6 +28,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from .errors import ConeExit, Pinch, StabilityViolation, ToleranceFailure
+from .speeds import closed_forms
 
 # profile_tolerances: LSODA's rtol per unit of a profile's tol, and the
 # smallest rtol scipy accepts without clamping it
@@ -59,55 +53,20 @@ ROS3P_GAMMAS = (0.7886751345948129, -0.2113248654051871, -1.077350269189626)
 ROS3P_M = (2.0, 0.5773502691896258, 0.4226497308103742)
 
 
-def speed_F(kind, p0, p1, p2, x, y):
-    """Restriction F(x, y) = speed at the curvature vector (x, y, ..., y).
-
-    Works elementwise on arrays as well as on scalars.
-    """
-    if kind == "sum":
-        return x + p0 * y
-    if kind == "bh":
-        return 1.0 / (p0 / (x + y) + p1 / y)
-    return y * (p0 * y + p1 * x) / (p1 * y + p2 * x)
-
-
-def speed_Fx(kind, p0, p1, p2, x, y):
-    """Partial derivative of the restriction in its first argument."""
-    if kind == "sum":
-        return 1.0 + 0.0 * x
-    if kind == "bh":
-        g = 1.0 / (p0 / (x + y) + p1 / y)
-        return g * g * p0 / ((x + y) * (x + y))
-    d = p1 * y + p2 * x
-    return y * y * (p1 * p1 - p0 * p2) / (d * d)
-
-
-def speed_f(kind, p0, p1, p2, y, z):
-    """Closed-form partial inverse: the x with F(x, y) = z.
-
-    Caller must guarantee F(0,1) < z/y < Q; no domain checks here.
-    """
-    if kind == "sum":
-        return z - p0 * y
-    if kind == "bh":
-        d = 1.0 / z - p1 / y
-        return p0 / d - y
-    return y * (z * p1 - p0 * y) / (y * p1 - z * p2)
-
-
-def _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip):
+def _profile_slope(f, inv_a2, rho, psi, psip):
     """psi'' = (1+psi'^2) f(psi'/rho, 1/2 + (rho psi' - psi)/(2 a^2)).
 
-    Works elementwise on arrays.  The closed-form inverse extends smoothly a
+    f is the speed's closed-form inverse; works elementwise on arrays.  It
+    extends smoothly a
     little below z/y = F(0,1), which trial states of the solver may graze:
     the bowl rides asymptotically along that cone edge.  Membership of the
     solution's points is checked by ``integrate_profile``.
     """
     zarg = 0.5 + 0.5 * inv_a2 * (rho * psip - psi)
-    return (1.0 + psip * psip) * speed_f(kind, p0, p1, p2, psip / rho, zarg)
+    return (1.0 + psip * psip) * f(psip / rho, zarg)
 
 
-def _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip):
+def _profile_jacobian(f, Fx, inv_a2, rho, psi, psip):
     """Closed-form (d psi''/d psi, d psi''/d psi') of ``_profile_slope``.
 
     With x = f(y, z) and F(x, y) = z: x_z = 1/F_x and x_y = -F_y/F_x, where
@@ -115,8 +74,8 @@ def _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip):
     """
     yarg = psip / rho
     zarg = 0.5 + 0.5 * inv_a2 * (rho * psip - psi)
-    x = speed_f(kind, p0, p1, p2, yarg, zarg)
-    fx = speed_Fx(kind, p0, p1, p2, x, yarg)
+    x = f(yarg, zarg)
+    fx = Fx(x, yarg)
     x_z = 1.0 / fx
     x_y = -(zarg - x * fx) / (yarg * fx)
     w = 1.0 + psip * psip
@@ -297,16 +256,16 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
     (its message, its warnings and the rho reached) or stalls (the rho it
     stopped advancing at), and ConeExit at the first inadmissible point.
     """
-    kind, (p0, p1, p2) = speed.kind, speed.params
+    _, Fx, f = speed.forms
 
     # Python floats: numpy-scalar arithmetic costs over twice as much
     def rhs(rho, y):
         psi, psip = y.tolist()
-        return [psip, _profile_slope(kind, p0, p1, p2, inv_a2, rho, psi, psip)]
+        return [psip, _profile_slope(f, inv_a2, rho, psi, psip)]
 
     def jac(rho, y):
         psi, psip = y.tolist()
-        j21, j22 = _profile_jacobian(kind, p0, p1, p2, inv_a2, rho, psi, psip)
+        j21, j22 = _profile_jacobian(f, Fx, inv_a2, rho, psi, psip)
         return [[0.0, 1.0], [j21, j22]]
 
     steps = StepPolynomials(*_lsoda_steps(
@@ -386,12 +345,13 @@ def central_differences(v, dz):
     return vz, vzz
 
 
-def _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz):
-    """(rhs, F, v_z, x, y) at the interior nodes from central differences,
-    with the discrete curvature pair x = -v_zz/(1+v_z^2) and y = 1/v.
-    Raises ConeExit, naming the z of the first such node, when some node
-    leaves the admissible cone (x + cfac*y <= 0), has a non-positive radius
-    or is NaN (written so that a NaN fails the test)."""
+def _rhs_terms(F, cfac, mode, v, z, dz):
+    """(rhs, F(x, y), v_z, x, y) of the radial (mode 0) / rescaled (mode 1)
+    flow for F at the interior nodes, with the discrete curvature pair
+    x = -v_zz/(1+v_z^2), y = 1/v from central differences.  Raises
+    ConeExit, naming the z of the first such node, when some node leaves
+    the admissible cone (x + cfac*y <= 0), has a non-positive radius or
+    is NaN (written so that a NaN fails the test)."""
     vz, vzz = central_differences(v, dz)
     core = v[1:-1]
     x = -vzz / (1.0 + vz * vz)
@@ -401,25 +361,15 @@ def _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz):
         raise ConeExit(f"ellipticity lost at z = {z[bad + 1]:.6g}: the "
                        "discrete curvature pair left the admissible cone or "
                        "is NaN")
-    g = speed_F(kind, p0, p1, p2, x, y)
+    g = F(x, y)
     rhs = -g
     if mode == 1:
         rhs = rhs + 0.5 * (core - z[1:-1] * vz)
     return rhs, g, vz, x, y
 
 
-def graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz):
-    """Interior right-hand side of the radial (mode 0) / rescaled (mode 1) flow.
-
-    Returns (rhs, fx_max); raises ConeExit when the discrete curvature pair
-    leaves the admissible cone (x + cfac*y <= 0) at some interior node.
-    """
-    rhs, _, _, x, y = _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz)
-    return rhs, speed_Fx(kind, p0, p1, p2, x, y).max()
-
-
 def graph_jacobian(mode, z, dz, vz, x, y, g, fx):
-    """Closed-form tridiagonal Jacobian of ``graph_rhs``.
+    """Closed-form tridiagonal Jacobian of ``_rhs_terms``' rhs.
 
     Returns (lower, main, upper): the derivatives of the rhs at interior
     node i by v[i-1], v[i] and v[i+1], from the curvature pair (x, y), the
@@ -485,17 +435,20 @@ def flow_run(kind, p0, p1, p2, cfac, mode,
              r_floor, cfl_limit, rec_every):
     """Heun (explicit RK2) time stepping of a 1D graph flow.
 
+    (kind, p0, p1, p2, cfac) are a speed's kind, params and cone_factor.
     cfl_limit = s dz^2 / 2 for a safety fraction s <= 1 of the CFL limit
     (``flow.CFL_SAFETY``); the run raises StabilityViolation when dt exceeds
     cfl_limit / max(dF/dx), and ConeExit or Pinch as in
-    ``graph_rhs`` and ``_stepping_loop``.  Snapshots are kept every
+    ``_rhs_terms`` and ``_stepping_loop``.  Snapshots are kept every
     rec_every steps, plus the initial and the final state.
 
     Returns (times, snapshots, n_steps).
     """
+    F, Fx, _ = closed_forms(kind, p0, p1, p2)
+
     def rhs(v):
-        out, fx = graph_rhs(kind, p0, p1, p2, cfac, mode, v, z, dz)
-        if dt * fx > cfl_limit:
+        out, _, _, x, y = _rhs_terms(F, cfac, mode, v, z, dz)
+        if dt * Fx(x, y).max() > cfl_limit:
             raise StabilityViolation(
                 "dt violates the CFL constraint safety*dz^2/(2 max dF/dx)")
         return out
@@ -545,6 +498,7 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
 
     Returns (times, snapshots, n_steps), as ``flow_run``.
     """
+    F, Fx, _ = closed_forms(kind, p0, p1, p2)
     gdt = ROS3P_GAMMA * dt
     c21, c31, c32 = (c / dt for c in ROS3P_C)
     g1, g2, g3 = (gi * dt for gi in ROS3P_GAMMAS)
@@ -555,8 +509,8 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         dbr = np.gradient(bcr, dt)
 
     def ros3p(v, s):
-        f1, g, vz, x, y = _rhs_terms(kind, p0, p1, p2, cfac, mode, v, z, dz)
-        fx = speed_Fx(kind, p0, p1, p2, x, y)
+        f1, g, vz, x, y = _rhs_terms(F, cfac, mode, v, z, dz)
+        fx = Fx(x, y)
         lower, main, upper = graph_jacobian(mode, z, dz, vz, x, y, g, fx)
         dl, d, du, du2, ipiv, info = dgttrf(-gdt * lower[1:],
                                             1.0 - gdt * main,
@@ -575,7 +529,7 @@ def radial_semi_implicit_run(kind, p0, p1, p2, cfac,
         stage = v.copy()
         stage[1:-1] += ROS3P_A21 * u1
         _apply_bc(stage, bc_mode, bcl[s + 1], bcr[s + 1])
-        f2 = _rhs_terms(kind, p0, p1, p2, cfac, mode, stage, z, dz)[0]
+        f2 = _rhs_terms(F, cfac, mode, stage, z, dz)[0]
         u2 = solve(f2 + c21 * u1, g2)
         u3 = solve(f2 + c31 * u1 + c32 * u2, g3)
         v[1:-1] += m1 * u1 + m2 * u2 + m3 * u3

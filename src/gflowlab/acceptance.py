@@ -61,7 +61,7 @@ def _bowl(kind, n, k, rho_max, tol):
 
 @lru_cache(maxsize=None)
 def _shrinker(kind, n, k, a, tol):
-    return solitons.solve_shrinker(_speed(kind, n, k), a, tol=tol)
+    return solitons.solve_shrinker(_speed(kind, n, k), a, theta=0.9, tol=tol)
 
 
 def _cache_hits():
@@ -124,7 +124,7 @@ def criterion_4():
     ok = True
     for a in (25.0, 50.0, 100.0):
         prof = _shrinker("sum", 3, None, a, 1e-8)
-        diag = solitons.shrinker_w_diagnostic(prof)
+        diag = solitons.shrinker_w_diagnostic(prof, M=50.0)
         rel = abs(diag.tip_limit - diag.tip_target) / diag.tip_target
         details[f"a={a:g}"] = {"w_min": float(np.min(diag.w)),
                                "lower_ok": diag.lower_ok,
@@ -158,7 +158,8 @@ def criterion_6():
         st = state_from_reference(sp, ref, -5.0, 5.0, delta)
         bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
         dt, nsteps = step_plan(sp, delta, t_end)
-        hist = run_flow(st, dt, nsteps, bc=bc, record_every=nsteps)
+        hist = run_flow(st, dt, nsteps, bc=bc, scheme="rk2",
+                        record_every=nsteps)
         exact = math.sqrt(r0 ** 2 - 2.0 * sp.F01 * t_end)
         errs.append(float(np.max(np.abs(hist.final_state.values - exact))))
     ratios = [errs[i] / errs[i + 1] for i in range(2)]

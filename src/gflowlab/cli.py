@@ -23,11 +23,11 @@ from scipy.special import erf
 from . import acceptance, fits, output, solitons, spectral
 from .errors import (GFlowError, WindowTooNarrow, require_finite,
                      require_positive)
-from .flow import (TRANSLATION_STEPS_PER_UNIT, BoundaryCondition,
+from .flow import (MIN_NODES, TRANSLATION_STEPS_PER_UNIT, BoundaryCondition,
                    RadialFlowState, run_flow, cylinder_radius,
                    shrinking_cylinder_reference, state_from_reference,
                    step_plan, translating_bowl_reference, translation_speed)
-from .speeds import SpeedFunction
+from .speeds import KINDS, SpeedFunction
 
 # ROS3P steps per unit tau of `rescaled` and `spectral`: at 4x as many, the k1
 # rate at tau = 1 and the monotone decay at tau = 7 of sum n=3, bh n=3 and
@@ -60,7 +60,7 @@ def float_list(text):
 
 
 OPTIONS = {
-    "speed": (Option("speed", str, "sum", ("sum", "bh", "sigma_ratio")),
+    "speed": (Option("speed", str, "sum", KINDS),
               Option("n", int, 3), Option("k", int, None)),
     "bowl": (Option("rho-max", float, 1000.0), Option("tol", float, 1e-10),
              Option("fit-lo", float, None, help="None: 100"),
@@ -265,6 +265,15 @@ def _ros3p_plan(name, span, per_unit):
     return span / nsteps, nsteps
 
 
+def _grid_nodes(delta, span):
+    """Nodes of a grid of spacing delta over span, checked >= MIN_NODES."""
+    n = int(round(span / require_positive("delta", delta))) + 1
+    if n < MIN_NODES:
+        raise ValueError(f"delta = {delta:g} gives {n} grid nodes over a "
+                         f"span of {span:g}; the flow needs >= {MIN_NODES}")
+    return n
+
+
 def _write_history(outdir, name, hist, extra_meta=None):
     # every time and every height repeats across the table: format each once
     times = np.array(output.format_column(hist.times), dtype=object)
@@ -282,7 +291,8 @@ def cmd_flow(sp, o, outdir) -> int:
     preset, delta, t_end, r0 = o.preset, o.delta, o.t_end, o.r0
     if o.stride < 0:
         raise ValueError(f"stride must be >= 0, got {o.stride}")
-    require_positive("delta", delta)
+    z_lo, z_hi = (-5.0, 5.0) if preset == "cylinder" else (5.0, 25.0)
+    _grid_nodes(delta, z_hi - z_lo)
     per_unit = (FLOW_STEPS_PER_UNIT if preset == "cylinder"
                 else TRANSLATION_STEPS_PER_UNIT)
     dt, nsteps = (step_plan(sp, delta, t_end) if o.scheme == "rk2" else
@@ -293,13 +303,12 @@ def cmd_flow(sp, o, outdir) -> int:
             raise ValueError(f"r0 = {r0:g}: the cylinder vanishes at t = "
                              f"{t_vanish:.6g}, before t-end = {t_end:g}")
         ref = shrinking_cylinder_reference(sp, r0)
-        st = state_from_reference(sp, ref, -5.0, 5.0, delta)
         target = math.sqrt(r0 ** 2 - 2.0 * sp.F01 * t_end)
     else:  # bowl-translation
         bowl = solitons.solve_bowl(sp, rho_max=60.0, tol=1e-10)
         ref = translating_bowl_reference(bowl)
-        st = state_from_reference(sp, ref, 5.0, 25.0, delta)
         target = 0.5
+    st = state_from_reference(sp, ref, z_lo, z_hi, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
     hist = run_flow(st, dt, nsteps, bc=bc, scheme=o.scheme,
                     record_every=o.stride or None)
@@ -330,30 +339,33 @@ def cmd_flow(sp, o, outdir) -> int:
 
 
 def _rescaled_seed(mode, amp, sp, z):
+    """The seeded rescaled state on the grid z; its radius must be > 0."""
     sigma = cylinder_radius(sp)
     k = re.fullmatch(r"k=?(\d+)", mode)
     if mode == "cylinder":
-        return sigma + 0.0 * z
-    if k:
-        return sigma + amp * spectral.eigenfunction(sp.a_lin, int(k[1]), z)
-    if mode == "monotone":
-        return sigma - amp * erf(z / (2.0 * math.sqrt(sp.a_lin)))
-    raise ValueError(f"unknown seed mode {mode!r}")
+        v = sigma + 0.0 * z
+    elif k:
+        v = sigma + amp * spectral.eigenfunction(sp.a_lin, int(k[1]), z)
+    elif mode == "monotone":
+        v = sigma - amp * erf(z / (2.0 * math.sqrt(sp.a_lin)))
+    else:
+        raise ValueError(f"unknown seed mode {mode!r}")
+    if v.min() <= 0.0:
+        raise ValueError(f"seed-mode {mode} with amp = {amp:g} gives a non-"
+                         f"positive radius at z = {z[v <= 0.0][0]:.6g}")
+    return RadialFlowState("rescaled", z, v, 0.0, sp)
 
 
 def cmd_rescaled(sp, o, outdir) -> int:
     seed_mode, amp, tau_end, delta, window = (o.seed_mode, o.amp, o.tau_end,
                                               o.delta, o.window)
     dt, nsteps = _ros3p_plan("tau-end", tau_end, RESCALED_STEPS_PER_UNIT)
-    for name, value in (("delta", delta), ("window", window),
-                        ("measure-l", o.measure_l)):
+    for name, value in (("window", window), ("measure-l", o.measure_l)):
         require_positive(name, value)
     require_finite("amp", amp)
 
-    n = int(round(2 * window / delta)) + 1
-    z = np.linspace(-window, window, n)
-    st = RadialFlowState("rescaled", z, _rescaled_seed(seed_mode, amp, sp, z),
-                         0.0, sp)
+    z = np.linspace(-window, window, _grid_nodes(delta, 2 * window))
+    st = _rescaled_seed(seed_mode, amp, sp, z)
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     scheme="semi_implicit")
     manifest = {"speed": sp.to_config(), "seed_mode": seed_mode, "amp": amp,
@@ -394,6 +406,11 @@ def cmd_spectral(sp, o, outdir) -> int:
     require_finite("amp", amp)
     if o.kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {o.kmax}")
+    if o.quad_order < 2 * o.kmax + 2:
+        raise ValueError(f"quad-order must be >= 2 kmax + 2 = {2 * o.kmax + 2}"
+                         f" for kmax = {o.kmax}, got {o.quad_order}")
+    z = np.linspace(-18.0, 18.0, int(round(36.0 / 0.06)) + 1)
+    st = _rescaled_seed(seed_mode, amp, sp, z)
 
     basis = spectral.build_basis(sp.a_lin, K=o.kmax, quad_order=o.quad_order)
     table = spectral.eigen_table(sp.n, 6, 6)
@@ -403,11 +420,6 @@ def cmd_spectral(sp, o, outdir) -> int:
                       "mu": table.reshape(-1)},
                      {"n": sp.n})
 
-    delta = 0.06
-    n = int(round(36.0 / delta)) + 1
-    z = np.linspace(-18.0, 18.0, n)
-    st = RadialFlowState("rescaled", z,
-                         _rescaled_seed(seed_mode, amp, sp, z), 0.0, sp)
     dt, nsteps = _ros3p_plan("windows", windows + 1, RESCALED_STEPS_PER_UNIT)
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     scheme="semi_implicit", record_every=1)

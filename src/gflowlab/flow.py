@@ -8,9 +8,9 @@ Two scalar 1D reductions are evolved on uniform grids:
 The rescaled form is the graph reduction of motion with normal velocity
 -(G - <x, nu>/2); its stationary points are the cylinder v = sqrt(2 F(0,1))
 and the shrinker caps, which the test suite uses as regressions.  Schemes:
-explicit Heun with a CFL guard (``run_flow``'s default) and the linearly
-implicit Rosenbrock method ROS3P, third order in time with no CFL limit
-(the default of ``gflowlab flow``, ``rescaled`` and ``spectral``).
+explicit Heun with a CFL guard and the linearly implicit Rosenbrock method
+ROS3P, third order in time with no CFL limit (the default of ``gflowlab
+flow``, ``rescaled`` and ``spectral``).
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .solitons import BowlProfile
 
 REPRESENTATIONS = ("radial", "rescaled")
 BOUNDARY_MODES = ("dirichlet", "frozen")
+# fewest grid nodes of a flow state
+MIN_NODES = 5
 # Heun's step as a fraction of its CFL limit delta^2 / (2 max F_x)
 CFL_SAFETY = 0.4
 # linearize_rescaled_at_cylinder's random directions, their seed and eps
@@ -63,8 +65,9 @@ class RadialFlowState:
             raise ValueError(f"unknown representation {self.representation!r}")
         z = np.asarray(self.z, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if z.size != v.size or z.size < 5:
-            raise ValueError("grid and values must match and hold >= 5 nodes")
+        if z.size != v.size or z.size < MIN_NODES:
+            raise ValueError("grid and values must match and hold >= "
+                             f"{MIN_NODES} nodes")
         dz = np.diff(z)
         if not np.allclose(dz, dz[0], rtol=1e-12, atol=1e-12):
             raise ValueError("grid must be uniform")
@@ -143,8 +146,8 @@ class FlowHistory:
 
 
 def run_flow(state: RadialFlowState, dt: float, nsteps: int,
-             bc: BoundaryCondition | None = None,
-             scheme: str = "rk2",
+             bc: BoundaryCondition | None = None, *,
+             scheme: str,
              record_every: int | None = None,
              r_floor: float = 1e-6) -> FlowHistory:
     """Advance a radial/rescaled state by ``nsteps`` steps of size ``dt``.
@@ -205,8 +208,7 @@ def step_plan(speed: SpeedFunction, delta: float,
     """
     delta = require_positive("delta", delta)
     t_end = require_positive("t_end", t_end)
-    fx = np.max(np.asarray(speed.Fx(0.0, 1.0)))
-    dt0 = CFL_SAFETY * delta ** 2 / (2.0 * max(fx, 1.0))
+    dt0 = CFL_SAFETY * delta ** 2 / (2.0 * max(speed.a_lin, 1.0))
     nsteps = int(math.ceil(t_end / dt0))
     return t_end / nsteps, nsteps
 
@@ -302,7 +304,6 @@ def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
     n = int(round(2 * window / delta)) + 1
     z = -window + delta * np.arange(n)
     rng = np.random.default_rng(LINEARIZE_SEED)
-    p0, p1, p2 = speed.params
     dev = []
     for _ in range(LINEARIZE_DIRECTIONS):
         c = rng.normal(size=6)
@@ -313,11 +314,10 @@ def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
         u *= np.exp(-(z / width) ** 2)
         u /= np.max(np.abs(u))
 
-        def nonlinear(vals):
-            return _accel.graph_rhs(speed.kind, p0, p1, p2,
-                                    speed.cone_factor, 1, vals, z, delta)[0]
-
-        d_num = (nonlinear(sigma + eps * u) - nonlinear(sigma - eps * u)) / (2 * eps)
+        plus, minus = (_accel._rhs_terms(speed.forms[0], speed.cone_factor,
+                                         1, sigma + du, z, delta)[0]
+                       for du in (eps * u, -eps * u))
+        d_num = (plus - minus) / (2 * eps)
         uz, uzz = _accel.central_differences(u, delta)
         lu = a * uzz - 0.5 * z[1:-1] * uz + u[1:-1]
         scale = max(1.0, float(np.max(np.abs(lu))))

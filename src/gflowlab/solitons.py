@@ -33,8 +33,9 @@ from .speeds import SpeedFunction
 
 # radius where a bowl solve starts from its tip series
 BOWL_RHO_START = 1e-4
-# solver tolerance of shrinker_to_bowl_convergence's profiles
+# tolerance and subsolution factor of shrinker_to_bowl_convergence's caps
 CONVERGENCE_TOL = 1e-8
+CONVERGENCE_THETA = 0.9
 
 
 def estimate_c_lower(speed: SpeedFunction) -> float:
@@ -94,12 +95,6 @@ class EllipticityMonitor:
                    bounded=bool(np.max(lam) <= bound))
 
 
-def _ode(speed, inv_a2, rho, psi, psip):
-    """(psi'', d psi''/d psi') of the profile ODE at the given states."""
-    args = (speed.kind, *speed.params, inv_a2, rho, psi, psip)
-    return _accel._profile_slope(*args), _accel._profile_jacobian(*args)[1]
-
-
 def _collocation_defect(speed, inv_a2, poly, rtol, atol):
     """Per-step collocation defect of a profile's polynomials in the ODE.
 
@@ -111,8 +106,10 @@ def _collocation_defect(speed, inv_a2, poly, rtol, atol):
     of magnitude.
     """
     r, h = poly.gauss_points(), np.diff(poly.x)[:, None]
-    psip = poly(r, 1)
-    g, j22 = _ode(speed, inv_a2, r, poly(r), psip)
+    _, Fx, f = speed.forms
+    psi, psip = poly(r), poly(r, 1)
+    g = _accel._profile_slope(f, inv_a2, r, psi, psip)
+    j22 = _accel._profile_jacobian(f, Fx, inv_a2, r, psi, psip)[1]
     moved = np.abs(poly(r, 2) - g) * np.minimum(h, 1.0 / np.abs(j22))
     return np.max(moved / (atol + rtol * (1.0 + np.abs(psip))), axis=1)
 
@@ -166,7 +163,7 @@ def _tip_curvature(poly, at):
 
 
 def solve_bowl(speed: SpeedFunction, rho_max: float,
-               tol: float = 1e-10) -> BowlProfile:
+               tol: float) -> BowlProfile:
     """Integrate the bowl ODE zeta'' = (1+zeta'^2) f(zeta'/rho, 1/2).
 
     The equation is singular at rho = 0 (the inverse argument is 0/0), so
@@ -191,7 +188,7 @@ def solve_bowl(speed: SpeedFunction, rho_max: float,
         speed, 0.0, rho_s, rho_s ** 2 / (4.0 * f11), rho_s / (2.0 * f11),
         rho_max, np.inf, *_accel.profile_tolerances(tol))
     rho, (zeta, zeta_rho) = poly.x, poly.y.T
-    zeta_rr, _ = _ode(speed, 0.0, rho, zeta, zeta_rho)
+    zeta_rr = _accel._profile_slope(speed.forms[2], 0.0, rho, zeta, zeta_rho)
     monitor = EllipticityMonitor.from_profile(speed, rho, zeta, zeta_rho,
                                               zeta_rr, 0.0)
     # stations inside the solved range
@@ -317,8 +314,7 @@ def _monotone_inverse(spline, x, y, targets):
     return root
 
 
-def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
-                   tol: float = 1e-8,
+def solve_shrinker(speed: SpeedFunction, a: float, theta: float, tol: float,
                    rho_max: float | None = None) -> ShrinkerProfile:
     """Construct the self-shrinking cap profile for parameter ``a``.
 
@@ -391,7 +387,7 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float = 0.9,
             f"primary and check solves differ by {gap:.3g} >= tol = "
             f"{tol:.3g}")
 
-    psipp, _ = _ode(speed, inv_a2, rho, psi, psip)
+    psipp = _accel._profile_slope(speed.forms[2], inv_a2, rho, psi, psip)
     monitor = EllipticityMonitor.from_profile(speed, rho, psi, psip, psipp,
                                               inv_a2)
     tip_curv = _tip_curvature(poly, at=0.05)
@@ -454,7 +450,7 @@ class WDiagnostic:
 
 
 def shrinker_w_diagnostic(profile: ShrinkerProfile,
-                          M: float = 50.0) -> WDiagnostic:
+                          M: float) -> WDiagnostic:
     """Evaluate the neck diagnostic of a solved shrinker.
 
     Flags w > 2 at every node, compares against the barrier
@@ -537,8 +533,8 @@ def shrinker_to_bowl_convergence(speed: SpeedFunction,
     zeta_rho = bowl.zeta_rho_at(grid)
     rows = []
     for a in a_list:
-        prof = solve_shrinker(speed, a, tol=CONVERGENCE_TOL,
-                              rho_max=1.2 * M)
+        prof = solve_shrinker(speed, a, theta=CONVERGENCE_THETA,
+                              tol=CONVERGENCE_TOL, rho_max=1.2 * M)
         gap = float(np.max(np.abs(prof.psi_at(grid) - zeta)))
         gap_rho = float(np.max(np.abs(prof.psi_rho_at(grid) - zeta_rho)))
         rows.append({"a": a, "sup_gap": gap, "sup_gap_rho": gap_rho})

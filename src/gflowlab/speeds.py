@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from . import _accel
 from .errors import ConeViolation, DomainViolation
 
 KINDS = ("sum", "bh", "sigma_ratio")
@@ -27,6 +26,36 @@ KINDS = ("sum", "bh", "sigma_ratio")
 INVERSE_TOL = 1e-12
 # sample_cone_interior's samples lie inside the cone by at least this margin
 SAMPLE_MARGIN = 0.05
+
+
+def closed_forms(kind, p0, p1, p2):
+    """(F, Fx, f) of the family ``kind`` with constants ``params`` (p0, p1,
+    p2): F(x, y) = gamma(x, y, ..., y), dF/dx and the partial inverse
+    f(y, z), the x with F(x, y) = z, unchecked; all work elementwise.
+
+        sum          F(x, y) = x + p0*y
+        bh           F(x, y) = 1 / (p0/(x+y) + p1/y)
+        sigma_ratio  F(x, y) = y*(p0*y + p1*x) / (p1*y + p2*x)
+    """
+    if kind == "sum":
+        return (lambda x, y: x + p0 * y, lambda x, y: 1.0 + 0.0 * x,
+                lambda y, z: z - p0 * y)
+    if kind == "bh":
+        def F(x, y):
+            return 1.0 / (p0 / (x + y) + p1 / y)
+
+        def Fx(x, y):
+            g = F(x, y)
+            return g * g * p0 / ((x + y) * (x + y))
+
+        return F, Fx, lambda y, z: p0 / (1.0 / z - p1 / y) - y
+
+    def Fx(x, y):
+        d = p1 * y + p2 * x
+        return y * y * (p1 * p1 - p0 * p2) / (d * d)
+
+    return (lambda x, y: y * (p0 * y + p1 * x) / (p1 * y + p2 * x), Fx,
+            lambda y, z: y * (z * p1 - p0 * y) / (y * p1 - z * p2))
 
 
 def _elementary_symmetric(lam: np.ndarray) -> np.ndarray:
@@ -50,7 +79,8 @@ class SpeedFunction:
 
     Instances are immutable in spirit: all state is set at construction.
     The cached constants are F(0,1), F(1,1), a_lin = dgamma^1(0,1,...,1)
-    and the ellipticity ceiling Q, set in closed form per family.
+    and the ellipticity ceiling Q, set in closed form per family, and
+    ``forms``, the family's ``closed_forms`` (F, Fx, f), bound once.
     """
 
     def __init__(self, kind: str, n: int, k: int | None = None):
@@ -79,22 +109,24 @@ class SpeedFunction:
         self.n = n
         self.k = k
         # Q = lim_{x->inf} F(x, 1): the leading x-terms of F's numerator and
-        # denominator, or +inf where F grows linearly in x
+        # denominator, or +inf where F grows linearly in x; cone_factor is
+        # the c with x + c*y > 0 defining the restriction cone of (x, y, ...)
         if kind == "sum":
             self.params = (float(n - 1), 0.0, 0.0)
-            self.concavity = "convex"
+            self.concavity, self.cone_factor = "convex", 1.0
             self.Q = math.inf
         elif kind == "bh":
             self.params = (float(n - 1), (n - 1) * (n - 2) / 4.0, 0.0)
-            self.concavity = "concave"
+            self.concavity, self.cone_factor = "concave", 1.0
             self.Q = 1.0 / self.params[1]
             self._pairs = np.triu_indices(n, k=1)
         else:
             self.params = (float(math.comb(n - 1, k)),
                            float(math.comb(n - 1, k - 1)),
                            float(math.comb(n - 1, k - 2)) if k >= 2 else 0.0)
-            self.concavity = "concave"
+            self.concavity, self.cone_factor = "concave", (n - k) / k
             self.Q = self.params[1] / self.params[2] if k >= 2 else math.inf
+        self.forms = closed_forms(kind, *self.params)
         self.F01 = self.F(0.0, 1.0)
         self.F11 = self.F(1.0, 1.0)
         self.a_lin = self.Fx(0.0, 1.0)
@@ -168,13 +200,11 @@ class SpeedFunction:
 
     def F(self, x, y):
         """Restriction F(x, y) = gamma(x, y, ..., y)."""
-        p0, p1, p2 = self.params
-        return _accel.speed_F(self.kind, p0, p1, p2, self._num(x), self._num(y))
+        return self.forms[0](self._num(x), self._num(y))
 
     def Fx(self, x, y):
         """dF/dx, equal to dgamma^1 at (x, y, ..., y)."""
-        p0, p1, p2 = self.params
-        return _accel.speed_Fx(self.kind, p0, p1, p2, self._num(x), self._num(y))
+        return self.forms[1](self._num(x), self._num(y))
 
     def f_closed(self, y, z):
         """Closed-form partial inverse, the one the profile kernels use.
@@ -182,15 +212,7 @@ class SpeedFunction:
         The generic numeric inverter lives in :class:`ImplicitInverse`;
         the two agree to roundoff and are cross-checked in the test suite.
         """
-        p0, p1, p2 = self.params
-        return _accel.speed_f(self.kind, p0, p1, p2, self._num(y), self._num(z))
-
-    @property
-    def cone_factor(self) -> float:
-        """c with x + c*y > 0 defining the restriction cone of (x, y, ..., y)."""
-        if self.kind == "sigma_ratio":
-            return (self.n - self.k) / self.k
-        return 1.0
+        return self.forms[2](self._num(y), self._num(z))
 
     # -- config fragment -----------------------------------------------------
 

@@ -36,20 +36,20 @@ def bowl_bh3(bh3):
 
 @pytest.fixture(scope="session")
 def shrinker_sum3_a50(sum3):
-    return gf.solve_shrinker(sum3, 50.0, tol=1e-8)
+    return gf.solve_shrinker(sum3, 50.0, theta=0.9, tol=1e-8)
 
 
 @pytest.fixture(scope="session")
 def shrinker_sum3_a100(sum3):
-    return gf.solve_shrinker(sum3, 100.0, tol=1e-8)
+    return gf.solve_shrinker(sum3, 100.0, theta=0.9, tol=1e-8)
 
 
 @pytest.fixture(scope="session")
 def shrinker_sum3_sweep(sum3, shrinker_sum3_a50, shrinker_sum3_a100):
     """sum n=3 caps for a = 50, 100, 200, 400 at tol 1e-8."""
     return [shrinker_sum3_a50, shrinker_sum3_a100,
-            gf.solve_shrinker(sum3, 200.0, tol=1e-8),
-            gf.solve_shrinker(sum3, 400.0, tol=1e-8)]
+            gf.solve_shrinker(sum3, 200.0, theta=0.9, tol=1e-8),
+            gf.solve_shrinker(sum3, 400.0, theta=0.9, tol=1e-8)]
 
 
 @pytest.fixture()

@@ -70,15 +70,13 @@ def test_lsoda_dense_output_fields():
 
 
 def _profile_rhs_jac(sp, inv_a2):
-    p0, p1, p2 = sp.params
+    _, Fx, f = sp.forms
 
     def rhs(rho, y):
-        return [y[1], _accel._profile_slope(sp.kind, p0, p1, p2, inv_a2, rho,
-                                            y[0], y[1])]
+        return [y[1], _accel._profile_slope(f, inv_a2, rho, y[0], y[1])]
 
     def jac(rho, y):
-        j21, j22 = _accel._profile_jacobian(sp.kind, p0, p1, p2, inv_a2, rho,
-                                            y[0], y[1])
+        j21, j22 = _accel._profile_jacobian(f, Fx, inv_a2, rho, y[0], y[1])
         return [[0.0, 1.0], [j21, j22]]
 
     return rhs, jac
@@ -226,19 +224,17 @@ def test_stepping_loop_time_stamps_exact():
 @pytest.mark.parametrize("mode", [0, 1])
 def test_graph_jacobian_matches_finite_differences(kind, n, k, mode):
     sp = SpeedFunction(kind, n, k)
-    p0, p1, p2 = sp.params
     z = np.linspace(-3.0, 3.0, 31)
     dz = z[1] - z[0]
     v = 2.0 + 0.3 * np.sin(z) + 0.1 * z
 
     def rhs(vals):
-        return _accel.graph_rhs(sp.kind, p0, p1, p2, sp.cone_factor, mode,
-                                vals, z, dz)[0]
+        return _accel._rhs_terms(sp.forms[0], sp.cone_factor, mode, vals, z,
+                                 dz)[0]
 
-    f, g, vz, x, y = _accel._rhs_terms(sp.kind, p0, p1, p2, sp.cone_factor,
-                                       mode, v, z, dz)
-    fx = _accel.speed_Fx(sp.kind, p0, p1, p2, x, y)
-    np.testing.assert_array_equal(f, rhs(v))
+    _, g, vz, x, y = _accel._rhs_terms(sp.forms[0], sp.cone_factor, mode, v,
+                                       z, dz)
+    fx = sp.Fx(x, y)
     bands = _accel.graph_jacobian(mode, z, dz, vz, x, y, g, fx)
     h = 1e-6
     fd = np.empty((v.size - 2, v.size))
@@ -380,12 +376,11 @@ def test_rhs_and_jacobian_match_written_out_terms(stepping_window):
     # the Jacobian moves a ROS3P step only at the rounding level, which the
     # snapshots below rarely show, so its bands are pinned here
     sp, mode, v0, z, dz, _ = stepping_window
-    p0, p1, p2 = sp.params
     rhs, g, fx, vz, x, y = _oracle_terms(sp, mode, v0, z, dz)
-    got, fx_max = _accel.graph_rhs(sp.kind, p0, p1, p2, sp.cone_factor, mode,
-                                   v0, z, dz)
-    np.testing.assert_array_equal(got, rhs)
-    assert fx_max == np.max(fx)
+    got = _accel._rhs_terms(sp.forms[0], sp.cone_factor, mode, v0, z, dz)
+    np.testing.assert_array_equal(got[0], rhs)
+    np.testing.assert_array_equal(got[1], g)
+    np.testing.assert_array_equal(sp.Fx(x, y), fx)
     np.testing.assert_array_equal(
         _accel.graph_jacobian(mode, z, dz, vz, x, y, g, fx),
         _oracle_bands(mode, z, dz, g, fx, vz, x, y))

@@ -197,8 +197,7 @@ def test_rescaled_step_plan_is_accurate(tmp_path, family, seed):
                                  4 * cli.RESCALED_STEPS_PER_UNIT)
     assert nsteps == 4 * m["nsteps"]
     z = np.linspace(-10.0, 10.0, 201)
-    state = gflowlab.RadialFlowState("rescaled", z, cli._rescaled_seed(
-        m["seed_mode"], m["amp"], sp, z), 0.0, sp)
+    state = cli._rescaled_seed(m["seed_mode"], m["amp"], sp, z)
     hist = gflowlab.run_flow(
         state, dt, nsteps, bc=gflowlab.BoundaryCondition(mode="frozen"),
         scheme="semi_implicit", record_every=4 * math.ceil(m["nsteps"] / 50))
@@ -331,6 +330,22 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     (["rescaled", "--amp", "inf"], "amp must be finite, got inf"),
     (["spectral", "--amp", "nan"], "amp must be finite, got nan"),
     (["spectral", "--kmax", "-1"], "kmax must be >= 0, got -1"),
+    (["flow", "--delta", "4"],
+     "delta = 4 gives 3 grid nodes over a span of 10; the flow needs >= 5"),
+    (["flow", "--preset", "bowl-translation", "--delta", "8"],
+     "delta = 8 gives 3 grid nodes over a span of 20; the flow needs >= 5"),
+    (["rescaled", "--delta", "20"],
+     "delta = 20 gives 2 grid nodes over a span of 28; the flow needs >= 5"),
+    (["spectral", "--quad-order", "5"],
+     "quad-order must be >= 2 kmax + 2 = 22 for kmax = 10, got 5"),
+    (["spectral", "--kmax", "50"],
+     "quad-order must be >= 2 kmax + 2 = 102 for kmax = 50, got 90"),
+    (["rescaled", "--seed-mode", "k1", "--amp", "2"],
+     "seed-mode k1 with amp = 2 gives a non-positive radius at z = -14"),
+    (["rescaled", "--seed-mode", "k=2", "--amp", "-3"],
+     "seed-mode k=2 with amp = -3 gives a non-positive radius at z = -14"),
+    (["spectral", "--seed-mode", "k1", "--amp", "2"],
+     "seed-mode k1 with amp = 2 gives a non-positive radius at z = -18"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert _run(tmp_path, *argv) == 1

@@ -72,7 +72,7 @@ def test_shrinker_neck_sweep_to_1600(sum3, shrinker_sum3_sweep):
     # the neck bounds hold further out in a, and the fitted upper-bound
     # constant settles as a grows
     profiles = [*shrinker_sum3_sweep[2:],
-                *(gf.solve_shrinker(sum3, a, tol=1e-8)
+                *(gf.solve_shrinker(sum3, a, theta=0.9, tol=1e-8)
                   for a in (800.0, 1600.0))]
     for prof in profiles:
         assert float(np.min(prof.lower_bound_margin())) >= 0.0, prof.a
@@ -84,7 +84,7 @@ def test_shrinker_neck_sweep_to_1600(sum3, shrinker_sum3_sweep):
 
 def test_shrinker_neck_sweep_guard(sum3, shrinker_sum3_sweep):
     profiles = [*shrinker_sum3_sweep[:2],
-                gf.solve_shrinker(sum3, 150.0, tol=1e-8),
+                gf.solve_shrinker(sum3, 150.0, theta=0.9, tol=1e-8),
                 shrinker_sum3_sweep[2]]
     with pytest.raises(WindowTooNarrow):
         fit_shrinker_neck(profiles, L=15.0)

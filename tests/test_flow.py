@@ -22,9 +22,8 @@ from gflowlab.spectral import build_basis
 
 def _rescaled_rhs(st):
     """The rescaled flow's interior right-hand side v_tau at a state."""
-    p0, p1, p2 = st.speed.params
-    return _accel.graph_rhs(st.speed.kind, p0, p1, p2, st.speed.cone_factor,
-                            1, st.values, st.z, st.dz)[0]
+    return _accel._rhs_terms(st.speed.forms[0], st.speed.cone_factor, 1,
+                             st.values, st.z, st.dz)[0]
 
 
 def _cylinder_run(speed, r0, delta, t_end, scheme="rk2"):
@@ -72,7 +71,8 @@ def test_run_flow_single_step(sum3):
     ref = shrinking_cylinder_reference(sum3, 2.0)
     st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    new = run_flow(st, 1e-4, 1, bc=bc, record_every=1).final_state
+    new = run_flow(st, 1e-4, 1, bc=bc, scheme="rk2",
+                   record_every=1).final_state
     assert new.t == pytest.approx(1e-4)
     assert np.all(new.values < st.values)
 
@@ -95,7 +95,8 @@ def test_cfl_violation_raises(sum3):
     ref = shrinking_cylinder_reference(sum3, 2.0)
     st = state_from_reference(sum3, ref, -5.0, 5.0, 0.1)
     with pytest.raises(StabilityViolation):
-        run_flow(st, 0.1, 5, bc=BoundaryCondition(mode="frozen"))
+        run_flow(st, 0.1, 5, bc=BoundaryCondition(mode="frozen"),
+                 scheme="rk2")
 
 
 def test_cfl_timestep_helper(all_speeds):
@@ -110,7 +111,7 @@ def test_pinch_detected(sum3):
     st = state_from_reference(sum3, ref, -2.0, 2.0, 0.05)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
     with pytest.raises(Pinch):
-        run_flow(st, 2e-5, 3100, bc=bc, r_floor=0.05)
+        run_flow(st, 2e-5, 3100, bc=bc, r_floor=0.05, scheme="rk2")
 
 
 def test_cone_exit_detected(sum3):
@@ -118,7 +119,8 @@ def test_cone_exit_detected(sum3):
     st = RadialFlowState("radial", z, 2.0 - 1.2 * np.exp(-8 * z ** 2),
                          0.0, sum3)
     with pytest.raises(ConeExit):
-        run_flow(st, 1e-4, 10, bc=BoundaryCondition(mode="frozen"))
+        run_flow(st, 1e-4, 10, bc=BoundaryCondition(mode="frozen"),
+                 scheme="rk2")
 
 
 @pytest.mark.parametrize("scheme", ["rk2", "semi_implicit"])
@@ -143,7 +145,8 @@ def test_bowl_translation(sum3, bowl_sum3):
     st = state_from_reference(sum3, ref, 5.0, 25.0, delta)
     bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
     dt, nsteps = step_plan(sum3, delta, 1.0)
-    hist = run_flow(st, dt, nsteps, bc=bc, record_every=max(1, nsteps // 40))
+    hist = run_flow(st, dt, nsteps, bc=bc, scheme="rk2",
+                    record_every=max(1, nsteps // 40))
     level = float(st.values[st.values.size // 2])
     res = translation_speed(hist, level)
     # bowl-side graph: r_z > 0 and r_zz < 0 along the run
@@ -199,8 +202,8 @@ def test_semi_implicit_stage_cone_exit(sum3):
     z = np.linspace(-2.0, 2.0, 81)
     st = RadialFlowState("radial", z, 1.0 - 0.9 * np.exp(-2.0 * z ** 2),
                          0.0, sum3)
-    _accel.graph_rhs(sum3.kind, *sum3.params, sum3.cone_factor, 0,
-                     st.values, st.z, st.dz)  # no raise
+    _accel._rhs_terms(sum3.forms[0], sum3.cone_factor, 0, st.values, st.z,
+                      st.dz)  # no raise
     with pytest.raises(ConeExit, match="step 0"):
         run_flow(st, 0.01, 1, bc=BoundaryCondition(mode="frozen"),
                  scheme="semi_implicit")
@@ -229,7 +232,8 @@ def test_heun_spatial_order_bowl_window(sum3, bowl_window):
     for delta in (0.1, 0.05, 0.025):
         st, bc = at(delta)
         dt, nsteps = step_plan(sum3, delta, t_end)
-        hist = run_flow(st, dt, nsteps, bc=bc, record_every=nsteps)
+        hist = run_flow(st, dt, nsteps, bc=bc, scheme="rk2",
+                        record_every=nsteps)
         errs.append(float(np.max(np.abs(hist.final_state.values
                                         - ref(st.z, t_end)))))
     assert errs[0] / errs[1] >= 3.5
@@ -244,7 +248,7 @@ def test_semi_implicit_third_order_bowl_window(sum3, bowl_window):
     st, bc = at(0.05)
     dt, nsteps = step_plan(sum3, 0.05, 1.0)
     tight = run_flow(st, dt / 2, 2 * nsteps, bc=bc,
-                     record_every=2 * nsteps).final_state.values
+                     record_every=2 * nsteps, scheme="rk2").final_state.values
     errs = []
     for n in (5, 10, 20, 40):
         hist = run_flow(st, 1.0 / n, n, bc=bc, scheme="semi_implicit",
@@ -270,7 +274,7 @@ def test_dirichlet_without_callable_names_the_side(sum3):
                      (BoundaryCondition(mode="dirichlet", left=lambda t: 2.0),
                       "right")):
         with pytest.raises(ValueError, match=f"no {side} callable"):
-            run_flow(st, 1e-4, 10, bc=bc)
+            run_flow(st, 1e-4, 10, bc=bc, scheme="rk2")
 
 
 # -- rescaled flow -------------------------------------------------------------
@@ -281,7 +285,7 @@ def test_cylinder_fixed_point(sum3):
     st = RadialFlowState("rescaled", z, np.full(z.size, sigma), 0.0, sum3)
     assert float(np.max(np.abs(_rescaled_rhs(st)))) == 0.0
     new = run_flow(st, 1e-3, 1, bc=BoundaryCondition(mode="frozen"),
-                   record_every=1).final_state
+                   record_every=1, scheme="rk2").final_state
     assert np.max(np.abs(new.values - sigma)) == 0.0
     hist = run_flow(st, 0.1, 10, bc=BoundaryCondition(mode="frozen"),
                     scheme="semi_implicit")
@@ -311,7 +315,7 @@ def test_k0_mode_growth_rate(sum3):
                          0.0, sum3)
     dt, nsteps = step_plan(sum3, delta, 1.0)
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
-                    record_every=max(1, nsteps // 20))
+                    record_every=max(1, nsteps // 20), scheme="rk2")
     sup = hist.sup_deviation(sigma, window=4.0)
     slope = float(np.polyfit(hist.times, np.log(sup), 1)[0])
     assert slope == pytest.approx(1.0, rel=0.05)
@@ -321,7 +325,7 @@ def test_sup_deviation_window_without_nodes(sum3):
     st = RadialFlowState("rescaled", np.linspace(-3.0, 3.0, 6),
                          np.full(6, 2.0), 0.0, sum3)
     hist = run_flow(st, 1e-3, 1, bc=BoundaryCondition(mode="frozen"),
-                    record_every=1)
+                    record_every=1, scheme="rk2")
     assert np.all(hist.sup_deviation(2.0, window=1.2) == 0.0)
     for window in (0.5, -1.0):
         with pytest.raises(ValueError,
@@ -342,7 +346,7 @@ def test_semi_implicit_k1_rate(sum3):
     dt, nsteps = step_plan(sum3, delta, 1.0)
     rates = []
     for hist in (run_flow(st, dt, nsteps, bc=frozen,
-                          record_every=max(1, nsteps // 100)),
+                          record_every=max(1, nsteps // 100), scheme="rk2"),
                  run_flow(st, 0.01, 100, bc=frozen, scheme="semi_implicit",
                           record_every=1)):
         sup = hist.sup_deviation(sigma, window=4.0)

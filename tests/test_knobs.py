@@ -1,10 +1,14 @@
-"""Knob-creep guard: every defaulted parameter of a public function, method
+"""Knob-creep guards: every defaulted parameter of a public function, method
 or dataclass field in ``src/gflowlab`` is passed by at least one call in the
-package.  A default that no call overrides is a constant in disguise; it
-belongs in the module as one."""
+package, and none named like a CLI option repeats a default.  A default that
+no call overrides is a constant in disguise; it belongs in the module as
+one.  A CLI option's default lives in ``cli.OPTIONS`` alone, so a library
+parameter of the same name defaults to None or to nothing."""
 
 import ast
 from pathlib import Path
+
+from gflowlab.cli import OPTIONS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gflowlab"
 
@@ -19,21 +23,22 @@ ALLOWED = {
 
 
 def _defaulted(node):
-    """(name, position or None) of each parameter of ``node`` with a
-    default; ``self``/``cls`` do not count as positions."""
+    """(name, position or None, default) of each parameter of ``node`` with
+    a default; ``self``/``cls`` do not count as positions."""
     args = node.args
     positional = args.posonlyargs + args.args
     skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
     first = len(positional) - len(args.defaults)
-    out = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
-    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+    out = [(a.arg, i - skip, args.defaults[i - first])
+           for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
             if d is not None]
     return out
 
 
 def _field_defaults(cls):
-    """(name, position) of each annotated class field with a default: the
-    constructor parameters of a dataclass or NamedTuple."""
+    """(name, position, default) of each annotated class field with a
+    default: the constructor parameters of a dataclass or NamedTuple."""
     out, pos = [], 0
     for stmt in cls.body:
         if not (isinstance(stmt, ast.AnnAssign)
@@ -44,20 +49,19 @@ def _field_defaults(cls):
             kw = {k.arg: k.value for k in stmt.value.keywords}
             if getattr(kw.get("init"), "value", True) is False:
                 continue
-            has_default = "default" in kw or "default_factory" in kw
+            default = kw.get("default", kw.get("default_factory"))
         else:
-            has_default = stmt.value is not None
-        if has_default:
-            out.append((stmt.target.id, pos))
+            default = stmt.value
+        if default is not None:
+            out.append((stmt.target.id, pos, default))
         pos += 1
     return out
 
 
-def unpassed_defaults(sources):
-    """Sorted (function, parameter) pairs of public definitions in
-    ``sources`` whose default no call among them overrides.  Calls match
-    by the called name (``cls`` inside a class is that class); a call with
-    ``*args`` or ``**kwargs`` passes every parameter of its kind."""
+def _scan(sources):
+    """({function: [(parameter, position, default)]} of the public
+    definitions in ``sources``, {(called name, position or keyword)} of
+    their calls)."""
     params, passed = {}, set()
 
     def visit(node, owner):
@@ -89,6 +93,15 @@ def unpassed_defaults(sources):
 
     for source in sources:
         visit(ast.parse(source), None)
+    return params, passed
+
+
+def unpassed_defaults(sources):
+    """Sorted (function, parameter) pairs of public definitions in
+    ``sources`` whose default no call among them overrides.  Calls match
+    by the called name (``cls`` inside a class is that class); a call with
+    ``*args`` or ``**kwargs`` passes every parameter of its kind."""
+    params, passed = _scan(sources)
 
     def is_passed(fn, arg, pos):
         keys = {(fn, arg), (fn, "**")}
@@ -97,7 +110,17 @@ def unpassed_defaults(sources):
         return bool(keys & passed)
 
     return sorted((fn, arg) for fn, args in params.items()
-                  for arg, pos in args if not is_passed(fn, arg, pos))
+                  for arg, pos, _ in args if not is_passed(fn, arg, pos))
+
+
+def option_defaults(sources, options):
+    """Sorted (function, parameter) pairs of public definitions in
+    ``sources`` whose parameter is named like one of ``options`` and
+    defaults to something other than None."""
+    return sorted((fn, arg) for fn, args in _scan(sources)[0].items()
+                  for arg, _, default in args
+                  if arg in options and not (isinstance(default, ast.Constant)
+                                             and default.value is None))
 
 
 def test_guard_flags_a_default_no_call_passes():
@@ -119,3 +142,18 @@ def test_every_public_default_is_passed_somewhere():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert [pair for pair in unpassed_defaults(sources)
             if pair not in ALLOWED] == []
+
+
+def test_no_public_default_repeats_a_cli_option():
+    # the guard itself, on a small source
+    source = ("def f(x, tol=1e-8, k=None, other=1):\n    pass\n"
+              "class C:\n    def m(self, *, theta=0.9):\n        pass\n"
+              "from dataclasses import dataclass\n"
+              "@dataclass\nclass D:\n    tol: float = 1e-10\n"
+              "    delta: float | None = None\n")
+    assert option_defaults([source], {"tol", "k", "theta", "delta"}) == [
+        ("D", "tol"), ("f", "tol"), ("m", "theta")]
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    names = {opt.name.replace("-", "_") for section in OPTIONS.values()
+             for opt in section}
+    assert option_defaults(sources, names) == []

@@ -219,8 +219,8 @@ def test_monotone_inverse_rejects_outside_targets(shrinker_sum3_a50):
 
 
 def test_shrinker_mesh_refinement(sum3):
-    coarse = solve_shrinker(sum3, 25.0, tol=1e-6)
-    fine = solve_shrinker(sum3, 25.0, tol=5e-7)
+    coarse = solve_shrinker(sum3, 25.0, theta=0.9, tol=1e-6)
+    fine = solve_shrinker(sum3, 25.0, theta=0.9, tol=5e-7)
     grid = np.geomspace(0.1, 30.0, 200)
     gap = np.max(np.abs(coarse.psi_at(grid) - fine.psi_at(grid))
                  / (1.0 + np.abs(fine.psi_at(grid))))
@@ -232,7 +232,7 @@ def test_shrinker_nonconvergence_raises(sum3):
     # tolerance substituted by the solver
     with pytest.raises(NonConvergence), warnings.catch_warnings():
         warnings.simplefilter("error")
-        solve_shrinker(sum3, 25.0, tol=1e-16)
+        solve_shrinker(sum3, 25.0, theta=0.9, tol=1e-16)
 
 
 @pytest.mark.parametrize("a", [25.0, 400.0])
@@ -242,7 +242,7 @@ def test_shrinker_nonconvergence_raises(sum3):
 def test_shrinker_two_solves_converge(kind, k, n, a):
     # primary and check solves pass the Cauchy test across the speed
     # families, and the returned profile meets its own diagnostics
-    prof = solve_shrinker(gf.SpeedFunction(kind, n, k), a)
+    prof = solve_shrinker(gf.SpeedFunction(kind, n, k), a, theta=0.9, tol=1e-8)
     assert prof.cauchy_gap < prof.tol
     assert prof.monitor.bounded
     assert float(np.max(prof.residual_norms())) <= 10.0
@@ -275,7 +275,7 @@ def test_profile_tolerance_map_margins(kind, n, k, tol):
     # most a tenth of its gate tol, every collocation defect at most a tenth
     # of its gate 10
     speed = gf.SpeedFunction(kind, n, k)
-    cap = solve_shrinker(speed, 25.0, tol=tol)
+    cap = solve_shrinker(speed, 25.0, theta=0.9, tol=tol)
     bowl = solve_bowl(speed, 1000.0, tol=tol)
     assert cap.cauchy_gap <= tol / 10
     assert float(np.max(cap.residual_norms())) <= 1.0
@@ -306,16 +306,16 @@ def test_floored_tolerances_solve_alike(sum3):
 
 def test_shrinker_theta_window_checked(sum3, bh3):
     with pytest.raises(ValueError):
-        solve_shrinker(sum3, 25.0, theta=1.2)
+        solve_shrinker(sum3, 25.0, theta=1.2, tol=1e-8)
     # bh n=3 has Q = 2, so theta must exceed F(1,1)/Q = 1/3
     with pytest.raises(ValueError):
-        solve_shrinker(bh3, 25.0, theta=0.2)
+        solve_shrinker(bh3, 25.0, theta=0.2, tol=1e-8)
 
 
 @pytest.mark.parametrize("solve,args,kwargs,name", [
     (solve_bowl, (20.0,), {"tol": 0.0}, "tol"),
     (solve_bowl, (20.0,), {"tol": math.nan}, "tol"),
-    (solve_shrinker, (50.0,), {"tol": math.nan}, "tol"),
+    (solve_shrinker, (50.0,), {"theta": 0.9, "tol": math.nan}, "tol"),
 ])
 def test_profile_tolerances_must_be_finite_positive(sum3, solve, args,
                                                     kwargs, name):
@@ -329,13 +329,13 @@ def test_shrinker_rho_max_below_the_start_is_named(sum3):
     # below the tip-series start rho = 2^-8 both solves ran backwards and
     # the error blamed their Cauchy gap
     with pytest.raises(ValueError, match="^rho_max = 0.001 must exceed"):
-        solve_shrinker(sum3, 50.0, rho_max=0.001)
+        solve_shrinker(sum3, 50.0, theta=0.9, tol=1e-8, rho_max=0.001)
 
 
 # -- w diagnostic --------------------------------------------------------------
 
 def test_w_lower_bound_and_tip(shrinker_sum3_a100, sum3):
-    diag = gf.shrinker_w_diagnostic(shrinker_sum3_a100)
+    diag = gf.shrinker_w_diagnostic(shrinker_sum3_a100, M=50.0)
     assert diag.lower_ok
     assert diag.min_margin > 0.0
     # tip limit 2 F(1,1)/F(0,1) = 3 for the sum speed with n = 3
@@ -344,7 +344,7 @@ def test_w_lower_bound_and_tip(shrinker_sum3_a100, sum3):
 
 
 def test_w_upper_barrier(shrinker_sum3_a100):
-    diag = gf.shrinker_w_diagnostic(shrinker_sum3_a100)
+    diag = gf.shrinker_w_diagnostic(shrinker_sum3_a100, M=50.0)
     assert diag.upper_window is not None
     assert diag.upper_ok
 
@@ -438,18 +438,18 @@ def test_shrinker_and_bowl_share_tip(sum3, bowl_sum3, shrinker_sum3_a50):
 def test_w_finite_on_valid_profile(shrinker_sum3_a50):
     # w is only undefined where v^2 >= 2F(0,1), which a valid profile
     # never reaches
-    diag = gf.shrinker_w_diagnostic(shrinker_sum3_a50)
+    diag = gf.shrinker_w_diagnostic(shrinker_sum3_a50, M=50.0)
     assert np.all(np.isfinite(diag.w))
 
 
 def test_shrinker_other_speeds(bh3, sr24):
     # the construction and its diagnostics hold across the speed families
     for sp in (bh3, sr24):
-        prof = solve_shrinker(sp, 40.0, tol=1e-8)
+        prof = solve_shrinker(sp, 40.0, theta=0.9, tol=1e-8)
         target = 1.0 / (2.0 * sp.F11)
         assert prof.tip_curvature == pytest.approx(target, rel=1e-6)
         assert np.all(prof.lower_bound_margin() >= 0.0)
-        diag = gf.shrinker_w_diagnostic(prof)
+        diag = gf.shrinker_w_diagnostic(prof, M=50.0)
         assert diag.lower_ok
         assert diag.tip_limit == pytest.approx(2.0 * sp.F11 / sp.F01,
                                                rel=0.02)

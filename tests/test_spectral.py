@@ -222,6 +222,7 @@ def trace_setup():
         st = RadialFlowState("rescaled", z, sigma + u0, 0.0, sp)
         dt, nsteps = step_plan(sp, delta, T)
         return run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
+                        scheme="rk2",
                         record_every=max(1, int(nsteps // (T * 8))))
 
     return sp, basis, z, run

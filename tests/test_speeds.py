@@ -2,18 +2,23 @@
 
 Expected values come from independent oracles implemented here: direct
 pair summation for the bh speed, central finite differences for gradients,
-and a plain bisection on F(., 1) for the inverse.
+and a plain bisection on F(., 1) for the inverse.  A source guard keeps the
+families' names, and so their formulas, in ``speeds`` alone.
 """
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gflowlab as gf
 from gflowlab.errors import ConeViolation, DomainViolation
-from gflowlab.speeds import sample_cone_interior
+from gflowlab.speeds import KINDS, sample_cone_interior
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gflowlab"
 
 
 # -- oracles ----------------------------------------------------------------
@@ -333,3 +338,36 @@ def test_sigma_ratio_bowl_tip():
     sp = gf.SpeedFunction("sigma_ratio", 5, 3)
     bowl = gf.solve_bowl(sp, rho_max=1.0, tol=1e-10)
     assert bowl.tip_curvature == pytest.approx(0.5, rel=1e-6)
+
+
+def family_comparisons(source):
+    """Line numbers of the comparisons in ``source`` that test a value
+    against a speed family's name, alone or in a tuple, list or set."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        values = []
+        for operand in [node.left, *node.comparators]:
+            values += (operand.elts
+                       if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                       else [operand])
+        if any(isinstance(v, ast.Constant) and v.value in KINDS
+               for v in values):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_speeds_compares_family_names():
+    # the guard itself, on a small source
+    source = ('if kind == "sum":\n    pass\n'
+              'x = kind in ("bh", "other")\n'
+              'y = "sigma_ratio" != kind\n'
+              'z = kind == "cylinder"\n'
+              'KINDS = ("sum", "bh")\n')
+    assert family_comparisons(source) == [1, 3, 4]
+    # a family's closed forms live in speeds.closed_forms; every other
+    # module reaches them through a SpeedFunction
+    found = {p.name: family_comparisons(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "speeds.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
