@@ -207,7 +207,7 @@ def criterion_8():
     sp = _speed("sum", 3)
     a = sp.a_lin
     delta = 0.05
-    z = np.linspace(-12.0, 12.0, int(round(24 / delta)) + 1)
+    z = flow.uniform_grid(-12.0, 12.0, delta)
     u = z ** 2 / a - 2.0
     uz, uzz = _accel.central_differences(u, delta)
     lu = a * uzz - 0.5 * z[1:-1] * uz + u[1:-1]
@@ -240,8 +240,7 @@ def criterion_10():
     sigma = cylinder_radius(sp)
     a = sp.a_lin
     basis = spectral.build_basis(a, K=8, quad_order=80)
-    delta = 0.05
-    z = np.linspace(-14.0, 14.0, int(round(28 / delta)) + 1)
+    z = flow.uniform_grid(-14.0, 14.0, 0.05)
     eps = 1e-4
     details = {}
     ok = True

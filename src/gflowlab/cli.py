@@ -23,10 +23,11 @@ from scipy.special import erf
 from . import acceptance, fits, output, solitons, spectral
 from .errors import (GFlowError, WindowTooNarrow, require_finite,
                      require_positive)
-from .flow import (MIN_NODES, TRANSLATION_STEPS_PER_UNIT, BoundaryCondition,
+from .flow import (TRANSLATION_STEPS_PER_UNIT, BoundaryCondition,
                    RadialFlowState, run_flow, cylinder_radius,
                    shrinking_cylinder_reference, state_from_reference,
-                   step_plan, translating_bowl_reference, translation_speed)
+                   step_plan, translating_bowl_reference, translation_speed,
+                   uniform_grid)
 from .speeds import KINDS, SpeedFunction
 
 # ROS3P steps per unit tau of `rescaled` and `spectral`: at 4x as many, the k1
@@ -265,15 +266,6 @@ def _ros3p_plan(name, span, per_unit):
     return span / nsteps, nsteps
 
 
-def _grid_nodes(delta, span):
-    """Nodes of a grid of spacing delta over span, checked >= MIN_NODES."""
-    n = int(round(span / require_positive("delta", delta))) + 1
-    if n < MIN_NODES:
-        raise ValueError(f"delta = {delta:g} gives {n} grid nodes over a "
-                         f"span of {span:g}; the flow needs >= {MIN_NODES}")
-    return n
-
-
 def _write_history(outdir, name, hist, extra_meta=None):
     # every time and every height repeats across the table: format each once
     times = np.array(output.format_column(hist.times), dtype=object)
@@ -292,7 +284,6 @@ def cmd_flow(sp, o, outdir) -> int:
     if o.stride < 0:
         raise ValueError(f"stride must be >= 0, got {o.stride}")
     z_lo, z_hi = (-5.0, 5.0) if preset == "cylinder" else (5.0, 25.0)
-    _grid_nodes(delta, z_hi - z_lo)
     per_unit = (FLOW_STEPS_PER_UNIT if preset == "cylinder"
                 else TRANSLATION_STEPS_PER_UNIT)
     dt, nsteps = (step_plan(sp, delta, t_end) if o.scheme == "rk2" else
@@ -364,12 +355,13 @@ def cmd_rescaled(sp, o, outdir) -> int:
         require_positive(name, value)
     require_finite("amp", amp)
 
-    z = np.linspace(-window, window, _grid_nodes(delta, 2 * window))
-    st = _rescaled_seed(seed_mode, amp, sp, z)
+    st = _rescaled_seed(seed_mode, amp, sp,
+                        uniform_grid(-window, window, delta))
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
                     scheme="semi_implicit")
     manifest = {"speed": sp.to_config(), "seed_mode": seed_mode, "amp": amp,
-                "grid": {"window": window, "delta": delta},
+                "grid": {"z_lo": float(st.z[0]), "z_hi": float(st.z[-1]),
+                         "delta": delta},
                 "scheme": hist.scheme, "dt": dt, "nsteps": nsteps,
                 "tau_end": tau_end, "boundary": "frozen", "seed": None}
     if seed_mode == "cylinder":
@@ -409,8 +401,7 @@ def cmd_spectral(sp, o, outdir) -> int:
     if o.quad_order < 2 * o.kmax + 2:
         raise ValueError(f"quad-order must be >= 2 kmax + 2 = {2 * o.kmax + 2}"
                          f" for kmax = {o.kmax}, got {o.quad_order}")
-    z = np.linspace(-18.0, 18.0, int(round(36.0 / 0.06)) + 1)
-    st = _rescaled_seed(seed_mode, amp, sp, z)
+    st = _rescaled_seed(seed_mode, amp, sp, uniform_grid(-18.0, 18.0, 0.06))
 
     basis = spectral.build_basis(sp.a_lin, K=o.kmax, quad_order=o.quad_order)
     table = spectral.eigen_table(sp.n, 6, 6)

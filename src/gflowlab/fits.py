@@ -52,7 +52,7 @@ def fit_bowl_expansion(bowl: BowlProfile, window: tuple) -> AsymptoticFit:
             f"window end {hi} beyond the solved range {bowl.rho[-1]:.4g}")
     f01 = bowl.speed.F01
     rho = np.geomspace(lo, hi, 200)
-    xi = np.asarray(bowl.zeta_rho_at(rho)) - rho / (2.0 * f01)
+    xi = bowl.poly(rho, 1) - rho / (2.0 * f01)
     wts = rho ** 2
     c2 = float(np.sum(wts * xi / rho) / np.sum(wts / rho ** 2))
     resid = float(np.max(np.abs(xi - c2 / rho)))

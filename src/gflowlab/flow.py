@@ -45,6 +45,20 @@ LINEARIZE_EPS = 1e-6
 TRANSLATION_STEPS_PER_UNIT = 40
 
 
+def uniform_grid(z_lo: float, z_hi: float, delta: float) -> np.ndarray:
+    """The n = round((z_hi - z_lo)/delta) + 1 nodes z_lo + delta k of a flow
+    state: the spacing is delta and the last node lies within delta/2 of
+    z_hi.  A delta that is not finite and positive, or that leaves fewer
+    than ``MIN_NODES`` nodes, is a ValueError naming it."""
+    delta = require_positive("delta", delta)
+    span = z_hi - z_lo
+    n = int(round(span / delta)) + 1
+    if n < MIN_NODES:
+        raise ValueError(f"delta = {delta:g} gives {n} grid nodes over a "
+                         f"span of {span:g}; the flow needs >= {MIN_NODES}")
+    return np.linspace(z_lo, z_lo + delta * (n - 1), n)
+
+
 def cylinder_radius(speed: SpeedFunction) -> float:
     """Radius sigma = sqrt(2 gamma(0,1,...,1)) of the stationary cylinder."""
     return math.sqrt(2.0 * speed.F01)
@@ -245,10 +259,9 @@ def translating_bowl_reference(bowl: BowlProfile):
 
 
 def state_from_reference(speed, ref, z_lo, z_hi, delta):
-    """The radial state ref(z, 0) at t = 0 on the grid z_lo + delta k that
-    spans [z_lo, z_hi]."""
-    n = int(round((z_hi - z_lo) / delta)) + 1
-    z = np.linspace(z_lo, z_lo + delta * (n - 1), n)
+    """The radial state ref(z, 0) at t = 0 on ``uniform_grid(z_lo, z_hi,
+    delta)``."""
+    z = uniform_grid(z_lo, z_hi, delta)
     return RadialFlowState("radial", z, ref(z, 0.0), 0.0, speed)
 
 
@@ -301,8 +314,7 @@ def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
     sigma = cylinder_radius(speed)
     a = speed.a_lin
     eps = LINEARIZE_EPS
-    n = int(round(2 * window / delta)) + 1
-    z = -window + delta * np.arange(n)
+    z = uniform_grid(-window, window, delta)
     rng = np.random.default_rng(LINEARIZE_SEED)
     dev = []
     for _ in range(LINEARIZE_DIRECTIONS):

@@ -81,17 +81,14 @@ class ExpansionReport:
     """Sup-norm expansion error with its quadratic-smallness ratio."""
 
     sup_error: float
-    denom_sup: float
     ratio: float
-    details: dict
 
 
-def _report(err, denom, details) -> ExpansionReport:
+def _report(err, denom) -> ExpansionReport:
     sup_err = float(np.max(err))
     sup_den = float(np.max(denom))
-    return ExpansionReport(sup_error=sup_err, denom_sup=sup_den,
-                           ratio=sup_err / sup_den if sup_den > 0 else 0.0,
-                           details=details)
+    return ExpansionReport(sup_error=sup_err,
+                           ratio=sup_err / sup_den if sup_den > 0 else 0.0)
 
 
 def _quadratic(graph: CylinderGraph) -> np.ndarray:
@@ -118,8 +115,7 @@ def expansion_error_G(graph: CylinderGraph,
     g_sigma = speed.F01 / r
     expansion = (g_sigma - speed.a_lin * graph.u_zz
                  - speed.F01 * graph.u / r ** 2)
-    return _report(np.abs(g_exact - expansion), _quadratic(graph),
-                   {"G_sigma": g_sigma})
+    return _report(np.abs(g_exact - expansion), _quadratic(graph))
 
 
 def trace_gamma(graph: CylinderGraph, speed: SpeedFunction,
@@ -154,4 +150,4 @@ def trace_gamma_expansion_error(graph: CylinderGraph, speed: SpeedFunction,
     s_rot = np.broadcast_to(np.asarray(s_rot, dtype=float), exact.shape)
     approx = grad0[0] * s_axial + np.sum(grad0[1:]) * s_rot
     s_norm = np.sqrt(s_axial ** 2 + (speed.n - 1) * s_rot ** 2)
-    return _report(np.abs(exact - approx), graph._first_order() * s_norm, {})
+    return _report(np.abs(exact - approx), graph._first_order() * s_norm)

@@ -80,7 +80,6 @@ class EllipticityMonitor:
     Lambda: np.ndarray
     B: np.ndarray
     identity_gap: float
-    ceiling: float
     bounded: bool
 
     @classmethod
@@ -89,9 +88,8 @@ class EllipticityMonitor:
         lam = rho * psi_rhorho / (psi_rho * (1.0 + psi_rho ** 2))
         b = (rho / psi_rho) * (0.5 + 0.5 * inv_a2 * (rho * psi_rho - psi))
         gap = float(np.max(np.abs(lam - speed.f_closed(1.0, b))))
-        ceiling = lambda_ceiling(speed)
-        bound = max(ceiling, lam[0]) * (1.0 + 1e-9) + 1e-12
-        return cls(Lambda=lam, B=b, identity_gap=gap, ceiling=ceiling,
+        bound = max(lambda_ceiling(speed), lam[0]) * (1.0 + 1e-9) + 1e-12
+        return cls(Lambda=lam, B=b, identity_gap=gap,
                    bounded=bool(np.max(lam) <= bound))
 
 
@@ -128,12 +126,6 @@ class BowlProfile:
     monitor: EllipticityMonitor
     poly: _accel.StepPolynomials = field(repr=False)
 
-    def zeta_at(self, r):
-        return self.poly(r)
-
-    def zeta_rho_at(self, r):
-        return self.poly(r, 1)
-
     def radius_of_height(self):
         """Monotone inverse rho(zeta), for building radial graphs r(z).
 
@@ -154,6 +146,17 @@ class BowlProfile:
     def residual_norms(self):
         return _collocation_defect(self.speed, 0.0, self.poly, rtol=self.tol,
                                    atol=self.tol * 1e-2)
+
+
+def _from_tip_series(speed, inv_a2, rho0, rho_end, psi_stop, tol):
+    """Step polynomials of a profile integrated from the two-term tip series
+    psi = rho0^2/(4 F(1,1)), psi' = rho0/(2 F(1,1)) at rho0 to rho_end (or
+    psi_stop), at ``_accel.profile_tolerances(tol)``."""
+    f11 = speed.F11
+    poly, _ = _accel.integrate_profile(
+        speed, inv_a2, rho0, rho0 ** 2 / (4.0 * f11), rho0 / (2.0 * f11),
+        rho_end, psi_stop, *_accel.profile_tolerances(tol))
+    return poly
 
 
 def _tip_curvature(poly, at):
@@ -183,10 +186,7 @@ def solve_bowl(speed: SpeedFunction, rho_max: float,
     rho_s = BOWL_RHO_START
     if rho_max <= rho_s:
         raise ValueError("rho_max must exceed the regularized start")
-    f11 = speed.F11
-    poly, _ = _accel.integrate_profile(
-        speed, 0.0, rho_s, rho_s ** 2 / (4.0 * f11), rho_s / (2.0 * f11),
-        rho_max, np.inf, *_accel.profile_tolerances(tol))
+    poly = _from_tip_series(speed, 0.0, rho_s, rho_max, np.inf, tol)
     rho, (zeta, zeta_rho) = poly.x, poly.y.T
     zeta_rr = _accel._profile_slope(speed.forms[2], 0.0, rho, zeta, zeta_rho)
     monitor = EllipticityMonitor.from_profile(speed, rho, zeta, zeta_rho,
@@ -221,7 +221,6 @@ class ShrinkerProfile:
     rho: np.ndarray
     psi: np.ndarray
     psi_rho: np.ndarray
-    psi_rhorho: np.ndarray
     z: np.ndarray
     v: np.ndarray
     v_z: np.ndarray
@@ -229,19 +228,12 @@ class ShrinkerProfile:
     rho_of_z: np.ndarray
     L0: float
     K: float
-    c_lower: float
     monitor: EllipticityMonitor
     cauchy_gap: float
     inversion_error: float
     tip_curvature: float
     w_tip: float
     poly: _accel.StepPolynomials = field(repr=False)
-
-    def psi_at(self, r):
-        return self.poly(r)
-
-    def psi_rho_at(self, r):
-        return self.poly(r, 1)
 
     def residual_norms(self):
         return _collocation_defect(self.speed, 1.0 / self.a ** 2, self.poly,
@@ -369,10 +361,8 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float, tol: float,
     inv_a2 = 1.0 / a ** 2
     solves = []
     for start, solve_tol in ((rho_s, tol), (0.25 * rho_s, 0.1 * tol)):
-        solve, _ = _accel.integrate_profile(
-            speed, inv_a2, start, start ** 2 / (4.0 * f11),
-            start / (2.0 * f11), rho_end, psi_stop,
-            *_accel.profile_tolerances(solve_tol))
+        solve = _from_tip_series(speed, inv_a2, start, rho_end, psi_stop,
+                                 solve_tol)
         _barrier_checks(speed, a, theta, Theta, solve.x, *solve.y.T)
         solves.append(solve)
     primary, poly = solves
@@ -426,9 +416,9 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float, tol: float,
 
     return ShrinkerProfile(
         speed=speed, a=a, theta=theta, Theta=Theta, tol=tol, rtol=1e-2 * tol,
-        rho=rho, psi=psi, psi_rho=psip, psi_rhorho=psipp,
+        rho=rho, psi=psi, psi_rho=psip,
         z=z_full, v=v_full, v_z=vz_full, w=w_full, rho_of_z=rho_full,
-        L0=L0, K=consts["K"], c_lower=consts["c"], monitor=monitor,
+        L0=L0, K=consts["K"], monitor=monitor,
         cauchy_gap=gap, inversion_error=inv_err,
         tip_curvature=tip_curv, w_tip=w_tip, poly=poly)
 
@@ -445,8 +435,6 @@ class WDiagnostic:
     tip_target: float
     upper_window: tuple | None
     upper_ok: bool | None
-    K: float
-    c: float
 
 
 def shrinker_w_diagnostic(profile: ShrinkerProfile,
@@ -477,7 +465,7 @@ def shrinker_w_diagnostic(profile: ShrinkerProfile,
     return WDiagnostic(z=z_int, w=w_int, lower_ok=bool(margin > 0.0),
                        min_margin=margin, tip_limit=profile.w_tip,
                        tip_target=target, upper_window=window,
-                       upper_ok=upper_ok, K=profile.K, c=profile.c_lower)
+                       upper_ok=upper_ok)
 
 
 def shrinker_upper_bound_fit(profile: ShrinkerProfile, L: float) -> float:
@@ -529,13 +517,13 @@ def shrinker_to_bowl_convergence(speed: SpeedFunction,
         raise ValueError("M must fit inside every shrinker's rho-range")
     bowl = solve_bowl(speed, rho_max=1.3 * M, tol=CONVERGENCE_TOL)
     grid = np.geomspace(0.05, M, 400)
-    zeta = bowl.zeta_at(grid)
-    zeta_rho = bowl.zeta_rho_at(grid)
+    zeta = bowl.poly(grid)
+    zeta_rho = bowl.poly(grid, 1)
     rows = []
     for a in a_list:
         prof = solve_shrinker(speed, a, theta=CONVERGENCE_THETA,
                               tol=CONVERGENCE_TOL, rho_max=1.2 * M)
-        gap = float(np.max(np.abs(prof.psi_at(grid) - zeta)))
-        gap_rho = float(np.max(np.abs(prof.psi_rho_at(grid) - zeta_rho)))
+        gap = float(np.max(np.abs(prof.poly(grid) - zeta)))
+        gap_rho = float(np.max(np.abs(prof.poly(grid, 1) - zeta_rho)))
         rows.append({"a": a, "sup_gap": gap, "sup_gap_rho": gap_rho})
     return rows

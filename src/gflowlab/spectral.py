@@ -176,7 +176,6 @@ class GammaTrace:
     gamma_minus: np.ndarray
     delta: np.ndarray
     r: float
-    L: float
     sandwich_constant: float
     windows: np.ndarray = field(init=False)
     Gamma: np.ndarray = field(init=False)
@@ -241,7 +240,7 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float,
     ratios = np.asarray(ratios) if ratios else np.array([1.0])
     sandwich = float(max(np.max(ratios), 1.0 / max(np.min(ratios), 1e-300)))
     return GammaTrace(gamma=gamma, gamma_plus=gplus, gamma_zero=gzero,
-                      gamma_minus=gminus, delta=delta, r=r, L=L,
+                      gamma_minus=gminus, delta=delta, r=r,
                       sandwich_constant=sandwich)
 
 

@@ -196,14 +196,31 @@ def test_rescaled_step_plan_is_accurate(tmp_path, family, seed):
     dt, nsteps = cli._ros3p_plan("tau-end", m["tau_end"],
                                  4 * cli.RESCALED_STEPS_PER_UNIT)
     assert nsteps == 4 * m["nsteps"]
-    z = np.linspace(-10.0, 10.0, 201)
-    state = cli._rescaled_seed(m["seed_mode"], m["amp"], sp, z)
+    state = cli._rescaled_seed(m["seed_mode"], m["amp"], sp,
+                               flow.uniform_grid(-10.0, 10.0, 0.1))
     hist = gflowlab.run_flow(
         state, dt, nsteps, bc=gflowlab.BoundaryCondition(mode="frozen"),
         scheme="semi_implicit", record_every=4 * math.ceil(m["nsteps"] / 50))
     fit = (fits.measure_rescaled_decay if "decay" in m
            else fits.sup_growth_fit)(hist, L=4.0)
     assert abs(rate - fit["slope"]) <= 5e-3 * abs(fit["slope"])
+
+
+@pytest.mark.parametrize("argv,z_lo", [
+    (["rescaled", "--delta", "0.3", "--tau-end", "0.25"], -14.0),
+    (["flow", "--preset", "cylinder", "--delta", "0.3"], -5.0)],
+    ids=["rescaled", "flow"])
+def test_grid_keeps_delta_and_is_reported(tmp_path, argv, z_lo):
+    # 0.3 does not divide the span: the spacing stays 0.3, the far end
+    # moves, and the manifest records the grid the run wrote
+    assert _run(tmp_path, *argv) == 0
+    data, _ = read_csv(tmp_path / f"{argv[0]}.csv")
+    z = data["z"][data["t"] == data["t"][0]]
+    assert z[0] == z_lo
+    assert np.max(np.abs(np.diff(z) - 0.3)) <= 1e-12
+    grid = json.loads(
+        (tmp_path / f"{argv[0]}_manifest.json").read_text())["grid"]
+    assert grid == {"z_lo": z[0], "z_hi": z[-1], "delta": 0.3}
 
 
 def test_spectral_k2_neutral_verdict(tmp_path):

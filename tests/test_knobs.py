@@ -3,14 +3,17 @@ or dataclass field in ``src/gflowlab`` is passed by at least one call in the
 package, and none named like a CLI option repeats a default.  A default that
 no call overrides is a constant in disguise; it belongs in the module as
 one.  A CLI option's default lives in ``cli.OPTIONS`` alone, so a library
-parameter of the same name defaults to None or to nothing."""
+parameter of the same name defaults to None or to nothing.  Every field of
+a dataclass or NamedTuple is read somewhere: one that is only written is
+work without a use."""
 
 import ast
 from pathlib import Path
 
 from gflowlab.cli import OPTIONS
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gflowlab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gflowlab"
 
 # (function, parameter): why the default stays although no package call
 # passes the parameter
@@ -157,3 +160,55 @@ def test_no_public_default_repeats_a_cli_option():
     names = {opt.name.replace("-", "_") for section in OPTIONS.values()
              for opt in section}
     assert option_defaults(sources, names) == []
+
+
+def _is_record(cls):
+    """Whether ``cls`` is a dataclass or a NamedTuple class."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+    return ("dataclass" in map(name, cls.decorator_list)
+            or "NamedTuple" in map(name, cls.bases))
+
+
+def unread_fields(defining, reading):
+    """Sorted (class, field) pairs of the dataclass and NamedTuple fields
+    defined in ``defining`` whose name no source in ``defining`` or
+    ``reading`` reads, as an attribute load or through ``getattr`` with a
+    constant name."""
+    fields, read = [], set()
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                fields += [(node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+    for source in [*defining, *reading]:
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    return sorted(pair for pair in fields if pair[1] not in read)
+
+
+def test_every_record_field_is_read():
+    # the guard itself, on a small source: a store is not a read
+    source = ("from dataclasses import dataclass\n"
+              "from typing import NamedTuple\n"
+              "@dataclass(frozen=True)\nclass D:\n    x: int\n    y: int\n"
+              "    z: int\n"
+              "class N(NamedTuple):\n    a: int\n    b: int\n"
+              "class P:\n    q: int\n"
+              "def f(d, n):\n    return d.x + getattr(n, 'a')\n")
+    assert unread_fields([source], ["def g(d):\n    d.z = 1\n"
+                                    "    return d.y\n"]) == [("D", "z"),
+                                                             ("N", "b")]
+    reading = [p.read_text() for pattern in ("perfbench/*.py", "tests/*.py")
+               for p in sorted(ROOT.glob(pattern))]
+    assert unread_fields([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
+                         reading) == []

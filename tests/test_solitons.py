@@ -31,7 +31,7 @@ def test_bowl_tip_curvature_bh(bowl_bh3, bh3):
 def test_bowl_gradient_tail(bowl_sum3):
     # zeta_rho ~ rho/4 - 2/rho at rho = 1000: deviation from the linear
     # part matches the -2/rho term to 5%
-    dev = float(bowl_sum3.zeta_rho_at(1000.0)) - 1000.0 / 4.0
+    dev = float(bowl_sum3.poly(1000.0, 1)) - 1000.0 / 4.0
     assert dev == pytest.approx(-2.0 / 1000.0, rel=0.05)
 
 
@@ -99,8 +99,8 @@ def test_profile_solver_failure_names_cause(sum3):
 
 def test_bowl_tolerance_study(sum3):
     # leading 6 digits of zeta(10) agree between tol 1e-10 and 1e-8
-    za = float(solve_bowl(sum3, 12.0, tol=1e-10).zeta_at(10.0))
-    zb = float(solve_bowl(sum3, 12.0, tol=1e-8).zeta_at(10.0))
+    za = float(solve_bowl(sum3, 12.0, tol=1e-10).poly(10.0))
+    zb = float(solve_bowl(sum3, 12.0, tol=1e-8).poly(10.0))
     assert abs(za - zb) <= 1e-6 * abs(za)
 
 
@@ -166,7 +166,7 @@ def test_shrinker_vectorized_inversion(shrinker_sum3_a50):
     p = shrinker_sum3_a50
     assert np.all(np.diff(p.rho_of_z) < 0.0)  # z up, rho down to the tip
     targets = np.minimum(p.a * (p.a - p.z[:-1]), p.psi[-1])
-    back = p.psi_at(p.rho_of_z[:-1])
+    back = p.poly(p.rho_of_z[:-1])
     assert np.max(np.abs(back - targets)) <= 1e-12 * p.a
     # scalar brentq per node on the profile polynomial is the reference,
     # within twice its xtol
@@ -222,8 +222,8 @@ def test_shrinker_mesh_refinement(sum3):
     coarse = solve_shrinker(sum3, 25.0, theta=0.9, tol=1e-6)
     fine = solve_shrinker(sum3, 25.0, theta=0.9, tol=5e-7)
     grid = np.geomspace(0.1, 30.0, 200)
-    gap = np.max(np.abs(coarse.psi_at(grid) - fine.psi_at(grid))
-                 / (1.0 + np.abs(fine.psi_at(grid))))
+    gap = np.max(np.abs(coarse.poly(grid) - fine.poly(grid))
+                 / (1.0 + np.abs(fine.poly(grid))))
     assert gap <= coarse.cauchy_gap
 
 
@@ -262,7 +262,7 @@ def test_shrinker_matches_subsolution_start(sum3, shrinker_sum3_a50):
     grid = np.geomspace(2.0 ** -8, min(poly.x[-1], p.rho[-1]) * (1.0 - 1e-3),
                         400)
     oracle = poly(grid)
-    series = p.psi_at(grid)
+    series = p.poly(grid)
     gap = np.max(np.abs(oracle - series) / (1.0 + np.abs(series)))
     assert gap < p.tol
 
@@ -357,7 +357,7 @@ def test_w_upper_barrier_window_follows_M(shrinker_sum3_a100):
         diag = gf.shrinker_w_diagnostic(prof, M=M)
         assert diag.upper_ok
         ends[M] = diag.upper_window[1]
-        assert ends[M] == pytest.approx(prof.a - prof.psi_at(M) / prof.a,
+        assert ends[M] == pytest.approx(prof.a - prof.poly(M) / prof.a,
                                         rel=1e-14)
     assert ends[20.0] > ends[50.0]
 

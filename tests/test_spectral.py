@@ -336,7 +336,7 @@ def _synthetic_trace(gamma_plus, gamma_zero, gamma_minus):
                   for g in (gamma_plus, gamma_zero, gamma_minus))
     g = gp + g0 + gm
     return GammaTrace(gamma=g, gamma_plus=gp, gamma_zero=g0, gamma_minus=gm,
-                      delta=np.sqrt(g), r=1e-4, L=10.0, sandwich_constant=1.0)
+                      delta=np.sqrt(g), r=1e-4, sandwich_constant=1.0)
 
 
 def test_classifier_synthetic_positive():
