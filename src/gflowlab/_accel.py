@@ -3,9 +3,11 @@ and the PCHIP interpolant, in numpy and scipy.
 
 Profiles are integrated by LSODA: a scipy ``LSODA`` object sets the solve
 up, and the loop calls its compiled one-step runner itself, testing the
-height stop and the advance of rho after each step.  A profile is kept as
-its steps' Nordsieck polynomials (``StepPolynomials``), copied off LSODA's
-work arrays; only the step that crosses the height stop builds a
+height stop and the advance of rho after each step.  Per kept step the loop
+appends the state, LSODA's step sizes and Nordsieck array and its order
+pair to flat buffers, through views of the work arrays made once; a profile
+is kept as its steps' Nordsieck polynomials (``StepPolynomials``) built from
+those buffers, and only the step that crosses the height stop builds a
 dense-output object.  The explicit flow step is Heun's method and the
 semi-implicit step is the three-stage Rosenbrock method ROS3P, with one
 LAPACK tridiagonal factorization (``dgttrf``) per step.  A speed enters
@@ -101,17 +103,22 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
     at 4 eps, and a crossing step that ends exactly at the previous rho is
     dropped.  Only the crossing step builds a dense-output object; every
     kept step's polynomial is copied off LSODA's work arrays instead.
+    Memoryviews over y, ``rwork[_RWORK_STEP]`` and iwork[13:15], made once,
+    see each step's update, and a kept step appends their bytes (the root
+    state on the crossing step) to three ``bytearray`` buffers.
 
     Returns (rho, states, ends, work, orders), the arguments of
-    ``StepPolynomials``: the step ends, starting at rho0, the states there,
-    and per step the solver's t after it, ``rwork[_RWORK_STEP]`` and
-    (iwork[13], iwork[14]).  Raises ToleranceFailure, naming the rho
-    reached, when LSODA returns a negative istate (quoting its message for
-    it and LSODA's warnings) and when a step that does not cross psi_stop
-    leaves rho where it was: one-step calls never trip LSODA's own
-    steps-per-call limit, so a solve whose step size has shrunk below the
-    rounding of rho would otherwise step forever.  Warnings of a successful
-    solve are issued again once it ends.
+    ``StepPolynomials``: lists of the step ends, starting at rho0, and of
+    the solver's t after each step, and, read from the buffers, the states
+    at the step ends, shape (n + 1, 2), each step's ``rwork[_RWORK_STEP]``,
+    shape (n, 36), and its (iwork[13], iwork[14]), shape (n, 2) in iwork's
+    dtype.  Raises ToleranceFailure, naming the rho reached, when LSODA
+    returns a negative istate (quoting its message for it and LSODA's
+    warnings) and when a step that does not cross psi_stop leaves rho where
+    it was: one-step calls never trip LSODA's own steps-per-call limit, so
+    a solve whose step size has shrunk below the rounding of rho would
+    otherwise step forever.  Warnings of a successful solve are issued
+    again once it ends.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -122,8 +129,13 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
         run = integrator.runner
         doubles, ints = integrator.state_doubles, integrator.state_ints
         y = np.array([psi0, psip0], dtype=float)
+        # views made once: the runner updates y, rwork and iwork in place
+        state_now = memoryview(y)
+        work_now = memoryview(rwork[_RWORK_STEP])
+        orders_now = memoryview(iwork[13:15])
         sign = 1.0 if rho_end >= rho0 else -1.0
-        ts, ys, ends, work, orders = [rho0], [[psi0, psip0]], [], [], []
+        ts, ends = [rho0], []
+        ys, work, orders = bytearray(state_now), bytearray(), bytearray()
         t = rho0
         g = psi0 - psi_stop
         done = False
@@ -141,14 +153,14 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
                     f"{rho_end:.6g}: {detail}")
             done = sign * (t - rho_end) >= 0.0
             end = t
-            state = y.tolist()
+            state = state_now
             g_new = state[0] - psi_stop
             if g <= 0.0 <= g_new:
                 solver.t_old, solver.t = t_old, t
                 piece = solver._dense_output_impl()
                 t = brentq(lambda r: piece(r)[0] - psi_stop, t_old, t,
                            xtol=4.0 * EPS, rtol=4.0 * EPS)
-                state = piece(t)
+                state = memoryview(piece(t))
                 if len(ts) > 1 and ts[-1] == t:
                     break
                 done = True
@@ -158,13 +170,15 @@ def _lsoda_steps(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
                     f"{rho_end:.6g}: its step no longer advances rho")
             g = g_new
             ts.append(t)
-            ys.append(state)
             ends.append(end)
-            work.append(rwork[_RWORK_STEP].copy())
-            orders.append((iwork[13], iwork[14]))
+            ys += state
+            work += work_now
+            orders += orders_now
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return ts, ys, ends, work, orders
+    return (ts, np.frombuffer(ys).reshape(-1, 2), ends,
+            np.frombuffer(work).reshape(-1, work_now.shape[0]),
+            np.frombuffer(orders, dtype=iwork.dtype).reshape(-1, 2))
 
 
 class StepPolynomials:
@@ -258,10 +272,13 @@ def integrate_profile(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop,
     """
     _, Fx, f = speed.forms
 
-    # Python floats: numpy-scalar arithmetic costs over twice as much
+    # Python floats: numpy-scalar arithmetic costs over twice as much.  The
+    # slope is _profile_slope written out, operation for operation, which
+    # saves a call per evaluation
     def rhs(rho, y):
         psi, psip = y.tolist()
-        return [psip, _profile_slope(f, inv_a2, rho, psi, psip)]
+        zarg = 0.5 + 0.5 * inv_a2 * (rho * psip - psi)
+        return [psip, (1.0 + psip * psip) * f(psip / rho, zarg)]
 
     def jac(rho, y):
         psi, psip = y.tolist()

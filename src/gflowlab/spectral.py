@@ -167,7 +167,7 @@ class GammaTrace:
 
     Window j covers run times [T-j-1, T-j] (counted backward from the end
     so that larger j means closer to the cylinder, mirroring the tau -> -inf
-    convention); Gamma_k are suffix suprema over j >= k.
+    convention); the per-mode Gamma_k are suffix suprema over j >= k.
     """
 
     gamma: np.ndarray
@@ -175,17 +175,14 @@ class GammaTrace:
     gamma_zero: np.ndarray
     gamma_minus: np.ndarray
     delta: np.ndarray
-    r: float
     sandwich_constant: float
     windows: np.ndarray = field(init=False)
-    Gamma: np.ndarray = field(init=False)
     Gamma_plus: np.ndarray = field(init=False)
     Gamma_zero: np.ndarray = field(init=False)
     Gamma_minus: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.windows = np.arange(self.gamma.size)
-        self.Gamma = suffix_max(self.gamma)
         self.Gamma_plus = suffix_max(self.gamma_plus)
         self.Gamma_zero = suffix_max(self.gamma_zero)
         self.Gamma_minus = suffix_max(self.gamma_minus)
@@ -240,7 +237,7 @@ def gamma_trace_from_run(history, basis: HermiteBasis, r: float,
     ratios = np.asarray(ratios) if ratios else np.array([1.0])
     sandwich = float(max(np.max(ratios), 1.0 / max(np.min(ratios), 1e-300)))
     return GammaTrace(gamma=gamma, gamma_plus=gplus, gamma_zero=gzero,
-                      gamma_minus=gminus, delta=delta, r=r,
+                      gamma_minus=gminus, delta=delta,
                       sandwich_constant=sandwich)
 
 

@@ -1,11 +1,12 @@
-"""The profile driver's stop, its stepping loop against scipy's public
-``LSODA.step()``, the stepping clock, the graph Jacobian, the stepping
-kernels' arithmetic and ``pchip`` against scipy's ``PchipInterpolator``,
-bit for bit."""
+"""The profile integrator's stop, its stepping loop and inline rhs against
+scipy's public ``LSODA.step()``, the loop's memory per step, the stepping
+clock, the graph Jacobian, the stepping kernels' arithmetic and ``pchip``
+against scipy's ``PchipInterpolator``, bit for bit."""
 
 import contextlib
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,21 +117,31 @@ def _step_loop(rhs, jac, rho0, psi0, psip0, rho_end, psi_stop, rtol, atol):
     return ts, ys, ends, work, orders
 
 
-@pytest.mark.parametrize("kind", ["sum", "bh"])
-@pytest.mark.parametrize("stop", ["rho_end", "psi_stop"])
-def test_lsoda_runner_loop_matches_step_loop(kind, stop):
-    # the bowl runs to rho_end; the a = 50 shrinker cap stops where psi
-    # crosses a (a - L0), short of its rho_end
-    sp = SpeedFunction(kind, 3)
+# (n, k) of each speed family the profile tests solve
+SPEEDS = {"sum": (3, None), "bh": (3, None), "sigma_ratio": (4, 2)}
+
+
+def _profile_case(kind, stop, a=50.0, r0=2.0 ** -8):
+    """(speed, inv_a2, rho0, psi0, psip0, rho_end, psi_stop) of a profile
+    from the tip series: the bowl runs to rho_end; the shrinker cap of
+    parameter a, from r0, stops where psi crosses a (a - L0), short of its
+    rho_end."""
+    sp = SpeedFunction(kind, *SPEEDS[kind])
     if stop == "rho_end":
         a, r0, rho_end, psi_stop = np.inf, 1e-4, 20.0, np.inf
     else:
-        a, r0 = 50.0, 2.0 ** -8
         rho_end = (1.0 - 1e-9) * math.sqrt(2.0 * sp.F01) * a
         psi_stop = a * (a - neck_constants(sp)["L0"])
-    rhs, jac = _profile_rhs_jac(sp, 1.0 / a ** 2)
-    args = (rhs, jac, r0, r0 ** 2 / (4.0 * sp.F11), r0 / (2.0 * sp.F11),
-            rho_end, psi_stop, 1e-12, 1e-14)
+    return (sp, 1.0 / a ** 2, r0, r0 ** 2 / (4.0 * sp.F11),
+            r0 / (2.0 * sp.F11), rho_end, psi_stop)
+
+
+@pytest.mark.parametrize("kind", list(SPEEDS))
+@pytest.mark.parametrize("stop", ["rho_end", "psi_stop"])
+def test_lsoda_runner_loop_matches_step_loop(kind, stop):
+    sp, inv_a2, *start, rho_end, psi_stop = _profile_case(kind, stop)
+    args = (*_profile_rhs_jac(sp, inv_a2), *start, rho_end, psi_stop,
+            1e-12, 1e-14)
     ts, ys, ends, work, orders = _accel._lsoda_steps(*args)
     want = _step_loop(*args)
     assert len(ts) == len(want[0]) > 100
@@ -143,6 +154,43 @@ def test_lsoda_runner_loop_matches_step_loop(kind, stop):
     else:
         assert ts[-1] < ends[-1] < rho_end
         assert ys[-1][0] == pytest.approx(psi_stop, rel=4.0 * _accel.EPS)
+
+
+@pytest.mark.parametrize("kind", list(SPEEDS))
+@pytest.mark.parametrize("stop", ["rho_end", "psi_stop"])
+def test_integrate_profile_matches_step_loop(kind, stop):
+    # integrate_profile's rhs writes _profile_slope out inline and its loop
+    # reads the steps through views of LSODA's work arrays; the oracle calls
+    # _profile_slope and copies each step through scipy's public stepper
+    sp, inv_a2, *start, rho_end, psi_stop = _profile_case(kind, stop)
+    rtol, atol = _accel.profile_tolerances(1e-8)
+    steps, n_steps = _accel.integrate_profile(sp, inv_a2, *start, rho_end,
+                                              psi_stop, rtol, atol)
+    want = _accel.StepPolynomials(*_step_loop(
+        *_profile_rhs_jac(sp, inv_a2), *start, rho_end, psi_stop, rtol,
+        atol))
+    assert n_steps == want.x.size - 1 > 100
+    np.testing.assert_array_equal(steps.x, want.x)
+    np.testing.assert_array_equal(steps.y, want.y)
+    np.testing.assert_array_equal(steps.yh, want.yh)
+
+
+def test_lsoda_steps_memory_per_step():
+    # the check solve of `shrinker --a 400` (sum n=3, from 2^-10 at rtol
+    # 7e-13) allocates at most 500 bytes per step at its peak; the flat
+    # buffers hold 8 (2 + 36) + 2 * 4 = 312 bytes a step
+    sp, inv_a2, *case = _profile_case("sum", "psi_stop", a=400.0,
+                                      r0=2.0 ** -10)
+    rtol, atol = _accel.profile_tolerances(1e-9)
+    args = (*_profile_rhs_jac(sp, inv_a2), *case, rtol, atol)
+    tracemalloc.start()
+    try:
+        ends = _accel._lsoda_steps(*args)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rtol == 7e-13 and len(ends) > 2000
+    assert peak / len(ends) <= 500.0
 
 
 @contextlib.contextmanager

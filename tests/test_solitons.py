@@ -81,6 +81,17 @@ def test_bowl_long_tail(request, name, rho_max):
                                                rel=1e-6)
 
 
+@pytest.mark.parametrize("tol", [1e-5, 1e-6])
+def test_loose_bowl_to_far_tail_passes_its_checks(bh3, tol):
+    # the cone margin shrinks like 1/rho^2, yet at LSODA's rtol 7e-9 and
+    # 7e-10 the bh bowl reaches rho = 1e5 inside the cone and passes the
+    # bowl command's residual and monitor checks
+    bowl = solve_bowl(bh3, rho_max=1e5, tol=tol)
+    assert bowl.rho[-1] == 1e5
+    assert float(np.max(bowl.residual_norms())) <= 10.0
+    assert bowl.monitor.bounded
+
+
 def test_bowl_tip_on_short_range(bh3):
     # rho_max barely past the regularized start: the Richardson stations
     # must stay inside the solved range instead of extrapolating below it
