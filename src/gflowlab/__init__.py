@@ -11,7 +11,7 @@ from .errors import (BarrierViolation, ConeExit, ConeViolation,
                      DomainViolation, GFlowError, NonConvergence, Pinch,
                      QuadratureFailure, StabilityViolation, ToleranceFailure,
                      WindowTooNarrow, WindowTooShort)
-from .speeds import ImplicitInverse, SpeedFunction
+from .speeds import SpeedFunction
 from .solitons import (BowlProfile, EllipticityMonitor, ShrinkerProfile,
                        neck_constants, shrinker_to_bowl_convergence,
                        shrinker_w_diagnostic, solve_bowl, solve_shrinker)

@@ -7,24 +7,24 @@ its target, the tolerance, and a provenance tag for the target:
 * ``oracle``         -- target computed by an independent numerical route,
 * ``exact-solution`` -- target is an exact solution of the flow.
 
+Criteria 1-4, 6 and 7 certify the CLI's own runs: each names its run as
+the command line a user would type, which ``cli.compute`` resolves and
+computes as the command does, and each run is computed once per process.
+
 ``run_all`` executes every criterion; the CLI ``verify`` subcommand and
 ``tests/test_acceptance.py`` both consume this registry.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from . import _accel, fits, flow, geometry, solitons, spectral, speeds
-from .flow import (BoundaryCondition, RadialFlowState, run_flow,
-                   cylinder_radius, shrinking_cylinder_reference,
-                   state_from_reference, step_plan,
-                   translating_bowl_reference, translation_speed)
+from . import _accel, cli, flow, geometry, solitons, spectral, speeds
+from .flow import BoundaryCondition, RadialFlowState, run_flow, cylinder_radius
 
 
 @dataclass
@@ -38,8 +38,8 @@ class CriterionResult:
     provenance: str
     runtime: float
     details: dict = field(default_factory=dict)
-    # profiles this criterion took from the _bowl/_shrinker caches instead
-    # of solving them, so a short runtime is not mistaken for fast work
+    # CLI runs this criterion took from the _run cache instead of computing
+    # them, so a short runtime is not mistaken for fast work
     cache_hits: int = 0
 
     def line(self) -> str:
@@ -55,33 +55,27 @@ def _speed(kind, n, k=None):
 
 
 @lru_cache(maxsize=None)
-def _bowl(kind, n, k, rho_max, tol):
-    return solitons.solve_bowl(_speed(kind, n, k), rho_max=rho_max, tol=tol)
+def _run(argv):
+    """``cli.compute(argv)``: the CLI run ``argv``, computed once."""
+    return cli.compute(argv)
 
 
-@lru_cache(maxsize=None)
-def _shrinker(kind, n, k, a, tol):
-    return solitons.solve_shrinker(_speed(kind, n, k), a, theta=0.9, tol=tol)
-
-
-def _cache_hits():
-    return _bowl.cache_info().hits + _shrinker.cache_info().hits
-
-
-_TIP_SPEEDS = (("sum", 3, None), ("sum", 4, None), ("bh", 3, None),
-               ("bh", 4, None), ("sigma_ratio", 3, 2), ("sigma_ratio", 4, 2))
+_TIP_RUNS = tuple(("bowl", "--speed", kind, "--n", n, *k, "--rho-max", "1")
+                  for kind, n, k in (("sum", "3", ()), ("sum", "4", ()),
+                                     ("bh", "3", ()), ("bh", "4", ()),
+                                     ("sigma_ratio", "3", ("--k", "2")),
+                                     ("sigma_ratio", "4", ("--k", "2"))))
 
 
 def criterion_1():
     """Bowl tip curvature = 1/(2 F(1,1)) for every built-in speed."""
     worst = 0.0
     details = {}
-    for kind, n, k in _TIP_SPEEDS:
-        sp = _speed(kind, n, k)
-        bowl = _bowl(kind, n, k, 1.0, 1e-10)
-        target = 1.0 / (2.0 * sp.F11)
-        rel = abs(bowl.tip_curvature - target) / target
-        details[sp.label()] = rel
+    for argv in _TIP_RUNS:
+        report, bowl, _ = _run(argv)
+        target = report["tip_target"]
+        rel = abs(report["tip_curvature"] - target) / target
+        details[bowl.speed.label()] = rel
         worst = max(worst, rel)
     return worst <= 1e-6, f"max rel gap {worst:.2e}", "1/(2 F(1,1))", \
         "1e-6 relative", "closed-form", details
@@ -91,9 +85,8 @@ def criterion_2():
     """Bowl gradient tail: fitted c2 equals -2 dgamma^1(0,1,...,1)."""
     details = {}
     worst = 0.0
-    for kind, n, k in (("sum", 3, None), ("bh", 3, None)):
-        bowl = _bowl(kind, n, k, 1000.0, 1e-10)
-        fit = fits.fit_bowl_expansion(bowl, (100.0, 1000.0))
+    for kind in ("sum", "bh"):
+        _, bowl, fit = _run(("bowl", "--speed", kind))
         rel = fit.meta["relative_gap"]
         details[bowl.speed.label()] = {"c2": fit.coefficients["c2"],
                                        "target": fit.targets["c2"],
@@ -107,13 +100,11 @@ def criterion_3():
     """Shrinker lower bound v^2 >= 2F(0,1)(1 - z^2/a^2) at every node."""
     details = {}
     violations = 0
-    for a in (25.0, 50.0, 100.0):
-        prof = _shrinker("sum", 3, None, a, 1e-8)
-        margin = prof.lower_bound_margin()
-        bad = int(np.sum(margin < 0.0))
-        violations += bad
-        details[f"a={a:g}"] = {"min_margin": float(np.min(margin)),
-                               "violations": bad}
+    for row in _run(("shrinker",))[0]["rows"]:
+        violations += row["lower_bound_violations"]
+        details[f"a={row['a']:g}"] = {
+            "min_margin": row["lower_bound_min_margin"],
+            "violations": row["lower_bound_violations"]}
     return violations == 0, f"{violations} violations", "0 violations", \
         "pointwise >=", "closed-form", details
 
@@ -122,14 +113,12 @@ def criterion_4():
     """Neck quantity w > 2 everywhere; tip limit 2 F(1,1)/F(0,1)."""
     details = {}
     ok = True
-    for a in (25.0, 50.0, 100.0):
-        prof = _shrinker("sum", 3, None, a, 1e-8)
-        diag = solitons.shrinker_w_diagnostic(prof, M=50.0)
-        rel = abs(diag.tip_limit - diag.tip_target) / diag.tip_target
-        details[f"a={a:g}"] = {"w_min": float(np.min(diag.w)),
-                               "lower_ok": diag.lower_ok,
-                               "tip": diag.tip_limit, "tip_rel": rel}
-        ok = ok and diag.lower_ok and rel <= 0.02
+    for row in _run(("shrinker",))[0]["rows"]:
+        rel = abs(row["w_tip"] - row["w_tip_target"]) / row["w_tip_target"]
+        details[f"a={row['a']:g}"] = {"w_min": row["w_min"],
+                                      "lower_ok": row["w_lower_ok"],
+                                      "tip": row["w_tip"], "tip_rel": rel}
+        ok = ok and row["w_lower_ok"] and rel <= 0.02
     return ok, "w>2 and tip limits (see details)", \
         "w > 2; tip -> 3 (sum n=3)", "strict; 2% on tip", "closed-form", \
         details
@@ -150,18 +139,8 @@ def criterion_5():
 
 def criterion_6():
     """Cylinder regression: second-order convergence and 1e-6 accuracy."""
-    sp = _speed("sum", 3)
-    r0, t_end = 2.0, 0.25
-    ref = shrinking_cylinder_reference(sp, r0)
-    errs = []
-    for delta in (0.1, 0.05, 0.025):
-        st = state_from_reference(sp, ref, -5.0, 5.0, delta)
-        bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-        dt, nsteps = step_plan(sp, delta, t_end)
-        hist = run_flow(st, dt, nsteps, bc=bc, scheme="rk2",
-                        record_every=nsteps)
-        exact = math.sqrt(r0 ** 2 - 2.0 * sp.F01 * t_end)
-        errs.append(float(np.max(np.abs(hist.final_state.values - exact))))
+    errs = [_run(("flow", "--scheme", "rk2", "--delta", d))[0]["final_error"]
+            for d in ("0.1", "0.05", "0.025")]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     ok = min(ratios) >= 3.5 and errs[-1] <= 1e-6
     return ok, f"errors {errs[0]:.2e}/{errs[1]:.2e}/{errs[2]:.2e}, " \
@@ -172,20 +151,11 @@ def criterion_6():
 
 def criterion_7():
     """Simulated bowl window translates at its soliton speed 1/2."""
-    sp = _speed("sum", 3)
-    bowl = _bowl("sum", 3, None, 60.0, 1e-10)
-    ref = translating_bowl_reference(bowl)
-    delta = 0.05
-    st = state_from_reference(sp, ref, 5.0, 25.0, delta)
-    bc = BoundaryCondition.from_reference(ref, st.z[0], st.z[-1])
-    # the plan of `flow --preset bowl-translation --t-end 1`, each step
-    # recorded: the level-set fit's rms depends on where the samples fall on
-    # the grid, and the verify baseline holds it for the samples t = k/40
-    nsteps = flow.TRANSLATION_STEPS_PER_UNIT
-    hist = run_flow(st, 1.0 / nsteps, nsteps, bc=bc, scheme="semi_implicit",
-                    record_every=1)
-    level = float(st.values[st.values.size // 2])
-    res = translation_speed(hist, level)
+    # each of the run's 40 steps is recorded: the level-set fit's rms
+    # depends on where the samples fall on the grid, and the verify
+    # baseline holds it for the samples t = k/40
+    run = ("flow", "--preset", "bowl-translation", "--t-end", "1")
+    res = _run(run)[0]["translation"]
     err = abs(res["speed"] - 0.5)
     return err <= 1e-3, f"speed {res['speed']:.6f} (err {err:.2e})", "0.5", \
         "1e-3", "exact-solution", res
@@ -293,7 +263,7 @@ def criterion_12():
                        ("sigma_ratio", 4, 2)):
         sp = _speed(kind, n, k)
         lam = speeds.sample_cone_interior(sp, rng, 100)
-        worst_h = worst_m = worst_inv = worst_hom = 0.0
+        worst_h = worst_m = 0.0
         for row in lam:
             g = sp.gamma(row)
             for t in (0.5, 2.0, 10.0):
@@ -308,18 +278,17 @@ def criterion_12():
                 e[i] = h
                 fd = (sp.gamma(row + e) - sp.gamma(row - e)) / (2 * h)
                 worst_m = max(worst_m, abs(fd - grad[i]) / abs(grad[i]))
-        inv = speeds.ImplicitInverse(sp)
+        # the closed-form inverse f the profile kernels use, on 100 samples
+        # (y, z/y, t) of the cone F(0,1) < z/y < Q
         hi = min(sp.Q, 100.0 * sp.F01)
-        for _ in range(100):
-            y = rng.uniform(0.1, 10.0)
-            ratio = rng.uniform(sp.F01 * 1.01, hi * 0.99)
-            x = inv(y, ratio * y)
-            worst_inv = max(worst_inv,
-                            abs(sp.F(x, y) - ratio * y) / (ratio * y))
-            t = rng.uniform(0.5, 2.0)
-            worst_hom = max(worst_hom,
-                            abs(inv(t * y, t * ratio * y) - t * x)
-                            / max(t * x, 1e-10))
+        y, ratio, t = rng.uniform([0.1, 1.01 * sp.F01, 0.5],
+                                  [10.0, 0.99 * hi, 2.0], size=(100, 3)).T
+        x = sp.f_closed(y, ratio * y)
+        worst_inv = float(np.max(np.abs(sp.F(x, y) - ratio * y)
+                                 / (ratio * y)))
+        worst_hom = float(np.max(np.abs(sp.f_closed(t * y, t * ratio * y)
+                                        - t * x)
+                                 / np.maximum(t * x, 1e-10)))
         details[sp.label()] = {"homog": worst_h, "monot_fd": worst_m,
                                "inverse": worst_inv, "inv_homog": worst_hom}
         ok = ok and worst_h <= 1e-12 and worst_m <= 1e-6 \
@@ -372,7 +341,7 @@ def criteria_ids():
 def run_criterion(cid: int) -> CriterionResult:
     for c, title, fn in _REGISTRY:
         if c == cid:
-            hits = _cache_hits()
+            hits = _run.cache_info().hits
             start = time.perf_counter()
             passed, measured, target, tol, prov, details = fn()
             return CriterionResult(cid=c, title=title, passed=passed,
@@ -380,7 +349,7 @@ def run_criterion(cid: int) -> CriterionResult:
                                    tolerance=tol, provenance=prov,
                                    runtime=time.perf_counter() - start,
                                    details=details,
-                                   cache_hits=_cache_hits() - hits)
+                                   cache_hits=_run.cache_info().hits - hits)
     raise ValueError(f"unknown criterion id {cid}")
 
 

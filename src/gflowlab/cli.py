@@ -4,7 +4,9 @@ Subcommands: bowl, shrinker, flow, rescaled, spectral, verify.  Options can
 come from a JSON config file (--config); explicit flags win over the file.
 Outputs are CSV tables plus a JSON manifest per run, written to --outdir
 (or $GFLOWLAB_OUTDIR, default ./out); identical configurations produce
-byte-identical files.
+byte-identical files.  ``bowl``, ``shrinker`` and ``flow`` compute their
+run (``compute_*``, or ``compute`` from a command line), then write it;
+``verify`` certifies the same runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from . import acceptance, fits, output, solitons, spectral
+from . import fits, output, solitons, spectral
 from .errors import (GFlowError, WindowTooNarrow, require_finite,
                      require_positive)
 from .flow import (TRANSLATION_STEPS_PER_UNIT, BoundaryCondition,
@@ -159,7 +161,8 @@ def _options(args, cfg, section):
     return o
 
 
-def cmd_bowl(sp, o, outdir) -> int:
+def compute_bowl(sp, o):
+    """The `bowl` run: (manifest, profile, tail fit or None)."""
     rho_max, tol = o.rho_max, o.tol
     fit_lo = 100.0 if o.fit_lo is None else o.fit_lo
     fit_hi = min(1000.0, rho_max) if o.fit_hi is None else o.fit_hi
@@ -173,16 +176,6 @@ def cmd_bowl(sp, o, outdir) -> int:
         if o.fit_lo is not None or o.fit_hi is not None:
             raise
         fit = None
-    meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
-            "a": "inf", "theta": "", "tol": tol}
-    csv_path = os.path.join(outdir, "bowl.csv")
-    output.write_csv(csv_path, {
-        "rho": bowl.rho[1:], "psi": bowl.zeta[1:],
-        "psi_rho": bowl.zeta_rho[1:], "Lambda": bowl.monitor.Lambda,
-        "B": bowl.monitor.B}, meta)
-    output.write_plot_script(os.path.join(outdir, "bowl.gp"), "bowl.csv",
-                             "rho", ["psi", "psi_rho"], "bowl profile")
-
     report = {"speed": sp.to_config(), "tol": tol,
               "tip_curvature": bowl.tip_curvature,
               "tip_target": 1.0 / (2.0 * sp.F11),
@@ -197,43 +190,48 @@ def cmd_bowl(sp, o, outdir) -> int:
     if fit is not None:
         report["fit"] = fit.to_dict()
         ok = ok and fit.meta["relative_gap"] <= 0.05
+    report["pass"] = ok
+    return report, bowl, fit
+
+
+def cmd_bowl(sp, o, outdir) -> int:
+    report, bowl, fit = compute_bowl(sp, o)
+    meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
+            "a": "inf", "theta": "", "tol": o.tol}
+    csv_path = os.path.join(outdir, "bowl.csv")
+    output.write_csv(csv_path, {
+        "rho": bowl.rho[1:], "psi": bowl.zeta[1:],
+        "psi_rho": bowl.zeta_rho[1:], "Lambda": bowl.monitor.Lambda,
+        "B": bowl.monitor.B}, meta)
+    output.write_plot_script(os.path.join(outdir, "bowl.gp"), "bowl.csv",
+                             "rho", ["psi", "psi_rho"], "bowl profile")
+    if fit is not None:
         output.write_csv(os.path.join(outdir, "bowl_fit.csv"), {
-            "window_lo": [fit_lo], "window_hi": [fit_hi],
+            "window_lo": [fit.window[0]], "window_hi": [fit.window[1]],
             "c2": [fit.coefficients["c2"]],
             "c2_target": [fit.targets["c2"]],
             "residual": [fit.residual]},
             {"speed": sp.kind, "n": sp.n,
              "provenance": fit.targets["provenance"]})
-    report["pass"] = ok
     output.write_json(os.path.join(outdir, "bowl_fit.json"), report)
+    ok = report["pass"]
     print(f"bowl: tip {bowl.tip_curvature:.8g}, "
           f"residual {report['residual_max']:.2e} -> "
           f"{'ok' if ok else 'FAIL'} ({csv_path})")
     return 0 if ok else 1
 
 
-def cmd_shrinker(sp, o, outdir) -> int:
-    a_list, theta, tol = o.a, o.theta, o.tol
+def compute_shrinker(sp, o):
+    """The `shrinker` run: (manifest, one profile per cap parameter)."""
     require_positive("m-knob", o.m_knob)
-    profiles = [solitons.solve_shrinker(sp, a, theta=theta, tol=tol)
-                for a in a_list]
+    profiles = [solitons.solve_shrinker(sp, a, theta=o.theta, tol=o.tol)
+                for a in o.a]
     # a sweep or bound window the fit rejects fails before any file is written
     sweep = (fits.fit_shrinker_neck(profiles, L=o.bound_l)
              if o.check_bounds else None)
     ok = True
     rows = []
-    for a, prof in zip(a_list, profiles):
-        meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
-                "a": a, "theta": theta, "tol": tol}
-        tag = f"{a:g}".replace(".", "p")
-        output.write_csv(os.path.join(outdir, f"shrinker_a{tag}_rho.csv"),
-                         {"rho": prof.rho, "psi": prof.psi,
-                          "psi_rho": prof.psi_rho,
-                          "Lambda": prof.monitor.Lambda, "B": prof.monitor.B},
-                         meta)
-        output.write_csv(os.path.join(outdir, f"shrinker_a{tag}_z.csv"),
-                         {"z": prof.z, "v": prof.v, "v_z": prof.v_z,
-                          "w": prof.w}, meta)
+    for a, prof in zip(o.a, profiles):
         diag = solitons.shrinker_w_diagnostic(prof, M=o.m_knob)
         margin = prof.lower_bound_margin()
         row = {"a": a, "cauchy_gap": prof.cauchy_gap,
@@ -246,17 +244,36 @@ def cmd_shrinker(sp, o, outdir) -> int:
                "lower_bound_violations": int(np.sum(margin < 0))}
         rows.append(row)
         ok = ok and diag.lower_ok and row["lower_bound_violations"] == 0
-    report = {"speed": sp.to_config(), "theta": theta, "tol": tol,
+    report = {"speed": sp.to_config(), "theta": o.theta, "tol": o.tol,
               "rows": rows}
     if sweep is not None:
         report["bounds"] = sweep
         ok = ok and sweep["upper"]["stable"]
     report["pass"] = ok
+    return report, profiles
+
+
+def cmd_shrinker(sp, o, outdir) -> int:
+    report, profiles = compute_shrinker(sp, o)
+    for a, prof in zip(o.a, profiles):
+        meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
+                "a": a, "theta": o.theta, "tol": o.tol}
+        tag = f"{a:g}".replace(".", "p")
+        output.write_csv(os.path.join(outdir, f"shrinker_a{tag}_rho.csv"),
+                         {"rho": prof.rho, "psi": prof.psi,
+                          "psi_rho": prof.psi_rho,
+                          "Lambda": prof.monitor.Lambda, "B": prof.monitor.B},
+                         meta)
+        output.write_csv(os.path.join(outdir, f"shrinker_a{tag}_z.csv"),
+                         {"z": prof.z, "v": prof.v, "v_z": prof.v_z,
+                          "w": prof.w}, meta)
     output.write_json(os.path.join(outdir, "shrinker_report.json"), report)
+    # the plot shows the last cap's profile
     output.write_plot_script(os.path.join(outdir, "shrinker.gp"),
-                             f"shrinker_a{f'{a_list[-1]:g}'.replace('.', 'p')}_z.csv",
+                             f"shrinker_a{tag}_z.csv",
                              "z", ["v", "w"], "shrinker profile")
-    print(f"shrinker: a = {a_list} -> {'ok' if ok else 'FAIL'}")
+    ok = report["pass"]
+    print(f"shrinker: a = {o.a} -> {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -279,7 +296,8 @@ def _write_history(outdir, name, hist, extra_meta=None):
                       **(extra_meta or {})})
 
 
-def cmd_flow(sp, o, outdir) -> int:
+def compute_flow(sp, o):
+    """The `flow` run: (manifest, history)."""
     preset, delta, t_end, r0 = o.preset, o.delta, o.t_end, o.r0
     if o.stride < 0:
         raise ValueError(f"stride must be >= 0, got {o.stride}")
@@ -320,11 +338,17 @@ def cmd_flow(sp, o, outdir) -> int:
         manifest["target_speed"] = target
         ok = abs(res["speed"] - target) <= 1e-3
     manifest["pass"] = ok
-    _write_history(outdir, "flow", hist, {"preset": preset})
+    return manifest, hist
+
+
+def cmd_flow(sp, o, outdir) -> int:
+    manifest, hist = compute_flow(sp, o)
+    _write_history(outdir, "flow", hist, {"preset": o.preset})
     output.write_json(os.path.join(outdir, "flow_manifest.json"), manifest)
     output.write_plot_script(os.path.join(outdir, "flow.gp"), "flow.csv",
-                             "z", ["v"], f"flow: {preset}")
-    print(f"flow[{preset}]: {'ok' if ok else 'FAIL'} "
+                             "z", ["v"], f"flow: {o.preset}")
+    ok = manifest["pass"]
+    print(f"flow[{o.preset}]: {'ok' if ok else 'FAIL'} "
           f"({manifest.get('final_error', manifest.get('translation'))})")
     return 0 if ok else 1
 
@@ -441,10 +465,27 @@ def cmd_spectral(sp, o, outdir) -> int:
     return 0
 
 
+def _only_ids(text, known):
+    """The criterion ids ``verify --only`` lists: each one known, none twice;
+    a ValueError names the first item that is not."""
+    ids = []
+    for item in text.split(","):
+        cid = int(item) if item.strip().isdecimal() else None
+        problem = ("empty item" if not item.strip() else
+                   "unknown id" if cid not in known else
+                   "repeated id" if cid in ids else None)
+        if problem:
+            raise ValueError(f"--only: {problem} {item!r} (known ids: "
+                             f"{', '.join(map(str, known))})")
+        ids.append(cid)
+    return ids
+
+
 def cmd_verify(args) -> int:
-    only = None
-    if args.only:
-        only = [int(x) for x in args.only.split(",")]
+    # imported here: no other command needs the criteria or their modules
+    from . import acceptance
+    only = (None if args.only is None else
+            _only_ids(args.only, acceptance.criteria_ids()))
     results = acceptance.run_all(only=only)
     ok = all(r.passed for r in results)
     rows = [{"id": r.cid, "title": r.title, "pass": r.passed,
@@ -499,6 +540,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _command(args, cfg):
+    """(speed, options) of a parsed command line under the config ``cfg``."""
+    o = _options(args, cfg, args.command)
+    speed = _options(args, cfg, "speed")
+    return SpeedFunction(speed.speed, speed.n, speed.k), o
+
+
+def compute(argv):
+    """What the `bowl`, `shrinker` or `flow` command line ``argv`` computes,
+    read as ``main`` reads it (no config file): its manifest and the
+    objects its CSVs are written from.  Writes no file."""
+    args = build_parser().parse_args(argv)
+    run = {"bowl": compute_bowl, "shrinker": compute_shrinker,
+           "flow": compute_flow}[args.command]
+    return run(*_command(args, {}))
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -506,10 +564,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config) if args.config else {}
         if args.command == "verify":
             return cmd_verify(args)
-        o = _options(args, cfg, args.command)
-        speed = _options(args, cfg, "speed")
-        return args.fn(SpeedFunction(speed.speed, speed.n, speed.k), o,
-                       output.output_dir(args.outdir))
+        return args.fn(*_command(args, cfg), output.output_dir(args.outdir))
     except (GFlowError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1

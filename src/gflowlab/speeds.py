@@ -16,14 +16,11 @@ with F(x, y) = z), and the ellipticity ceiling Q = lim_{x->inf} F(x, 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConeViolation, DomainViolation
+from .errors import ConeViolation
 
 KINDS = ("sum", "bh", "sigma_ratio")
-# ImplicitInverse's Newton polish stops at |F(x, y) - z| <= INVERSE_TOL z
-INVERSE_TOL = 1e-12
 # sample_cone_interior's samples lie inside the cone by at least this margin
 SAMPLE_MARGIN = 0.05
 
@@ -207,11 +204,9 @@ class SpeedFunction:
         return self.forms[1](self._num(x), self._num(y))
 
     def f_closed(self, y, z):
-        """Closed-form partial inverse, the one the profile kernels use.
-
-        The generic numeric inverter lives in :class:`ImplicitInverse`;
-        the two agree to roundoff and are cross-checked in the test suite.
-        """
+        """Closed-form partial inverse f(y, z), the x with F(x, y) = z on
+        the cone F(0,1) < z/y < Q; elementwise, unchecked.  The profile
+        kernels use it, and verify's criterion 12 checks it."""
         return self.forms[2](self._num(y), self._num(z))
 
     # -- config fragment -----------------------------------------------------
@@ -229,64 +224,6 @@ class SpeedFunction:
 
     def __repr__(self):
         return f"SpeedFunction({self.label()})"
-
-
-@dataclass
-class ImplicitInverse:
-    """Numeric partial inverse f with F(f(y, z), y) = z.
-
-    Defined on the open cone U = {(y, z): F(0,1) < z/y < Q}.  Root finding
-    is bracketing + bisection followed by a Newton polish; the residual
-    satisfies |F(x, y) - z| <= ``INVERSE_TOL`` z.
-    """
-
-    speed: SpeedFunction
-
-    def __call__(self, y: float, z: float) -> float:
-        y = float(y)
-        z = float(z)
-        if y <= 0.0 or z <= 0.0:
-            raise DomainViolation("need y > 0 and z > 0")
-        ratio = z / y
-        if ratio <= self.speed.F01:
-            raise DomainViolation(
-                f"z/y = {ratio} <= F(0,1) = {self.speed.F01}")
-        if ratio >= self.speed.Q:
-            raise DomainViolation(f"z/y = {ratio} >= Q = {self.speed.Q}")
-
-        lo = 0.0
-        hi = max(y, 1.0)
-        for _ in range(600):
-            if self.speed.F(hi, y) >= z:
-                break
-            lo = hi
-            hi *= 2.0
-        else:  # pragma: no cover - excluded by the Q check above
-            raise DomainViolation("failed to bracket the inverse")
-
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if self.speed.F(mid, y) < z:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * (1.0 + hi):
-                break
-        x = 0.5 * (lo + hi)
-        for _ in range(8):
-            res = self.speed.F(x, y) - z
-            if abs(res) <= INVERSE_TOL * z:
-                break
-            step = res / self.speed.Fx(x, y)
-            x_new = x - step
-            if not (lo <= x_new <= hi):
-                x_new = 0.5 * (lo + hi)
-            if res > 0:
-                hi = x
-            else:
-                lo = x
-            x = x_new
-        return float(max(x, 0.0))
 
 
 def sample_cone_interior(speed: SpeedFunction, rng: np.random.Generator,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gflowlab
-from gflowlab import acceptance, cli, errors, fits, flow
+from gflowlab import acceptance, cli, errors, fits, flow, output
 from gflowlab.cli import (OPTIONS, float_list, _options, build_parser,
                           main, parse_config)
 from gflowlab.output import read_csv
@@ -123,17 +123,74 @@ _FAMILIES = {"sum3": ("sum", 3, None), "bh3": ("bh", 3, None),
              "sigma_ratio42": ("sigma_ratio", 4, 2)}
 
 
-def test_flow_bowl_translation_is_criterion_7(tmp_path):
-    # 40 ROS3P steps per time unit, each recorded at t-end 1: the run of
-    # verify's criterion 7, to the last bit of its speed
-    assert _run(tmp_path, "flow", "--preset", "bowl-translation",
-                "--t-end", "1") == 0
-    manifest = json.loads((tmp_path / "flow_manifest.json").read_text())
-    assert manifest["scheme"] == "semi_implicit"
-    assert manifest["nsteps"] == 40
-    assert manifest["dt"] == 0.025
-    details = acceptance.criterion_7()[5]
-    assert manifest["translation"]["speed"] == details["speed"]
+def _label(manifest):
+    return gflowlab.SpeedFunction(**manifest["speed"]).label()
+
+
+def _bowl_tail(m):
+    return {"c2": m["fit"]["coefficients"]["c2"],
+            "target": m["fit"]["targets"]["c2"],
+            "rel": m["fit"]["meta"]["relative_gap"]}
+
+
+def _neck(row):
+    return {"w_min": row["w_min"], "lower_ok": row["w_lower_ok"],
+            "tip": row["w_tip"],
+            "tip_rel": abs(row["w_tip"] - row["w_tip_target"])
+            / row["w_tip_target"]}
+
+
+def _translation(m):
+    # 40 ROS3P steps per time unit, each recorded, at t-end 1
+    assert m["scheme"] == "semi_implicit"
+    assert m["nsteps"] == 40
+    assert m["dt"] == 0.025
+    return m["translation"]
+
+
+# criterion id -> (manifest file, the CLI runs, that criterion's details read
+# off the runs' manifests)
+_CRITERION_RUNS = {
+    1: ("bowl_fit.json",
+        [["bowl", "--speed", kind, "--n", str(n),
+          *(["--k", str(k)] if k else []), "--rho-max", "1"]
+         for kind, n, k in (("sum", 3, None), ("sum", 4, None),
+                            ("bh", 3, None), ("bh", 4, None),
+                            ("sigma_ratio", 3, 2), ("sigma_ratio", 4, 2))],
+        lambda ms: {_label(m): abs(m["tip_curvature"] - m["tip_target"])
+                    / m["tip_target"] for m in ms}),
+    2: ("bowl_fit.json",
+        [["bowl", "--speed", "sum"], ["bowl", "--speed", "bh"]],
+        lambda ms: {_label(m): _bowl_tail(m) for m in ms}),
+    3: ("shrinker_report.json", [["shrinker"]],
+        lambda ms: {f"a={row['a']:g}":
+                    {"min_margin": row["lower_bound_min_margin"],
+                     "violations": row["lower_bound_violations"]}
+                    for row in ms[0]["rows"]}),
+    4: ("shrinker_report.json", [["shrinker"]],
+        lambda ms: {f"a={row['a']:g}": _neck(row) for row in ms[0]["rows"]}),
+    6: ("flow_manifest.json",
+        [["flow", "--scheme", "rk2", "--delta", delta]
+         for delta in ("0.1", "0.05", "0.025")],
+        lambda ms: {"errors": [m["final_error"] for m in ms]}),
+    7: ("flow_manifest.json",
+        [["flow", "--preset", "bowl-translation", "--t-end", "1"]],
+        lambda ms: _translation(ms[0])),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(_CRITERION_RUNS))
+def test_cli_run_is_criterion(tmp_path, cid):
+    # each of these commands, at its defaults, is a run that verify
+    # certifies: its manifest holds the criterion's details to the last bit
+    name, runs, read = _CRITERION_RUNS[cid]
+    manifests = []
+    for argv in runs:
+        assert _run(tmp_path, *argv) == 0
+        manifests.append(json.loads((tmp_path / name).read_text()))
+    details = json.loads(json.dumps(
+        output._sanitize(acceptance.run_criterion(cid).details)))
+    assert read(manifests) == details
 
 
 @pytest.mark.parametrize("family", _FAMILIES)
@@ -248,19 +305,36 @@ def test_verify_subset(tmp_path, capsys):
 
 
 def test_verify_reports_cache_hits(tmp_path, capsys):
-    # criterion 4 takes the three shrinkers criterion 3 solved from the cache
+    # criterion 4 takes the shrinker run criterion 3 computed from the cache
     outputs = []
     for flags in ([], ["--json"]):
-        acceptance._bowl.cache_clear()
-        acceptance._shrinker.cache_clear()
+        acceptance._run.cache_clear()
         assert _run(tmp_path, "verify", "--only", "3,4", *flags) == 0
         outputs.append(capsys.readouterr().out)
         rows = json.loads((tmp_path / "verify.json").read_text())
-        assert [row["cache_hits"] for row in rows] == [0, 3]
+        assert [row["cache_hits"] for row in rows] == [0, 1]
     lines = outputs[0].splitlines()
     assert "cache hits" not in lines[0]
-    assert lines[1].endswith("(3 cache hits)")
-    assert [row["cache_hits"] for row in json.loads(outputs[1])] == [0, 3]
+    assert lines[1].endswith("(1 cache hits)")
+    assert [row["cache_hits"] for row in json.loads(outputs[1])] == [0, 1]
+
+
+@pytest.mark.parametrize("only, problem", [
+    ("8,8", "repeated id '8'"), ("6,13", "unknown id '13'"),
+    (",8", "empty item ''"), ("", "empty item ''"), ("8,x", "unknown id 'x'"),
+])
+def test_verify_only_is_checked_before_any_criterion_runs(
+        tmp_path, capsys, monkeypatch, only, problem):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_criterion", ran.append)
+    assert _run(tmp_path, "verify", "--only", only) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith(f"--only: {problem} ")
+    assert error["message"].endswith(
+        "(known ids: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)")
+    assert ran == []
+    assert not (tmp_path / "verify.json").exists()
 
 
 def test_verify_json_format(tmp_path, capsys):

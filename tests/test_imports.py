@@ -1,7 +1,8 @@
 """Import guards: each module of the package references every name it
 imports (``__init__`` is exempt, since its imports are the package's
 re-exports, and so are ``from __future__`` imports and lines marked
-``# noqa: F401``), and the CLI does not load ``scipy.interpolate``."""
+``# noqa: F401``), the CLI does not load ``scipy.interpolate`` or the
+acceptance suite, and the acceptance suite imports on its own."""
 
 import ast
 import os
@@ -45,12 +46,35 @@ def test_module_uses_its_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def test_cli_import_loads_no_scipy_interpolate():
-    # PCHIP is the package's own (``_accel.pchip``): importing
-    # scipy.interpolate would cost every command its ~30 modules
+def _fresh(code):
+    """What ``code`` prints, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    code = ("import sys, gflowlab.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy.interpolate')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def cli_modules():
+    """The modules a fresh ``import gflowlab.cli`` loads."""
+    return set(_fresh("import sys, gflowlab.cli; print(*sys.modules)").split())
+
+
+def test_cli_import_loads_no_scipy_interpolate(cli_modules):
+    # PCHIP is the package's own (``_accel.pchip``): importing
+    # scipy.interpolate would cost every command its ~30 modules
+    assert sorted(m for m in cli_modules
+                  if m.startswith("scipy.interpolate")) == []
+
+
+def test_cli_import_loads_no_acceptance(cli_modules):
+    # only `verify` needs the criteria; cli imports them inside cmd_verify
+    assert "gflowlab.cli" in cli_modules
+    assert "gflowlab.acceptance" not in cli_modules
+
+
+def test_acceptance_imports_first():
+    # acceptance imports cli at module level, cli imports acceptance only
+    # when verify runs: no import cycle
+    assert _fresh("import gflowlab.acceptance as a; "
+                  "print(len(a.criteria_ids()))") == "12"

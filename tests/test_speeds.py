@@ -2,13 +2,15 @@
 
 Expected values come from independent oracles implemented here: direct
 pair summation for the bh speed, central finite differences for gradients,
-and a plain bisection on F(., 1) for the inverse.  A source guard keeps the
+and, for the closed-form inverse ``f_closed``, a bracketing-bisection-Newton
+inverter and a plain bisection on F(., 1).  A source guard keeps the
 families' names, and so their formulas, in ``speeds`` alone.
 """
 
 import ast
 import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,69 @@ def fd_gradient_oracle(fn, lam, h=1e-6):
         e[i] = h
         out[i] = (fn(lam + e) - fn(lam - e)) / (2 * h)
     return out
+
+
+# ImplicitInverse's Newton polish stops at |F(x, y) - z| <= INVERSE_TOL z
+INVERSE_TOL = 1e-12
+
+
+@dataclass
+class ImplicitInverse:
+    """Numeric partial inverse f with F(f(y, z), y) = z, the oracle that
+    ``SpeedFunction.f_closed`` is checked against.
+
+    Defined on the open cone U = {(y, z): F(0,1) < z/y < Q}.  Root finding
+    is bracketing + bisection followed by a Newton polish; the residual
+    satisfies |F(x, y) - z| <= ``INVERSE_TOL`` z.
+    """
+
+    speed: gf.SpeedFunction
+
+    def __call__(self, y: float, z: float) -> float:
+        y = float(y)
+        z = float(z)
+        if y <= 0.0 or z <= 0.0:
+            raise DomainViolation("need y > 0 and z > 0")
+        ratio = z / y
+        if ratio <= self.speed.F01:
+            raise DomainViolation(
+                f"z/y = {ratio} <= F(0,1) = {self.speed.F01}")
+        if ratio >= self.speed.Q:
+            raise DomainViolation(f"z/y = {ratio} >= Q = {self.speed.Q}")
+
+        lo = 0.0
+        hi = max(y, 1.0)
+        for _ in range(600):
+            if self.speed.F(hi, y) >= z:
+                break
+            lo = hi
+            hi *= 2.0
+        else:  # pragma: no cover - excluded by the Q check above
+            raise DomainViolation("failed to bracket the inverse")
+
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if self.speed.F(mid, y) < z:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-15 * (1.0 + hi):
+                break
+        x = 0.5 * (lo + hi)
+        for _ in range(8):
+            res = self.speed.F(x, y) - z
+            if abs(res) <= INVERSE_TOL * z:
+                break
+            step = res / self.speed.Fx(x, y)
+            x_new = x - step
+            if not (lo <= x_new <= hi):
+                x_new = 0.5 * (lo + hi)
+            if res > 0:
+                hi = x
+            else:
+                lo = x
+            x = x_new
+        return float(max(x, 0.0))
 
 
 def bisect_f_oracle(speed, y, z, iters=200):
@@ -193,13 +258,13 @@ def test_Q_sigma_ratio():
 # -- inverse f ---------------------------------------------------------------
 
 def test_invert_linear(sum3):
-    inv = gf.ImplicitInverse(sum3)
+    inv = ImplicitInverse(sum3)
     assert inv(1.0, 2.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_invert_bh_example(bh3):
     # solve 2/(x+1) + 1/2 = 1  =>  x = 3
-    inv = gf.ImplicitInverse(bh3)
+    inv = ImplicitInverse(bh3)
     x = inv(1.0, 1.0)
     assert x == pytest.approx(3.0, rel=1e-12)
     assert x == pytest.approx(bisect_f_oracle(bh3, 1.0, 1.0), rel=1e-12)
@@ -207,7 +272,7 @@ def test_invert_bh_example(bh3):
 
 def test_invert_limit_at_cone_edge(all_speeds):
     for sp in all_speeds:
-        inv = gf.ImplicitInverse(sp)
+        inv = ImplicitInverse(sp)
         prev = math.inf
         for eps in (1e-2, 1e-4, 1e-6):
             x = inv(1.0, sp.F01 + eps)
@@ -217,7 +282,7 @@ def test_invert_limit_at_cone_edge(all_speeds):
 
 
 def test_invert_domain_violations(bh3):
-    inv = gf.ImplicitInverse(bh3)
+    inv = ImplicitInverse(bh3)
     with pytest.raises(DomainViolation):
         inv(1.0, bh3.F01 * 0.5)
     with pytest.raises(DomainViolation):
@@ -228,7 +293,7 @@ def test_invert_domain_violations(bh3):
 
 def test_inverse_consistency_random(all_speeds, rng):
     for sp in all_speeds:
-        inv = gf.ImplicitInverse(sp)
+        inv = ImplicitInverse(sp)
         hi = min(sp.Q, 100.0 * sp.F01)
         for _ in range(100):
             y = rng.uniform(0.1, 10.0)
@@ -242,7 +307,7 @@ def test_inverse_consistency_random(all_speeds, rng):
 
 def test_closed_form_inverse_matches_generic(all_speeds, rng):
     for sp in all_speeds:
-        inv = gf.ImplicitInverse(sp)
+        inv = ImplicitInverse(sp)
         hi = min(sp.Q, 50.0 * sp.F01)
         for _ in range(30):
             y = rng.uniform(0.2, 5.0)
@@ -305,7 +370,7 @@ def test_symmetry_sampled_above_four(rng):
 
 def test_mutated_inverse_fails_consistency(bh3):
     # a sign error in the inverse breaks F(f(y,z), y) = z loudly
-    inv = gf.ImplicitInverse(bh3)
+    inv = ImplicitInverse(bh3)
     y, z = 1.0, 1.0
     x = inv(y, z)
     mutated = -x
@@ -319,7 +384,7 @@ def test_sigma_ratio_higher_order(rng):
     assert sp.F01 == pytest.approx((5 - 3) / 3)       # C(4,3)/C(4,2)
     assert sp.F11 == pytest.approx(1.0)               # C(5,3)/C(5,2)
     assert sp.Q == pytest.approx(1.5, rel=1e-12)      # C(4,2)/C(4,1)
-    inv = gf.ImplicitInverse(sp)
+    inv = ImplicitInverse(sp)
     for lam in sample_cone_interior(sp, rng, 20):
         grad = sp.gradient(lam)
         assert np.all(grad > 0)
