@@ -263,21 +263,18 @@ def criterion_12():
                        ("sigma_ratio", 4, 2)):
         sp = _speed(kind, n, k)
         lam = speeds.sample_cone_interior(sp, rng, 100)
-        worst_h = worst_m = 0.0
-        for row in lam:
-            g = sp.gamma(row)
-            for t in (0.5, 2.0, 10.0):
-                worst_h = max(worst_h, abs(sp.gamma(t * row) - t * g)
-                              / (t * g))
-            grad = sp.gradient(row)
-            if np.any(grad <= 0):
-                ok = False
-            h = 1e-5
-            for i in range(sp.n):
-                e = np.zeros(sp.n)
-                e[i] = h
-                fd = (sp.gamma(row + e) - sp.gamma(row - e)) / (2 * h)
-                worst_m = max(worst_m, abs(fd - grad[i]) / abs(grad[i]))
+        g = sp.gamma(lam)
+        worst_h = max(float(np.max(np.abs(sp.gamma(t * lam) - t * g)
+                                   / (t * g))) for t in (0.5, 2.0, 10.0))
+        grad = sp.gradient(lam)
+        ok = ok and not np.any(grad <= 0)
+        # central differences along each axis, one row of probes per sample
+        h = 1e-5
+        steps = np.eye(sp.n) * h
+        fd = (sp.gamma((lam[:, None] + steps).reshape(-1, sp.n))
+              - sp.gamma((lam[:, None] - steps).reshape(-1, sp.n))) / (2 * h)
+        worst_m = float(np.max(np.abs(fd.reshape(lam.shape) - grad)
+                               / np.abs(grad)))
         # the closed-form inverse f the profile kernels use, on 100 samples
         # (y, z/y, t) of the cone F(0,1) < z/y < Q
         hi = min(sp.Q, 100.0 * sp.F01)

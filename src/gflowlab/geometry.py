@@ -97,20 +97,14 @@ def _quadratic(graph: CylinderGraph) -> np.ndarray:
     return graph.u ** 2 / r ** 3 + graph.u_z ** 2 / r + r * graph.u_zz ** 2
 
 
-def _cone_curvatures(graph: CylinderGraph, speed: SpeedFunction):
-    """exact_curvatures, or ConeViolation when they leave the speed's cone."""
-    kax, krot = graph.exact_curvatures()
-    if np.any(kax + speed.cone_factor * krot <= 0):
-        raise ConeViolation("graph curvatures leave the admissible cone")
-    return kax, krot
-
-
 def expansion_error_G(graph: CylinderGraph,
                       speed: SpeedFunction) -> ExpansionReport:
     """Error of G ~ G_Sigma - dgamma^1(0,1,..,1) u_zz - gamma(0,1,..,1) u/r^2."""
     graph._require_small()
     r = graph.radius
-    kax, krot = _cone_curvatures(graph, speed)
+    kax, krot = graph.exact_curvatures()
+    if np.any(kax + speed.cone_factor * krot <= 0):
+        raise ConeViolation("graph curvatures leave the admissible cone")
     g_exact = np.asarray(speed.F(kax, krot))
     g_sigma = speed.F01 / r
     expansion = (g_sigma - speed.a_lin * graph.u_zz
@@ -125,17 +119,12 @@ def trace_gamma(graph: CylinderGraph, speed: SpeedFunction,
     S is given by its principal-frame components (one axial, n-1 equal
     rotational); the derivative is the analytic gradient contraction
     dgamma^1 s_axial + sum_{i>=2} dgamma^i s_rot, evaluated at the exact
-    graph curvatures.
+    graph curvatures; ``speed.gradient`` raises ConeViolation naming the
+    first curvature vector outside the speed's cone.
     """
-    kax, krot = _cone_curvatures(graph, speed)
-    s_axial = np.broadcast_to(np.asarray(s_axial, dtype=float), kax.shape)
-    s_rot = np.broadcast_to(np.asarray(s_rot, dtype=float), kax.shape)
-    out = np.empty_like(kax)
-    for i in range(kax.size):
-        lam = np.concatenate([[kax[i]], np.full(speed.n - 1, krot[i])])
-        grad = speed.gradient(lam)
-        out[i] = grad[0] * s_axial[i] + np.sum(grad[1:]) * s_rot[i]
-    return out
+    kax, krot = graph.exact_curvatures()
+    grad = speed.gradient(np.column_stack([kax] + [krot] * (speed.n - 1)))
+    return grad[:, 0] * s_axial + np.sum(grad[:, 1:], axis=1) * s_rot
 
 
 def trace_gamma_expansion_error(graph: CylinderGraph, speed: SpeedFunction,
@@ -143,11 +132,9 @@ def trace_gamma_expansion_error(graph: CylinderGraph, speed: SpeedFunction,
     """Error of trace_gamma against the cylinder-frame contraction
     dgamma^{ij}(A_Sigma) S_ij; first-order small in the graph."""
     graph._require_small()
+    s_axial, s_rot = np.asarray(s_axial, float), np.asarray(s_rot, float)
     exact = trace_gamma(graph, speed, s_axial, s_rot)
-    lam0 = np.concatenate([[0.0], np.ones(speed.n - 1)])
-    grad0 = speed.gradient(lam0)
-    s_axial = np.broadcast_to(np.asarray(s_axial, dtype=float), exact.shape)
-    s_rot = np.broadcast_to(np.asarray(s_rot, dtype=float), exact.shape)
+    grad0 = speed.gradient(np.r_[0.0, np.ones(speed.n - 1)])
     approx = grad0[0] * s_axial + np.sum(grad0[1:]) * s_rot
     s_norm = np.sqrt(s_axial ** 2 + (speed.n - 1) * s_rot ** 2)
     return _report(np.abs(exact - approx), graph._first_order() * s_norm)

@@ -38,21 +38,11 @@ CONVERGENCE_TOL = 1e-8
 CONVERGENCE_THETA = 0.9
 
 
-def estimate_c_lower(speed: SpeedFunction) -> float:
-    """Positive lower bound c = inf_{t>=0} df/dz(1, t + F(0,1)).
-
-    By homogeneity the infimum equals 1 / sup_{t>=0} dgamma^1(t, 1, ..., 1),
-    a quantity over a compact segment of the cone; it is estimated on a
-    dense logarithmic ladder.
-    """
-    t = np.concatenate(([0.0], np.logspace(-6.0, 8.0, 1500)))
-    fx = np.asarray(speed.Fx(t, 1.0))
-    return float(1.0 / fx.max())
-
-
 def neck_constants(speed: SpeedFunction) -> dict:
-    """The (K, L0, c) constants controlling the neck window of a shrinker."""
-    c = estimate_c_lower(speed)
+    """The (K, L0, c) constants controlling the neck window of a shrinker:
+    c = inf_{t>=0} df/dz(1, t + F(0,1)) = 1 / sup_{t>=0} F_x(t, 1) = 1/a_lin,
+    since F(., 1) is linear or concave for every built-in speed."""
+    c = 1.0 / speed.a_lin
     K = max(1.0, 6.0 * speed.F01, 17.0 / c)
     return {"c": c, "K": K, "L0": math.sqrt(K) + 1.0}
 

@@ -56,17 +56,22 @@ def closed_forms(kind, p0, p1, p2):
 
 
 def _elementary_symmetric(lam: np.ndarray) -> np.ndarray:
-    """All elementary symmetric polynomials sigma_0..sigma_n of ``lam``."""
-    e = np.zeros(lam.size + 1)
-    e[0] = 1.0
-    for x in lam:
-        e[1:] = e[1:] + x * e[:-1]
+    """The elementary symmetric sigma_0..sigma_n of ``lam``'s last axis."""
+    e = np.zeros(lam.shape[:-1] + (lam.shape[-1] + 1,))
+    e[..., 0] = 1.0
+    for j in range(lam.shape[-1]):
+        e[..., 1:] = e[..., 1:] + lam[..., j, None] * e[..., :-1]
     return e
 
 
 def _as_lambda(lam) -> np.ndarray:
-    arr = np.asarray(lam, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
+    """``lam`` as one curvature vector or an (m, n) stack of them, C-ordered
+    so that numpy sums each row of a stack as it sums one vector."""
+    arr = np.ascontiguousarray(lam, dtype=float)
+    if arr.ndim > 2:
+        raise ValueError("curvatures must be one vector or an (m, n) stack "
+                         f"of them, got {arr.ndim} dimensions")
+    if arr.shape[-1] < 2:
         raise ValueError("curvature vector must be 1D with n >= 2 entries")
     return arr
 
@@ -129,65 +134,82 @@ class SpeedFunction:
         self.a_lin = self.Fx(0.0, 1.0)
 
     # -- full symmetric-function interface ---------------------------------
+    # gamma, gradient and contains_cone take one curvature vector or an
+    # (m, n) stack; row i of a stack's result is row i's own, bit for bit.
 
-    def contains_cone(self, lam, margin: float = 0.0) -> bool:
-        """Whether ``lam`` lies in the admissible cone (strictly, by ``margin``).
+    def _in_cone(self, arr: np.ndarray, margin: float) -> np.ndarray:
+        arr = np.sort(arr, axis=-1)
+        if self.kind in ("sum", "bh"):
+            return arr[..., 0] + arr[..., 1] > margin
+        e = _elementary_symmetric(arr)
+        return np.all(e[..., 1:self.k + 1] > margin, axis=-1)
+
+    def contains_cone(self, lam, margin: float = 0.0):
+        """Whether ``lam`` lies in the admissible cone (strictly, by
+        ``margin``): a bool, or one per row of a stack.
 
         sum/bh use the two-positive cone; sigma_ratio uses the Garding-type
         cone sigma_1 > 0, ..., sigma_k > 0 on which the ratio is positive
         and monotone.
         """
-        arr = np.sort(_as_lambda(lam))
-        if arr.size != self.n:
-            return False
-        if self.kind in ("sum", "bh"):
-            return bool(arr[0] + arr[1] > margin)
-        e = _elementary_symmetric(arr)
-        return bool(np.all(e[1:self.k + 1] > margin))
+        arr = _as_lambda(lam)
+        inside = (self._in_cone(arr, margin) if arr.shape[-1] == self.n
+                  else np.zeros(arr.shape[:-1], dtype=bool))
+        return bool(inside) if arr.ndim == 1 else inside
 
     def _require(self, lam) -> np.ndarray:
         arr = _as_lambda(lam)
-        if arr.size != self.n:
+        if arr.shape[-1] != self.n:
             raise ConeViolation(
-                f"expected {self.n} curvatures, got {arr.size}")
-        if not self.contains_cone(arr):
+                f"expected {self.n} curvatures, got {arr.shape[-1]}")
+        outside = np.flatnonzero(~self._in_cone(arr, 0.0))
+        if outside.size:
+            i = outside[0]
+            row, where = ((arr, "") if arr.ndim == 1
+                          else (arr[i], f" (row {i})"))
             raise ConeViolation(
-                f"curvature vector {arr.tolist()} lies outside the cone of "
-                f"the {self.kind} speed")
+                f"curvature vector {row.tolist()}{where} lies outside the "
+                f"cone of the {self.kind} speed")
         return arr
 
-    def gamma(self, lam) -> float:
-        """Evaluate the speed at a curvature vector inside the cone."""
-        arr = self._require(lam)
+    def _gamma(self, arr: np.ndarray):
         if self.kind == "sum":
-            return float(arr.sum())
+            return arr.sum(axis=-1)
         if self.kind == "bh":
+            # take keeps a stack's pair sums C-ordered, so numpy sums each
+            # row as it sums one vector
             i, j = self._pairs
-            return float(1.0 / np.sum(1.0 / (arr[i] + arr[j])))
+            pair = np.take(arr, i, axis=-1) + np.take(arr, j, axis=-1)
+            return 1.0 / np.sum(1.0 / pair, axis=-1)
         e = _elementary_symmetric(arr)
-        return float(e[self.k] / e[self.k - 1])
+        return e[..., self.k] / e[..., self.k - 1]
+
+    def gamma(self, lam):
+        """Evaluate the speed at a curvature vector inside the cone: a
+        float, or an array of one value per row of a stack."""
+        arr = self._require(lam)
+        return float(self._gamma(arr)) if arr.ndim == 1 else self._gamma(arr)
 
     def gradient(self, lam) -> np.ndarray:
-        """Analytic gradient (dgamma^1, ..., dgamma^n) at ``lam``."""
+        """Analytic gradient (dgamma^1, ..., dgamma^n) at ``lam``, one row
+        per row of a stack."""
         arr = self._require(lam)
-        n = self.n
         if self.kind == "sum":
-            return np.ones(n)
+            return np.ones(arr.shape)
         if self.kind == "bh":
-            g = self.gamma(arr)
-            pair = arr[:, None] + arr[None, :]
-            np.fill_diagonal(pair, np.inf)
-            t = np.sum(1.0 / pair ** 2, axis=1)
+            g = self._gamma(arr)[..., None]
+            pair = arr[..., :, None] + arr[..., None, :]
+            pair[..., np.arange(self.n), np.arange(self.n)] = np.inf
+            t = np.sum(1.0 / pair ** 2, axis=-1)
             return g * g * t
         k = self.k
-        e = _elementary_symmetric(arr)
-        grad = np.empty(n)
-        for i in range(n):
-            reduced = _elementary_symmetric(np.delete(arr, i))
-            dk = reduced[k - 1]
-            dkm1 = reduced[k - 2] if k >= 2 else 0.0
-            grad[i] = (e[k - 1] * dk - e[k] * dkm1) / e[k - 1] ** 2
-        return grad
+        e = _elementary_symmetric(arr)[..., None, :]
+        # reduced[..., i, :]: the sigma_j of lam with lam_i left out
+        reduced = np.stack([_elementary_symmetric(np.delete(arr, i, axis=-1))
+                            for i in range(self.n)], axis=-2)
+        dkm1 = reduced[..., k - 2] if k >= 2 else 0.0
+        return ((e[..., k - 1] * reduced[..., k - 1] - e[..., k] * dkm1)
+                / e[..., k - 1] ** 2)
 
     # -- restriction algebra -------------------------------------------------
 

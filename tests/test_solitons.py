@@ -10,9 +10,9 @@ import gflowlab as gf
 from gflowlab import _accel
 from gflowlab.errors import (NonConvergence, ToleranceFailure,
                              WindowTooNarrow)
-from gflowlab.solitons import (estimate_c_lower, lambda_ceiling,
-                               neck_constants, shrinker_upper_bound_fit,
-                               solve_bowl, solve_shrinker)
+from gflowlab.solitons import (lambda_ceiling, neck_constants,
+                               shrinker_upper_bound_fit, solve_bowl,
+                               solve_shrinker)
 
 
 # -- bowl ---------------------------------------------------------------------
@@ -391,9 +391,23 @@ def test_neck_constants_sum(sum3):
     assert consts["L0"] == pytest.approx(math.sqrt(17.0) + 1.0, rel=1e-9)
 
 
-def test_c_lower_positive(all_speeds):
-    for sp in all_speeds:
-        assert 0 < estimate_c_lower(sp) <= 1.0 / sp.a_lin + 1e-9
+def ladder_c(speed):
+    """c = 1 / sup_{t>=0} F_x(t, 1), the sup taken on a logarithmic ladder
+    of 1,501 points t in {0} and [1e-6, 1e8], without using concavity."""
+    t = np.concatenate(([0.0], np.logspace(-6.0, 8.0, 1500)))
+    return float(1.0 / np.asarray(speed.Fx(t, 1.0)).max())
+
+
+def test_c_is_exact():
+    # F(., 1) is linear or concave, so F_x(., 1) peaks at 0 and c = 1/a_lin
+    for kind, n, k in [("sum", 2, None), ("sum", 3, None), ("sum", 4, None),
+                       ("sum", 6, None), ("bh", 3, None), ("bh", 4, None),
+                       ("bh", 6, None), ("sigma_ratio", 3, 2),
+                       ("sigma_ratio", 4, 1), ("sigma_ratio", 4, 2),
+                       ("sigma_ratio", 5, 2), ("sigma_ratio", 5, 3),
+                       ("sigma_ratio", 6, 4)]:
+        sp = gf.SpeedFunction(kind, n, k)
+        assert neck_constants(sp)["c"] == 1.0 / sp.a_lin == ladder_c(sp)
 
 
 # -- upper bound and convergence to the bowl -----------------------------------

@@ -10,6 +10,7 @@ families' names, and so their formulas, in ``speeds`` alone.
 import ast
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,6 +189,90 @@ def test_gradient_matches_fd(all_speeds, rng):
             fd = fd_gradient_oracle(sp.gamma, lam, h=1e-5)
             assert np.all(grad > 0)
             assert np.allclose(grad, fd, rtol=1e-6, atol=1e-9)
+
+
+# -- stacks of curvature vectors ---------------------------------------------
+
+# sigma_ratio k=1 has no sigma_{k-2} term in its gradient
+STACK_SPEEDS = [("sum", 3, None), ("bh", 3, None), ("sigma_ratio", 4, 2),
+                ("sigma_ratio", 4, 1)]
+
+
+def _outside(n):
+    """A vector outside every built-in cone: sigma_1 < 0 and the two
+    smallest entries sum below zero."""
+    return np.array([-3.0, -3.0] + [1.0] * (n - 2))
+
+
+@pytest.mark.parametrize("kind,n,k", STACK_SPEEDS)
+def test_stack_matches_per_vector(kind, n, k, rng):
+    sp = gf.SpeedFunction(kind, n, k)
+    lam = sample_cone_interior(sp, rng, 50) * rng.uniform(0.1, 10.0, (50, 1))
+    gammas = [sp.gamma(row) for row in lam]
+    assert all(type(g) is float for g in gammas)
+    np.testing.assert_array_equal(sp.gamma(lam), gammas)
+    np.testing.assert_array_equal(sp.gradient(lam),
+                                  [sp.gradient(row) for row in lam])
+    probes = np.vstack([lam, _outside(n)])
+    for margin in (0.0, 1.0):
+        inside = [sp.contains_cone(row, margin) for row in probes]
+        assert all(type(c) is bool for c in inside)
+        np.testing.assert_array_equal(sp.contains_cone(probes, margin),
+                                      inside)
+
+
+def test_stack_in_any_memory_order_matches_per_vector(rng):
+    # from 8 terms on numpy sums a row by its memory layout, so a stack in
+    # Fortran order must be summed as C-ordered rows
+    for kind in ("sum", "bh"):
+        sp = gf.SpeedFunction(kind, 9)
+        lam = np.asfortranarray(sample_cone_interior(sp, rng, 200)
+                                * 10.0 ** rng.integers(-3, 3, (200, 1)))
+        np.testing.assert_array_equal(sp.gamma(lam),
+                                      [sp.gamma(row) for row in lam])
+        np.testing.assert_array_equal(sp.gradient(lam),
+                                      [sp.gradient(row) for row in lam])
+
+
+@pytest.mark.parametrize("kind,n,k", STACK_SPEEDS)
+def test_stack_names_the_vector_outside_the_cone(kind, n, k, rng):
+    sp = gf.SpeedFunction(kind, n, k)
+    lam = sample_cone_interior(sp, rng, 10)
+    lam[7] = _outside(n)
+    for fn in (sp.gamma, sp.gradient):
+        with pytest.raises(ConeViolation, match=re.escape(
+                f"curvature vector {_outside(n).tolist()} (row 7) lies "
+                f"outside the cone of the {kind} speed")):
+            fn(lam)
+        # one vector keeps its message
+        with pytest.raises(ConeViolation) as err:
+            fn(_outside(n))
+        assert str(err.value) == (
+            f"curvature vector {_outside(n).tolist()} lies outside the "
+            f"cone of the {kind} speed")
+
+
+@pytest.mark.parametrize("kind,n,k", STACK_SPEEDS)
+def test_stack_of_wrong_width_names_the_count(kind, n, k):
+    sp = gf.SpeedFunction(kind, n, k)
+    for fn in (sp.gamma, sp.gradient):
+        with pytest.raises(ConeViolation,
+                           match=f"expected {n} curvatures, got {n + 1}$"):
+            fn(np.ones((4, n + 1)))
+    np.testing.assert_array_equal(sp.contains_cone(np.ones((4, n + 1))),
+                                  [False] * 4)
+
+
+@pytest.mark.parametrize("kind,n,k", STACK_SPEEDS)
+def test_three_dimensional_curvatures_are_a_value_error(kind, n, k):
+    sp = gf.SpeedFunction(kind, n, k)
+    for fn in (sp.gamma, sp.gradient, sp.contains_cone):
+        with pytest.raises(ValueError, match="got 3 dimensions") as err:
+            fn(np.ones((2, 2, n)))
+        assert not isinstance(err.value, ConeViolation)
+    with pytest.raises(ValueError) as err:
+        sp.gamma([1.0])
+    assert str(err.value) == "curvature vector must be 1D with n >= 2 entries"
 
 
 # -- restriction F -----------------------------------------------------------

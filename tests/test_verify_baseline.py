@@ -9,7 +9,7 @@ nonzero.  A change that moves a number rewrites the baseline with
 
     PYTHONPATH=src python tests/test_verify_baseline.py
 
-and states each moved value, old -> new.
+which prints each leaf it moves, old -> new, for the change to state.
 """
 
 import json
@@ -72,8 +72,30 @@ def test_measured_values_near_baseline(cid):
                 f"{path}: {old!r} -> {new!r}"
 
 
+def _moves(old_rows, new_rows):
+    """A line "criterion <id> <path>: old -> new" per leaf that differs
+    between two baselines; a leaf that only one of them has reads None."""
+    old = {(row["id"], p): v for row in old_rows for p, v in _leaves(row)}
+    new = {(row["id"], p): v for row in new_rows for p, v in _leaves(row)}
+    return [f"criterion {cid} {path}: {old.get((cid, path))!r} -> "
+            f"{new.get((cid, path))!r}"
+            for cid, path in sorted(old.keys() | new.keys())
+            if old.get((cid, path)) != new.get((cid, path))]
+
+
+def test_moves_names_each_changed_leaf():
+    old = [{"id": 7, "measured": "speed 0.5", "details": {"rms": 4.0}}]
+    new = [{"id": 7, "measured": "speed 0.5", "details": {"rms": 4.5,
+                                                         "extra": 1}}]
+    assert _moves(old, new) == ["criterion 7 /details/extra: None -> 1",
+                                "criterion 7 /details/rms: 4.0 -> 4.5"]
+    assert _moves(old, old) == []
+
+
 if __name__ == "__main__":
+    rows = [_measured(cid) for cid in acceptance.criteria_ids()]
+    with open(BASELINE) as fh:
+        print("\n".join(_moves(json.load(fh), rows)) or "no leaf moved")
     with open(BASELINE, "w", newline="\n") as fh:
-        json.dump([_measured(cid) for cid in acceptance.criteria_ids()], fh,
-                  indent=2, sort_keys=True)
+        json.dump(rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
