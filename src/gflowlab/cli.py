@@ -4,9 +4,10 @@ Subcommands: bowl, shrinker, flow, rescaled, spectral, verify.  Options can
 come from a JSON config file (--config); explicit flags win over the file.
 Outputs are CSV tables plus a JSON manifest per run, written to --outdir
 (or $GFLOWLAB_OUTDIR, default ./out); identical configurations produce
-byte-identical files.  ``bowl``, ``shrinker`` and ``flow`` compute their
-run (``compute_*``, or ``compute`` from a command line), then write it;
-``verify`` certifies the same runs.
+byte-identical files.  Every command but ``verify`` computes its run
+(``compute_*``, or ``compute`` from a command line), then writes it
+(``write_*``), so a run that raises writes no file; ``verify`` certifies
+the same runs.
 """
 
 from __future__ import annotations
@@ -194,8 +195,7 @@ def compute_bowl(sp, o):
     return report, bowl, fit
 
 
-def cmd_bowl(sp, o, outdir) -> int:
-    report, bowl, fit = compute_bowl(sp, o)
+def write_bowl(sp, o, outdir, report, bowl, fit):
     meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
             "a": "inf", "theta": "", "tol": o.tol}
     csv_path = os.path.join(outdir, "bowl.csv")
@@ -214,11 +214,9 @@ def cmd_bowl(sp, o, outdir) -> int:
             {"speed": sp.kind, "n": sp.n,
              "provenance": fit.targets["provenance"]})
     output.write_json(os.path.join(outdir, "bowl_fit.json"), report)
-    ok = report["pass"]
-    print(f"bowl: tip {bowl.tip_curvature:.8g}, "
-          f"residual {report['residual_max']:.2e} -> "
-          f"{'ok' if ok else 'FAIL'} ({csv_path})")
-    return 0 if ok else 1
+    return (f"bowl: tip {bowl.tip_curvature:.8g}, "
+            f"residual {report['residual_max']:.2e} -> "
+            f"{'ok' if report['pass'] else 'FAIL'} ({csv_path})")
 
 
 def compute_shrinker(sp, o):
@@ -253,8 +251,7 @@ def compute_shrinker(sp, o):
     return report, profiles
 
 
-def cmd_shrinker(sp, o, outdir) -> int:
-    report, profiles = compute_shrinker(sp, o)
+def write_shrinker(sp, o, outdir, report, profiles):
     for a, prof in zip(o.a, profiles):
         meta = {"speed": sp.kind, "n": sp.n, "k": sp.k if sp.k else "",
                 "a": a, "theta": o.theta, "tol": o.tol}
@@ -272,9 +269,7 @@ def cmd_shrinker(sp, o, outdir) -> int:
     output.write_plot_script(os.path.join(outdir, "shrinker.gp"),
                              f"shrinker_a{tag}_z.csv",
                              "z", ["v", "w"], "shrinker profile")
-    ok = report["pass"]
-    print(f"shrinker: a = {o.a} -> {'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return f"shrinker: a = {o.a} -> {'ok' if report['pass'] else 'FAIL'}"
 
 
 def _ros3p_plan(name, span, per_unit):
@@ -341,16 +336,13 @@ def compute_flow(sp, o):
     return manifest, hist
 
 
-def cmd_flow(sp, o, outdir) -> int:
-    manifest, hist = compute_flow(sp, o)
+def write_flow(sp, o, outdir, manifest, hist):
     _write_history(outdir, "flow", hist, {"preset": o.preset})
     output.write_json(os.path.join(outdir, "flow_manifest.json"), manifest)
     output.write_plot_script(os.path.join(outdir, "flow.gp"), "flow.csv",
                              "z", ["v"], f"flow: {o.preset}")
-    ok = manifest["pass"]
-    print(f"flow[{o.preset}]: {'ok' if ok else 'FAIL'} "
-          f"({manifest.get('final_error', manifest.get('translation'))})")
-    return 0 if ok else 1
+    return (f"flow[{o.preset}]: {'ok' if manifest['pass'] else 'FAIL'} "
+            f"({manifest.get('final_error', manifest.get('translation'))})")
 
 
 def _rescaled_seed(mode, amp, sp, z):
@@ -371,75 +363,84 @@ def _rescaled_seed(mode, amp, sp, z):
     return RadialFlowState("rescaled", z, v, 0.0, sp)
 
 
-def cmd_rescaled(sp, o, outdir) -> int:
-    seed_mode, amp, tau_end, delta, window = (o.seed_mode, o.amp, o.tau_end,
-                                              o.delta, o.window)
-    dt, nsteps = _ros3p_plan("tau-end", tau_end, RESCALED_STEPS_PER_UNIT)
-    for name, value in (("window", window), ("measure-l", o.measure_l)):
-        require_positive(name, value)
-    require_finite("amp", amp)
-
-    st = _rescaled_seed(seed_mode, amp, sp,
+def _seeded_run(sp, o, window, delta, span_name, span, record_every):
+    """The frozen-boundary ROS3P run of `rescaled` and `spectral` over span
+    units of tau: (the manifest keys the two commands share, history)."""
+    dt, nsteps = _ros3p_plan(span_name, span, RESCALED_STEPS_PER_UNIT)
+    require_finite("amp", o.amp)
+    st = _rescaled_seed(o.seed_mode, o.amp, sp,
                         uniform_grid(-window, window, delta))
     hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
-                    scheme="semi_implicit")
-    manifest = {"speed": sp.to_config(), "seed_mode": seed_mode, "amp": amp,
-                "grid": {"z_lo": float(st.z[0]), "z_hi": float(st.z[-1]),
-                         "delta": delta},
-                "scheme": hist.scheme, "dt": dt, "nsteps": nsteps,
-                "tau_end": tau_end, "boundary": "frozen", "seed": None}
-    if seed_mode == "cylinder":
+                    scheme="semi_implicit", record_every=record_every)
+    return {"speed": sp.to_config(), "seed_mode": o.seed_mode, "amp": o.amp,
+            "scheme": hist.scheme, "dt": dt, "nsteps": nsteps,
+            "seed": None}, hist
+
+
+def compute_rescaled(sp, o):
+    """The `rescaled` run: (manifest, history)."""
+    for name, value in (("window", o.window), ("measure-l", o.measure_l)):
+        require_positive(name, value)
+    manifest, hist = _seeded_run(sp, o, o.window, o.delta, "tau-end",
+                                 o.tau_end, record_every=None)
+    manifest |= {"grid": {"z_lo": float(hist.z[0]),
+                          "z_hi": float(hist.z[-1]), "delta": o.delta},
+                 "tau_end": o.tau_end, "boundary": "frozen"}
+    if o.seed_mode == "cylinder":
         manifest["max_drift"] = float(
             np.max(np.abs(hist.snapshots - cylinder_radius(sp))))
         ok = manifest["max_drift"] <= 1e-12
-    elif tau_end >= fits.MIN_DECAY_SPAN:
-        res = fits.measure_rescaled_decay(hist, L=o.measure_l)
-        manifest["decay"] = res
+    elif o.tau_end >= fits.MIN_DECAY_SPAN:
+        res = manifest["decay"] = fits.measure_rescaled_decay(
+            hist, L=o.measure_l)
         ok = res["fixed_point"] or res["slope"] is not None
     else:
-        growth = fits.sup_growth_fit(hist, L=o.measure_l)
-        manifest["sup_growth_rate"] = growth["slope"]
+        manifest["sup_growth_rate"] = fits.sup_growth_fit(
+            hist, L=o.measure_l)["slope"]
         ok = True
     manifest["pass"] = ok
-    _write_history(outdir, "rescaled", hist, {"seed_mode": seed_mode})
+    return manifest, hist
+
+
+def write_rescaled(sp, o, outdir, manifest, hist):
+    _write_history(outdir, "rescaled", hist, {"seed_mode": o.seed_mode})
     output.write_json(os.path.join(outdir, "rescaled_manifest.json"),
                       manifest)
     output.write_plot_script(os.path.join(outdir, "rescaled.gp"),
                              "rescaled.csv", "z", ["v"],
-                             f"rescaled flow: {seed_mode}")
-    print(f"rescaled[{seed_mode}]: {'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+                             f"rescaled flow: {o.seed_mode}")
+    return f"rescaled[{o.seed_mode}]: {'ok' if manifest['pass'] else 'FAIL'}"
 
 
-def cmd_spectral(sp, o, outdir) -> int:
-    seed_mode, windows, r_exp, big_l, amp = (o.seed_mode, o.windows, o.r,
-                                             o.l, o.amp)
-    if windows < SPECTRAL_MIN_WINDOWS:
+def compute_spectral(sp, o):
+    """The `spectral` run: (manifest, eigenvalue table, mode trace)."""
+    if o.windows < SPECTRAL_MIN_WINDOWS:
         raise ValueError(f"windows must be >= {SPECTRAL_MIN_WINDOWS}, "
-                         f"got {windows}")
-    require_positive("r", r_exp)
-    require_positive("l", big_l)
-    require_finite("amp", amp)
+                         f"got {o.windows}")
+    require_positive("r", o.r)
+    require_positive("l", o.l)
     if o.kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {o.kmax}")
     if o.quad_order < 2 * o.kmax + 2:
         raise ValueError(f"quad-order must be >= 2 kmax + 2 = {2 * o.kmax + 2}"
                          f" for kmax = {o.kmax}, got {o.quad_order}")
-    st = _rescaled_seed(seed_mode, amp, sp, uniform_grid(-18.0, 18.0, 0.06))
-
+    manifest, hist = _seeded_run(sp, o, 18.0, 0.06, "windows", o.windows + 1,
+                                 record_every=1)
     basis = spectral.build_basis(sp.a_lin, K=o.kmax, quad_order=o.quad_order)
-    table = spectral.eigen_table(sp.n, 6, 6)
+    trace = spectral.gamma_trace_from_run(hist, basis, r=o.r, L=o.l)
+    manifest |= {"windows": o.windows, "r": o.r, "L": o.l,
+                 "sandwich_constant": trace.sandwich_constant,
+                 "verdict": spectral.merle_zaag_classifier(trace),
+                 "pass": True}
+    return manifest, spectral.eigen_table(sp.n, 6, 6), trace
+
+
+def write_spectral(sp, o, outdir, manifest, table, trace):
     output.write_csv(os.path.join(outdir, "eigen_table.csv"),
                      {"k": np.repeat(np.arange(7), 7),
                       "l": np.tile(np.arange(7), 7),
                       "mu": table.reshape(-1)},
                      {"n": sp.n})
-
-    dt, nsteps = _ros3p_plan("windows", windows + 1, RESCALED_STEPS_PER_UNIT)
-    hist = run_flow(st, dt, nsteps, bc=BoundaryCondition(mode="frozen"),
-                    scheme="semi_implicit", record_every=1)
-    trace = spectral.gamma_trace_from_run(hist, basis, r=r_exp, L=big_l)
-    verdict = spectral.merle_zaag_classifier(trace)
     output.write_csv(os.path.join(outdir, "gamma_trace.csv"),
                      {"window": trace.windows, "gamma": trace.gamma,
                       "gamma_plus": trace.gamma_plus,
@@ -449,20 +450,14 @@ def cmd_spectral(sp, o, outdir) -> int:
                       "Gamma_zero": trace.Gamma_zero,
                       "Gamma_minus": trace.Gamma_minus,
                       "delta": trace.delta},
-                     {"r": r_exp, "L": big_l, "seed_mode": seed_mode})
-    manifest = {"speed": sp.to_config(), "seed_mode": seed_mode,
-                "windows": windows, "r": r_exp, "L": big_l, "amp": amp,
-                "sandwich_constant": trace.sandwich_constant,
-                "scheme": hist.scheme, "dt": dt, "nsteps": nsteps,
-                "verdict": verdict, "seed": None, "pass": True}
+                     {"r": o.r, "L": o.l, "seed_mode": o.seed_mode})
     output.write_json(os.path.join(outdir, "spectral_manifest.json"),
                       manifest)
     output.write_plot_script(os.path.join(outdir, "gamma_trace.gp"),
                              "gamma_trace.csv", "window",
                              ["Gamma_plus", "Gamma_zero", "Gamma_minus"],
                              "mode traces", logy=True)
-    print(f"spectral[{seed_mode}]: verdict {verdict['verdict']}")
-    return 0
+    return f"spectral[{o.seed_mode}]: verdict {manifest['verdict']['verdict']}"
 
 
 def _only_ids(text, known):
@@ -519,19 +514,26 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", default=None, help="JSON config file")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, help_text, fn in (
-            ("bowl", "solve the translating bowl profile", cmd_bowl),
-            ("shrinker", "solve self-shrinking cap profiles", cmd_shrinker),
-            ("flow", "time-step the radial graph flow", cmd_flow),
-            ("rescaled", "time-step the rescaled flow", cmd_rescaled),
-            ("spectral", "mode traces of a seeded run", cmd_spectral)):
+    # each command's compute step, and the step that writes what it returns
+    # and returns the line main prints
+    for name, help_text, run, write in (
+            ("bowl", "solve the translating bowl profile", compute_bowl,
+             write_bowl),
+            ("shrinker", "solve self-shrinking cap profiles",
+             compute_shrinker, write_shrinker),
+            ("flow", "time-step the radial graph flow", compute_flow,
+             write_flow),
+            ("rescaled", "time-step the rescaled flow", compute_rescaled,
+             write_rescaled),
+            ("spectral", "mode traces of a seeded run", compute_spectral,
+             write_spectral)):
         p = sub.add_parser(name, help=help_text)
         for opt in OPTIONS["speed"] + OPTIONS[name]:
             kwargs = ({"action": "store_true"} if opt.type is bool else
                       {"type": opt.type, "choices": opt.choices})
             p.add_argument(f"--{opt.name}", default=None, **kwargs,
                            help=f"{opt.help} (default: {opt.default})")
-        p.set_defaults(fn=fn)
+        p.set_defaults(run=run, write=write)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--json", action="store_true")
@@ -548,23 +550,24 @@ def _command(args, cfg):
 
 
 def compute(argv):
-    """What the `bowl`, `shrinker` or `flow` command line ``argv`` computes,
+    """What the command line ``argv`` (any command but `verify`) computes,
     read as ``main`` reads it (no config file): its manifest and the
-    objects its CSVs are written from.  Writes no file."""
+    objects its files are written from.  Writes no file."""
     args = build_parser().parse_args(argv)
-    run = {"bowl": compute_bowl, "shrinker": compute_shrinker,
-           "flow": compute_flow}[args.command]
-    return run(*_command(args, {}))
+    return args.run(*_command(args, {}))
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else {}
         if args.command == "verify":
             return cmd_verify(args)
-        return args.fn(*_command(args, cfg), output.output_dir(args.outdir))
+        sp, o = _command(args, cfg)
+        outdir = output.output_dir(args.outdir)
+        run = args.run(sp, o)
+        print(args.write(sp, o, outdir, *run))
+        return 0 if run[0]["pass"] else 1
     except (GFlowError, ValueError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1

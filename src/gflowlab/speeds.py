@@ -113,20 +113,18 @@ class SpeedFunction:
         # Q = lim_{x->inf} F(x, 1): the leading x-terms of F's numerator and
         # denominator, or +inf where F grows linearly in x; cone_factor is
         # the c with x + c*y > 0 defining the restriction cone of (x, y, ...)
+        self.cone_factor = (n - k) / k if kind == "sigma_ratio" else 1.0
         if kind == "sum":
             self.params = (float(n - 1), 0.0, 0.0)
-            self.concavity, self.cone_factor = "convex", 1.0
             self.Q = math.inf
         elif kind == "bh":
             self.params = (float(n - 1), (n - 1) * (n - 2) / 4.0, 0.0)
-            self.concavity, self.cone_factor = "concave", 1.0
             self.Q = 1.0 / self.params[1]
             self._pairs = np.triu_indices(n, k=1)
         else:
             self.params = (float(math.comb(n - 1, k)),
                            float(math.comb(n - 1, k - 1)),
                            float(math.comb(n - 1, k - 2)) if k >= 2 else 0.0)
-            self.concavity, self.cone_factor = "concave", (n - k) / k
             self.Q = self.params[1] / self.params[2] if k >= 2 else math.inf
         self.forms = closed_forms(kind, *self.params)
         self.F01 = self.F(0.0, 1.0)
@@ -254,10 +252,9 @@ def sample_cone_interior(speed: SpeedFunction, rng: np.random.Generator,
     property tests)."""
     out = np.empty((count, speed.n))
     got = 0
+    lo = SAMPLE_MARGIN if speed.kind == "sigma_ratio" else -0.4
     while got < count:
-        lam = rng.uniform(-0.4, 3.0, size=speed.n)
-        if speed.kind == "sigma_ratio":
-            lam = rng.uniform(SAMPLE_MARGIN, 3.0, size=speed.n)
+        lam = rng.uniform(lo, 3.0, size=speed.n)
         if speed.contains_cone(lam, margin=SAMPLE_MARGIN):
             out[got] = np.sort(lam)
             got += 1

@@ -193,6 +193,22 @@ def test_cli_run_is_criterion(tmp_path, cid):
     assert read(manifests) == details
 
 
+@pytest.mark.parametrize("argv", [
+    ["bowl", "--rho-max", "30"], ["shrinker", "--a", "50"],
+    ["flow", "--t-end", "0.01"],
+    ["rescaled", "--tau-end", "0.5", "--delta", "0.1", "--window", "10"],
+    ["spectral", "--windows", "7"]], ids=lambda argv: argv[0])
+def test_compute_is_what_main_writes(tmp_path, argv):
+    # cli.compute serves every command: its manifest is the one main writes,
+    # to the last bit
+    manifest = cli.compute(argv)[0]
+    assert _run(tmp_path, *argv) == 0
+    name = {"bowl": "bowl_fit", "shrinker": "shrinker_report"}.get(
+        argv[0], f"{argv[0]}_manifest")
+    assert (json.loads((tmp_path / f"{name}.json").read_text())
+            == json.loads(json.dumps(output._sanitize(manifest))))
+
+
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_translation_step_plan_is_accurate(tmp_path, family):
     # the planned steps give the speed of 4x as many, fitted at the same
@@ -203,7 +219,7 @@ def test_translation_step_plan_is_accurate(tmp_path, family):
                 *(["--k", str(k)] if k else []), "--t-end", "1") == 0
     m = json.loads((tmp_path / "flow_manifest.json").read_text())
 
-    # the same run at 4x the steps, built as cmd_flow builds it
+    # the same run at 4x the steps, built as cli.compute_flow builds it
     sp = gflowlab.SpeedFunction(kind, n, k)
     dt, nsteps = cli._ros3p_plan("t_end", 1.0,
                                  4 * flow.TRANSLATION_STEPS_PER_UNIT)
@@ -248,7 +264,7 @@ def test_rescaled_step_plan_is_accurate(tmp_path, family, seed):
     m = json.loads((tmp_path / "rescaled_manifest.json").read_text())
     rate = m["decay"]["slope"] if "decay" in m else m["sup_growth_rate"]
 
-    # the same run at 4x the steps, built as cmd_rescaled builds it
+    # the same run at 4x the steps, built as cli.compute_rescaled builds it
     sp = gflowlab.SpeedFunction(kind, n, k)
     dt, nsteps = cli._ros3p_plan("tau-end", m["tau_end"],
                                  4 * cli.RESCALED_STEPS_PER_UNIT)
@@ -437,13 +453,18 @@ def test_rescaled_monotone_decay_preset(tmp_path):
      "seed-mode k=2 with amp = -3 gives a non-positive radius at z = -14"),
     (["spectral", "--seed-mode", "k1", "--amp", "2"],
      "seed-mode k1 with amp = 2 gives a non-positive radius at z = -18"),
+    # a run that fails midway, after the eigenvalue table was once written
+    (["spectral", "--speed", "bh", "--seed-mode", "k1", "--windows", "7"],
+     "step 25 of 64 (t = 3.125): ellipticity lost"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert _run(tmp_path, *argv) == 1
     assert list(tmp_path.iterdir()) == []
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    # a fit window the profile cannot serve is the fit's own error
-    expected = "WindowTooNarrow" if "--fit-hi" in argv else "ValueError"
+    # a fit window the profile cannot serve is the fit's own error, and a
+    # run that leaves the cone the flow's
+    expected = ("WindowTooNarrow" if "--fit-hi" in argv else
+                "ConeExit" if "ellipticity lost" in cause else "ValueError")
     assert err["error"] == expected
     assert cause in err["message"]
 
@@ -702,17 +723,41 @@ def test_benchmark_tracer_contract(tmp_path):
     spec.loader.exec_module(tracer_mod)
     tracer = tracer_mod.Tracer()
     tracer.install()
+    # one operation each, under cli.main, as perfbench/worker.py runs them
+    traced_main = tracer.wrap("cli.main", main)
+    runs = [["bowl", "--rho-max", "20"],
+            *(["flow", "--preset", "cylinder", "--t-end", "0.01",
+               "--scheme", scheme] for scheme in ("rk2", "semi_implicit")),
+            ["rescaled", "--tau-end", "0.25"], ["spectral", "--windows", "7"]]
     try:
-        assert _run(tmp_path / "bowl", "bowl", "--rho-max", "20") == 0
-        for scheme in ("rk2", "semi_implicit"):
-            assert _run(tmp_path / scheme, "flow", "--preset", "cylinder",
-                        "--t-end", "0.01", "--scheme", scheme) == 0
+        for op, argv in enumerate(runs):
+            tracer.op = op
+            assert traced_main(["-o", str(tmp_path / str(op)), *argv]) == 0
     finally:
         tracer.uninstall()
     assert tracer.counts["accel.integrate_profile.nodes"] > 0
     assert tracer.counts["accel.flow_run.node_steps"] > 0
     assert tracer.counts["accel.radial_semi_implicit_run.node_steps"] > 0
     assert tracer_mod.nesting_errors(tracer.spans) == []
+
+    def callers(name, op):
+        """The chain of callers of each span ``name`` of operation ``op``."""
+        chains = []
+        for span in tracer.spans:
+            if span[0] == name and span[4] == op:
+                chain, parent = [], span[3]
+                while parent >= 0:
+                    chain.append(tracer.spans[parent][0])
+                    parent = tracer.spans[parent][3]
+                chains.append(chain)
+        return chains
+
+    # rescaled and spectral each step their seeded run once, and spectral
+    # projects it once
+    for op in (3, 4):
+        assert callers("accel.radial_semi_implicit_run", op) == [
+            ["flow.run_flow", "cli.main"]]
+    assert callers("spectral.gamma_trace_from_run", 4) == [["cli.main"]]
 
 
 def test_benchmark_worker_reads_the_package(monkeypatch):

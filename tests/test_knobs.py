@@ -4,8 +4,9 @@ package, and none named like a CLI option repeats a default.  A default that
 no call overrides is a constant in disguise; it belongs in the module as
 one.  A CLI option's default lives in ``cli.OPTIONS`` alone, so a library
 parameter of the same name defaults to None or to nothing.  Every field of
-a dataclass or NamedTuple is read somewhere: one that is only written is
-work without a use."""
+a dataclass or NamedTuple, and every attribute a public class's
+``__init__`` or ``__post_init__`` stores on ``self``, is read somewhere: one
+that is only written is work without a use."""
 
 import ast
 from pathlib import Path
@@ -171,18 +172,35 @@ def _is_record(cls):
             or "NamedTuple" in map(name, cls.bases))
 
 
+def _stored(cls):
+    """The attributes that ``cls``'s ``__init__`` or ``__post_init__``
+    stores on ``self``."""
+    return [node.attr for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+            and fn.name in ("__init__", "__post_init__")
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"]
+
+
 def unread_fields(defining, reading):
     """Sorted (class, field) pairs of the dataclass and NamedTuple fields
-    defined in ``defining`` whose name no source in ``defining`` or
-    ``reading`` reads, as an attribute load or through ``getattr`` with a
-    constant name."""
-    fields, read = [], set()
+    defined in ``defining``, and of the attributes a public class's
+    constructor there stores on ``self``, whose name no source in
+    ``defining`` or ``reading`` reads, as an attribute load or through
+    ``getattr`` with a constant name."""
+    fields, read = set(), set()
     for source in defining:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.ClassDef) and _is_record(node):
-                fields += [(node.name, stmt.target.id) for stmt in node.body
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_record(node):
+                fields |= {(node.name, stmt.target.id) for stmt in node.body
                            if isinstance(stmt, ast.AnnAssign)
-                           and isinstance(stmt.target, ast.Name)]
+                           and isinstance(stmt.target, ast.Name)}
+            if not node.name.startswith("_"):
+                fields |= {(node.name, attr) for attr in _stored(node)}
     for source in [*defining, *reading]:
         for node in ast.walk(ast.parse(source)):
             if (isinstance(node, ast.Attribute)
@@ -197,17 +215,22 @@ def unread_fields(defining, reading):
 
 
 def test_every_record_field_is_read():
-    # the guard itself, on a small source: a store is not a read
+    # the guard itself, on a small source: a store is not a read, and a
+    # private class's attributes are its own business
     source = ("from dataclasses import dataclass\n"
               "from typing import NamedTuple\n"
               "@dataclass(frozen=True)\nclass D:\n    x: int\n    y: int\n"
               "    z: int\n"
               "class N(NamedTuple):\n    a: int\n    b: int\n"
               "class P:\n    q: int\n"
+              "class C:\n    def __init__(self, s):\n"
+              "        self.u, self.v = s\n        self.w = s.t = 2\n"
+              "    def m(self):\n        return self.v\n"
+              "class _H:\n    def __init__(self):\n        self.h = 0\n"
               "def f(d, n):\n    return d.x + getattr(n, 'a')\n")
     assert unread_fields([source], ["def g(d):\n    d.z = 1\n"
-                                    "    return d.y\n"]) == [("D", "z"),
-                                                             ("N", "b")]
+                                    "    return d.y\n"]) == [
+        ("C", "u"), ("C", "w"), ("D", "z"), ("N", "b")]
     reading = [p.read_text() for pattern in ("perfbench/*.py", "tests/*.py")
                for p in sorted(ROOT.glob(pattern))]
     assert unread_fields([p.read_text() for p in sorted(PACKAGE.glob("*.py"))],
