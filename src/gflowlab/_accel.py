@@ -230,7 +230,8 @@ class StepPolynomials:
     def __call__(self, r, nu=0):
         """psi (nu = 0), psi' (nu = 1) or the derivative of the psi'
         polynomial (nu = 2) at the points r, in the shape of r."""
-        i = np.clip(np.searchsorted(self.x, r) - 1, 0, self.origin.size - 1)
+        i = np.minimum(np.maximum(np.searchsorted(self.x, r) - 1, 0),
+                       self.origin.size - 1)
         s = (r - self.origin[i]) / self.scale[i]
         c = self.yh[min(nu, 1)]
         if nu == 2:
@@ -308,6 +309,20 @@ def _pchip_end_slope(h0, h1, m0, m1):
                     np.where(steep, 3.0 * m0, d))
 
 
+def pchip_steps(x, y):
+    """The node spacings diff(x) of pchip's nodes (x, y), after the checks
+    pchip makes: a ValueError unless x is 1-D with >= 2 nodes along y's
+    axis 0, x and y are finite, and x is strictly increasing."""
+    if x.ndim != 1 or x.size < 2 or y.shape[:1] != x.shape:
+        raise ValueError("pchip needs 1-D x of >= 2 nodes along y's axis 0")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("pchip needs finite x and y")
+    h = np.diff(x)
+    if not np.all(h > 0.0):
+        raise ValueError("pchip needs strictly increasing x")
+    return h
+
+
 def pchip(x, y, xi):
     """Monotone piecewise-cubic Hermite interpolant of (x, y) at xi.
 
@@ -321,13 +336,7 @@ def pchip(x, y, xi):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if x.ndim != 1 or x.size < 2 or y.shape[:1] != x.shape:
-        raise ValueError("pchip needs 1-D x of >= 2 nodes along y's axis 0")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise ValueError("pchip needs finite x and y")
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    if not np.all(h > 0.0):
-        raise ValueError("pchip needs strictly increasing x")
+    h = pchip_steps(x, y).reshape((-1,) + (1,) * (y.ndim - 1))
     m = np.diff(y, axis=0) / h
     if x.size == 2:
         d = np.concatenate([m, m])
@@ -346,7 +355,9 @@ def pchip(x, y, xi):
     # scipy's PPoly sums it
     t = (d[:-1] + d[1:] - 2.0 * m) / h
     c0, c1 = t / h, (m - d[:-1]) / h - t
-    i = np.clip(np.searchsorted(x, xi, "right") - 1, 0, x.size - 2)
+    # np.minimum(np.maximum()) is np.clip on ints without its per-call iinfo
+    i = np.minimum(np.maximum(np.searchsorted(x, xi, "right") - 1, 0),
+                   x.size - 2)
     s = (xi - x[i]).reshape(xi.shape + (1,) * (y.ndim - 1))
     s2 = s * s
     out = 0.0 + y[:-1][i] + d[:-1][i] * s + c1[i] * s2 + c0[i] * (s2 * s)

@@ -13,6 +13,7 @@ the same runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -279,11 +280,11 @@ def _ros3p_plan(name, span, per_unit):
 
 
 def _write_history(outdir, name, hist, extra_meta=None):
-    # every time and every height repeats across the table: format each once
-    times = np.array(output.format_column(hist.times), dtype=object)
+    # write_csv formats each run of one time once; the heights repeat too,
+    # but not in adjacent rows, so format each of them once here
     zz = np.array(output.format_column(hist.z), dtype=object)
     output.write_csv(os.path.join(outdir, f"{name}.csv"),
-                     {"t": np.repeat(times, hist.z.size),
+                     {"t": np.repeat(hist.times, hist.z.size),
                       "z": np.tile(zz, hist.times.size),
                       "v": hist.snapshots.reshape(-1)},
                      {"representation": hist.representation,
@@ -504,7 +505,9 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="gflowlab",
         description="numerical laboratory for rotationally symmetric "

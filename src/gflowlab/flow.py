@@ -268,7 +268,17 @@ def state_from_reference(speed, ref, z_lo, z_hi, delta):
 # -- diagnostics ------------------------------------------------------------
 
 def level_set_positions(history: FlowHistory, level: float) -> np.ndarray:
-    """z-position of the radius level set in each recorded snapshot."""
+    """z-position of the radius level set in each recorded snapshot.
+
+    Each position is the PCHIP z(v) through the whole snapshot at ``level``,
+    bit for bit, but read off the nodes k-1..k+2 around the interval k that
+    crosses the level (clamped to the snapshot's ends).  A PCHIP slope at a
+    node depends only on the secants of its two adjacent intervals
+    (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980), and the end slope
+    only on the first (or last) two, so those nodes give the cubic on
+    interval k exactly.  Each whole snapshot is still checked as
+    ``_accel.pchip`` checks it, and raises its ValueError.
+    """
     out = np.empty(history.times.size)
     for i, snap in enumerate(history.snapshots):
         v = snap
@@ -279,7 +289,10 @@ def level_set_positions(history: FlowHistory, level: float) -> np.ndarray:
             zz = history.z
         if not (v.min() < level < v.max()):
             raise DomainViolation("level outside the snapshot range")
-        out[i] = _accel.pchip(v, zz, level)
+        _accel.pchip_steps(v, zz)
+        k = int(np.searchsorted(v, level, "right")) - 1
+        window = slice(max(k - 1, 0), k + 3)
+        out[i] = _accel.pchip(v[window], zz[window], level)
     return out
 
 

@@ -3,16 +3,18 @@
 All floats are written with shortest round-trip ``repr`` so identical inputs
 produce byte-identical files; JSON keys are sorted.
 The CSV writer takes 1-D columns of one length.  It formats a float column
-with one ``repr`` per cell and writes a column of ``str`` as given; an
-object column whose cells are all exactly ``str`` is passed on whole, after
-one type check per row block.  Any other object column goes through
-``_fmt`` cell by cell: ``str(np.float32(x))`` is not ``repr(float(x))``, so
-an ``np.float32`` among strings still gets its float spelling.  A caller
-whose columns repeat by construction (the flow history's t and z) formats
-each distinct value once with ``format_column`` and passes the repeated
-strings.  Rows are formatted and written in blocks of ``_CSV_BLOCK``
-(1,024) rows, so the formatted strings held at once are those of one
-block, whatever the table's length.
+with one ``repr`` per run of adjacent cells with equal bit patterns,
+repeating that string down the run (found by comparing neighbours, with no
+dict and no sort), and writes a column of ``str`` as given; an object
+column whose cells are all exactly ``str`` is passed on whole, after one
+type check per row block.  Any other object column goes through ``_fmt``
+cell by cell: ``str(np.float32(x))`` is not ``repr(float(x))``, so an
+``np.float32`` among strings still gets its float spelling.  A caller
+whose column repeats by construction in rows that are not adjacent (the
+flow history's z) formats each distinct value once with ``format_column``
+and passes the repeated strings.  Rows are formatted and written in blocks
+of ``_CSV_BLOCK`` (1,024) rows, so the formatted strings held at once are
+those of one block, whatever the table's length.
 """
 
 from __future__ import annotations
@@ -40,13 +42,24 @@ def format_column(a: np.ndarray) -> list:
     """``_fmt`` of every entry of a 1-D array.
 
     A float64-or-narrower column goes through ``repr`` of Python floats,
-    which spells nan and +-inf as ``_fmt`` does.  An object column whose
+    which spells nan and +-inf as ``_fmt`` does, once per run of adjacent
+    entries whose float64 bit patterns are equal.  An object column whose
     cells are all exactly ``str`` is returned as it is, since ``_fmt`` of a
     ``str`` is that ``str``; any other object column, say one holding an
     ``np.float32``, goes through ``_fmt`` cell by cell.
     """
     if a.dtype.kind == "f" and a.dtype.itemsize <= 8:
-        return list(map(repr, a.tolist()))
+        a = a.astype(np.float64, copy=False)
+        # a run of one bit pattern has one spelling: format its first cell
+        # and repeat the string (-0.0 and 0.0, or NaNs with different
+        # payloads, only start new runs)
+        bits = a.view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True],
+                                                bits[1:] != bits[:-1])))
+        if starts.size >= a.size:  # no repeat, or an empty block
+            return list(map(repr, a.tolist()))
+        cells = np.array(list(map(repr, a[starts].tolist())), dtype=object)
+        return np.repeat(cells, np.diff(starts, append=a.size)).tolist()
     if a.dtype.kind == "O":
         cells = a.tolist()
         if set(map(type, cells)) == {str}:

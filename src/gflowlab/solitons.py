@@ -270,7 +270,7 @@ def _monotone_inverse(spline, x, y, targets):
         raise ValueError(
             f"inversion target {targets[outside][0]:.17g} lies outside the "
             f"profile's range [{y[0]:.17g}, {y[-1]:.17g}]")
-    j = np.clip(np.searchsorted(y, targets), 1, x.size - 1)
+    j = np.minimum(np.maximum(np.searchsorted(y, targets), 1), x.size - 1)
     lo, hi = x[j - 1], x[j]
     root = lo + (targets - y[j - 1]) / (y[j] - y[j - 1]) * (hi - lo)
     todo = np.arange(targets.size)

@@ -580,6 +580,25 @@ def test_config_null_is_unset_and_numbers_read_as_flags(tmp_path):
     assert "bounds" not in report
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    # an option given to one call is not the default of the next
+    argv = ["flow", "--preset", "cylinder", "--t-end", "0.25"]
+    wide = cli.compute(argv + ["--r0", "3"])[0]
+    plain = cli.compute(argv)[0]
+    assert wide["exact_radius"] != plain["exact_radius"]
+    r0 = next(opt.default for opt in OPTIONS["flow"] if opt.name == "r0")
+    assert plain == cli.compute(argv + ["--r0", repr(r0)])[0]
+    # a bad option after a good run is still argparse's error
+    assert _run(tmp_path, "flow", "--t-end", "0.01") == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "flow", "--no-such-option", "1")
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --no-such-option 1"
+            in capsys.readouterr().err)
+
+
 # one flag text and the config value that stands for it, per option type
 _SAMPLES = {float: ("0.375", 0.375), int: ("7", 7), str: ("k3", "k3"),
             bool: (None, True), float_list: ("25,50", [25, 50])}

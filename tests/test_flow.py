@@ -8,15 +8,15 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 
 import gflowlab as gf
-from gflowlab import _accel
+from gflowlab import _accel, cli
 from gflowlab.errors import (ConeExit, DomainViolation, Pinch,
                              StabilityViolation)
-from gflowlab.flow import (BoundaryCondition, RadialFlowState,
+from gflowlab.flow import (BoundaryCondition, FlowHistory, RadialFlowState,
                            cylinder_radius, heat_barrier_psi,
-                           heat_barrier_psi_quadrature, run_flow,
-                           shrinking_cylinder_reference, state_from_reference,
-                           step_plan, translating_bowl_reference,
-                           translation_speed)
+                           heat_barrier_psi_quadrature, level_set_positions,
+                           run_flow, shrinking_cylinder_reference,
+                           state_from_reference, step_plan,
+                           translating_bowl_reference, translation_speed)
 from gflowlab.spectral import build_basis
 
 
@@ -154,6 +154,75 @@ def test_bowl_translation(sum3, bowl_sum3):
     assert np.all(np.diff(snap) > 0)
     assert np.all(np.diff(snap, 2) < 0)
     assert res["speed"] == pytest.approx(0.5, abs=1e-3)
+
+
+def _whole_snapshot_positions(hist, level):
+    """The level set read off one pchip through each whole snapshot."""
+    out = []
+    for v in hist.snapshots:
+        zz = hist.z
+        if v[0] > v[-1]:
+            v, zz = v[::-1], zz[::-1]
+        out.append(_accel.pchip(v, zz, level))
+    return np.array(out)
+
+
+def _one_snapshot(sum3, v):
+    z = np.linspace(0.0, 1.0, v.size)
+    return FlowHistory("radial", z, np.array([0.0]), v[None, :], sum3,
+                       "heun")
+
+
+@pytest.mark.parametrize("family", [["sum", "--n", "3"], ["bh", "--n", "3"],
+                                    ["sigma_ratio", "--n", "4", "--k", "2"]],
+                         ids=["sum3", "bh3", "sigma_ratio42"])
+def test_level_set_positions_match_whole_snapshot_pchip(family):
+    # the interval-local read gives the whole snapshot's PCHIP bit for bit
+    # on the run that `flow --preset bowl-translation` measures
+    hist = cli.compute(["flow", "--preset", "bowl-translation",
+                        "--t-end", "1", "--speed", *family])[1]
+    level = float(hist.snapshots[0][hist.z.size // 2])
+    got = level_set_positions(hist, level)
+    assert got.tobytes() == _whole_snapshot_positions(hist, level).tobytes()
+
+
+_V = 1.0 + np.linspace(0.0, 1.0, 41) ** 2 + 0.1 * np.sin(
+    7.0 * np.linspace(0.0, 1.0, 41))
+
+
+@pytest.mark.parametrize("v, level", [
+    (_V, 0.5 * (_V[0] + _V[1])),             # first interval
+    (_V, 0.3 * _V[-2] + 0.7 * _V[-1]),       # last interval
+    (_V, _V[17]),                            # exactly on a node
+    (_V, _V[1]),                             # on the first interior node
+    (_V, _V[-2]),                            # on the last interior node
+    (_V[::-1].copy(), 0.5 * (_V[3] + _V[4])),  # a decreasing snapshot
+    (_V[::-1].copy(), 0.5 * (_V[0] + _V[1])),  # decreasing, at its far end
+    (_V[:2], 0.5 * (_V[0] + _V[1])),         # two nodes
+    (_V[:3], 0.4 * _V[1] + 0.6 * _V[2]),     # three nodes
+], ids=["first", "last", "node", "node1", "node_last", "decreasing",
+        "decreasing_end", "two_nodes", "three_nodes"])
+def test_level_set_positions_window_cases(sum3, v, level):
+    hist = _one_snapshot(sum3, v)
+    got = level_set_positions(hist, level)
+    assert got.tobytes() == _whole_snapshot_positions(hist, level).tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    lambda v: np.concatenate([v[:-5], v[-4:-3], v[-5:-4], v[-3:]]),
+    lambda v: np.append(v[:-1], np.inf),
+], ids=["non_monotone", "non_finite"])
+def test_level_set_positions_check_the_whole_snapshot(sum3, bad):
+    # a defect far from the crossing still raises the whole call's error
+    v = bad(_V)
+    level = 0.5 * (v[0] + v[1])
+    hist = _one_snapshot(sum3, v)
+    with pytest.raises(ValueError) as whole:
+        _whole_snapshot_positions(hist, level)
+    with pytest.raises(ValueError) as local:
+        level_set_positions(hist, level)
+    assert type(local.value) is type(whole.value)
+    assert str(local.value) == str(whole.value)
 
 
 def test_ordering_preserved_semi_implicit(sum3, rng):

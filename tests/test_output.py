@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gflowlab import SpeedFunction, output
 from gflowlab.cli import _write_history
@@ -52,13 +53,17 @@ def test_write_csv_repeated_values_exact_text(tmp_path):
         "z": np.resize(np.linspace(-5.0, 5.0, 101), n),
         "u": np.arange(n) / 7.0,
         "i": np.arange(n) % 3,
+        "c": np.full(n, 0.1),
+        "r": np.arange(n) / 3.0,
     }
+    # one block holds a single repeat
+    columns["r"][5] = columns["r"][4]
     assert columns["t"][_CSV_BLOCK - 1] == columns["t"][_CSV_BLOCK]
     path = tmp_path / "r.csv"
     write_csv(str(path), columns, {"tol": 0.0})
     rows = [",".join(_fmt(a[i]) for a in columns.values()) for i in range(n)]
-    expected = "\n".join(["# gflowlab-csv v1", "# tol=0.0", "s,s32,t,z,u,i"]
-                          + rows) + "\n"
+    expected = "\n".join(["# gflowlab-csv v1", "# tol=0.0",
+                          "s,s32,t,z,u,i,c,r"] + rows) + "\n"
     assert path.read_bytes() == expected.encode()
     assert rows[0].startswith("0.0,0.0,") and rows[1].startswith("-0.0,-0.0,")
 
@@ -86,6 +91,30 @@ def test_write_csv_passes_str_through(tmp_path):
                           "u": np.array(text)})
     rows = path.read_text().splitlines()[2:]
     assert rows == [f"{x},{x}" for x in text]
+
+
+# NaNs with distinct payloads (the first two stay apart as float32 too),
+# signed zeros, infinities and subnormals
+_SPECIAL = list(np.array([0x7FF8000020000000, 0x7FF8000040000000,
+                          0x7FF8000000000001, 0xFFF8000000000000,
+                          0x7FF0000000000001], dtype=np.uint64)
+                .view(np.float64)) + [0.0, -0.0, np.inf, -np.inf, 5e-324,
+                                      -5e-324, 2.2e-308, 1e-40]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(runs=st.lists(st.tuples(st.one_of(st.sampled_from(_SPECIAL),
+                                         st.floats(width=64)),
+                               st.integers(1, 6)), max_size=40),
+       dtype=st.sampled_from([np.float64, np.float32]),
+       step=st.integers(1, 2))
+def test_format_column_is_fmt_of_every_cell(runs, dtype, step):
+    # formatting each run once spells every cell as _fmt does, in contiguous
+    # and strided blocks
+    values = np.array([x for x, _ in runs], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.repeat(values, [k for _, k in runs]).astype(dtype)[::step]
+    assert format_column(a) == [_fmt(x) for x in a]
 
 
 def test_format_column_returns_str_cells_as_they_are(monkeypatch):
