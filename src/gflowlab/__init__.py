@@ -13,17 +13,13 @@ from .errors import (BarrierViolation, ConeExit, ConeViolation,
                      WindowTooNarrow, WindowTooShort)
 from .speeds import SpeedFunction
 from .solitons import (BowlProfile, EllipticityMonitor, ShrinkerProfile,
-                       neck_constants, shrinker_to_bowl_convergence,
-                       shrinker_w_diagnostic, solve_bowl, solve_shrinker)
+                       neck_constants, shrinker_w_diagnostic, solve_bowl,
+                       solve_shrinker)
 from .flow import (BoundaryCondition, FlowHistory, RadialFlowState,
-                   cylinder_radius, heat_barrier_psi,
-                   heat_barrier_psi_quadrature,
-                   linearize_rescaled_at_cylinder, run_flow,
-                   translation_speed)
+                   cylinder_radius, run_flow, translation_speed)
 from .spectral import (GammaTrace, HermiteBasis, build_basis, eigen_table,
                        eigenvalue, gamma_trace_from_run,
                        merle_zaag_classifier)
-from .geometry import CylinderGraph, expansion_error_G, trace_gamma
 from .fits import (AsymptoticFit, fit_bowl_expansion, fit_shrinker_neck,
                    measure_rescaled_decay)
 

@@ -239,7 +239,9 @@ def compute_shrinker(sp, o):
                "w_tip": diag.tip_limit, "w_tip_target": diag.tip_target,
                "w_bar_holds": diag.upper_ok,
                "z_Ma": diag.upper_window and diag.upper_window[1],
-               "lower_bound_min_margin": float(np.min(margin)),
+               # off the exact tip node (z = a, v = 0), where both sides
+               # of the bound vanish
+               "lower_bound_min_margin": float(np.min(margin[:-1])),
                "lower_bound_violations": int(np.sum(margin < 0))}
         rows.append(row)
         ok = ok and diag.lower_ok and row["lower_bound_violations"] == 0
@@ -298,6 +300,11 @@ def compute_flow(sp, o):
     if o.stride < 0:
         raise ValueError(f"stride must be >= 0, got {o.stride}")
     z_lo, z_hi = (-5.0, 5.0) if preset == "cylinder" else (5.0, 25.0)
+    if preset == "bowl-translation" and t_end >= 2.0 * z_lo:
+        raise ValueError(f"t-end = {t_end:g} must be < {2.0 * z_lo:g}: the "
+                         "bowl's tip rises by t/2 and reaches the lower end "
+                         f"of the window [{z_lo:g}, {z_hi:g}] at t = "
+                         f"{2.0 * z_lo:g}")
     per_unit = (FLOW_STEPS_PER_UNIT if preset == "cylinder"
                 else TRANSLATION_STEPS_PER_UNIT)
     dt, nsteps = (step_plan(sp, delta, t_end) if o.scheme == "rk2" else

@@ -20,13 +20,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 from . import _accel
 from .errors import DomainViolation, require_positive
 from .speeds import SpeedFunction
-from .solitons import BowlProfile
 
 REPRESENTATIONS = ("radial", "rescaled")
 BOUNDARY_MODES = ("dirichlet", "frozen")
@@ -34,10 +31,6 @@ BOUNDARY_MODES = ("dirichlet", "frozen")
 MIN_NODES = 5
 # Heun's step as a fraction of its CFL limit delta^2 / (2 max F_x)
 CFL_SAFETY = 0.4
-# linearize_rescaled_at_cylinder's random directions, their seed and eps
-LINEARIZE_DIRECTIONS = 20
-LINEARIZE_SEED = 12345
-LINEARIZE_EPS = 1e-6
 # ROS3P steps per unit time of a translating-bowl run (`flow --preset
 # bowl-translation` and criterion 7): at 4x as many, fitted at the same
 # times, the speed of sum n=3, bh n=3 and sigma_ratio n=4 k=2 moves by
@@ -242,9 +235,10 @@ def shrinking_cylinder_reference(speed: SpeedFunction, r0: float):
     return ref
 
 
-def translating_bowl_reference(bowl: BowlProfile):
+def translating_bowl_reference(bowl):
     """Radial graph r(z, t) of the bowl translating vertically at its
-    soliton speed 1/2, the speed ``solve_bowl``'s profile moves at.
+    soliton speed 1/2, the speed the ``solitons.BowlProfile`` ``bowl``
+    moves at.
 
     The tip sits at height 0 at t = 0, so r(z, t) = zeta^{-1}(z - t/2);
     z and t broadcast against each other.
@@ -312,73 +306,3 @@ def translation_speed(history: FlowHistory, level: float) -> dict:
     speed, intercept, rms = line_fit(history.times,
                                      level_set_positions(history, level))
     return {"speed": speed, "intercept": intercept, "rms": rms}
-
-
-def linearize_rescaled_at_cylinder(speed: SpeedFunction, delta: float,
-                                   window: float) -> dict:
-    """Directional-derivative check of the rescaled operator at the cylinder.
-
-    Compares (N(sigma + eps u) - N(sigma - eps u)) / (2 eps) against the
-    drift-diffusion operator L u = a u_zz - z u_z / 2 + u with
-    a = dgamma^1(0,1,...,1), both discretized with the same central
-    differences, over ``LINEARIZE_DIRECTIONS`` random directions u.
-    Expected deviation O(eps) + O(delta^2), eps = ``LINEARIZE_EPS``.
-    """
-    sigma = cylinder_radius(speed)
-    a = speed.a_lin
-    eps = LINEARIZE_EPS
-    z = uniform_grid(-window, window, delta)
-    rng = np.random.default_rng(LINEARIZE_SEED)
-    dev = []
-    for _ in range(LINEARIZE_DIRECTIONS):
-        c = rng.normal(size=6)
-        width = rng.uniform(2.0, 6.0)
-        u = np.zeros_like(z)
-        for j, cj in enumerate(c):
-            u += cj * (z / width) ** j
-        u *= np.exp(-(z / width) ** 2)
-        u /= np.max(np.abs(u))
-
-        plus, minus = (_accel._rhs_terms(speed.forms[0], speed.cone_factor,
-                                         1, sigma + du, z, delta)[0]
-                       for du in (eps * u, -eps * u))
-        d_num = (plus - minus) / (2 * eps)
-        uz, uzz = _accel.central_differences(u, delta)
-        lu = a * uzz - 0.5 * z[1:-1] * uz + u[1:-1]
-        scale = max(1.0, float(np.max(np.abs(lu))))
-        dev.append(float(np.max(np.abs(d_num - lu)) / scale))
-    return {"max_deviation": max(dev), "deviations": dev, "a_lin": a,
-            "delta": delta, "eps": eps}
-
-
-# -- heat-kernel barrier ----------------------------------------------------
-
-def heat_barrier_psi(z, t):
-    """Closed form of (4 pi t)^{-1/2} int_0^inf (e^{-(z-y)^2/4t} - e^{-(z+y)^2/4t}) dy.
-
-    Equals erf(z / (2 sqrt(t))); solves psi_t = psi_zz with psi_zz < 0 for
-    z, t > 0, tends to 0 as z->0 or t->inf and to 1 as z->inf or t->0.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(z_arr <= 0) or np.any(t_arr <= 0):
-        raise DomainViolation("heat barrier requires z > 0 and t > 0")
-    out = erf(z_arr / (2.0 * np.sqrt(t_arr)))
-    if np.ndim(z) == 0 and np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
-def heat_barrier_psi_quadrature(z: float, t: float) -> float:
-    """Adaptive quadrature of the defining integral (independent oracle)."""
-    if z <= 0 or t <= 0:
-        raise DomainViolation("heat barrier requires z > 0 and t > 0")
-    s = 2.0 * math.sqrt(t)
-
-    def integrand(y):
-        return math.exp(-((z - y) / s) ** 2) - math.exp(-((z + y) / s) ** 2)
-
-    upper = z + 25.0 * s
-    val, _ = quad(integrand, 0.0, upper, limit=400,
-                  points=[z] if z < upper else None)
-    return val / math.sqrt(4.0 * math.pi * t)

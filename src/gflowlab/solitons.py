@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 # not called in this module: a module attribute for perfbench/tracer.py,
@@ -33,9 +32,6 @@ from .speeds import SpeedFunction
 
 # radius where a bowl solve starts from its tip series
 BOWL_RHO_START = 1e-4
-# tolerance and subsolution factor of shrinker_to_bowl_convergence's caps
-CONVERGENCE_TOL = 1e-8
-CONVERGENCE_THETA = 0.9
 
 
 def neck_constants(speed: SpeedFunction) -> dict:
@@ -296,14 +292,14 @@ def _monotone_inverse(spline, x, y, targets):
     return root
 
 
-def solve_shrinker(speed: SpeedFunction, a: float, theta: float, tol: float,
-                   rho_max: float | None = None) -> ShrinkerProfile:
+def solve_shrinker(speed: SpeedFunction, a: float, theta: float,
+                   tol: float) -> ShrinkerProfile:
     """Construct the self-shrinking cap profile for parameter ``a``.
 
     The ODE is singular at rho = 0, so it is integrated outward from the
     two-term tip series psi = rho^2/(4 F(1,1)), psi' = rho/(2 F(1,1)) until
-    the height coordinate z = a - psi/a drops to the neck constant L0 or
-    rho reaches ``rho_max``.  The series matches the regular solution to
+    the height coordinate z = a - psi/a drops to the neck constant L0.
+    The series matches the regular solution to
     second order (the z-term (rho psi' - psi)/(2 a^2) vanishes at the tip),
     so its start error is far below the solver's.
     Two solves are made: a primary one from rho = 2^-8 at
@@ -314,9 +310,8 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float, tol: float,
     unit of its ``residual_norms``.  Both must stay between the subsolution
     theta rho^2/(4 F(1,1)) and the supersolution Theta rho^2/(4 F(1,1)),
     Theta = 2 F(1,1)/F(0,1), of the existence proof.  A ``tol`` the floored
-    solver cannot meet fails the Cauchy test (NonConvergence).  An ``a``,
-    ``tol`` or ``rho_max`` not finite and positive, an ``a`` <= L0, or a
-    ``rho_max`` <= 2^-8, raises ValueError.
+    solver cannot meet fails the Cauchy test (NonConvergence).  An ``a`` or
+    ``tol`` not finite and positive, or an ``a`` <= L0, raises ValueError.
     """
     F01, f11, Q = speed.F01, speed.F11, speed.Q
     lo = f11 / Q if math.isfinite(Q) else 0.0
@@ -326,11 +321,6 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float, tol: float,
     a = require_positive("a", a)
     tol = require_positive("tol", tol)
     rho_s = 2.0 ** -8
-    if rho_max is not None:
-        rho_max = require_positive("rho_max", rho_max)
-        if rho_max <= rho_s:
-            raise ValueError(f"rho_max = {rho_max:g} must exceed the "
-                             "tip-series start 2^-8")
 
     consts = neck_constants(speed)
     L0 = consts["L0"]
@@ -339,13 +329,8 @@ def solve_shrinker(speed: SpeedFunction, a: float, theta: float, tol: float,
                          f"L0 = {L0:.4g}, where the cap is cut off")
 
     sigma2 = 2.0 * F01
-    rho_ceiling = (1.0 - 1e-9) * math.sqrt(sigma2) * a
-    if rho_max is None:
-        rho_end = rho_ceiling
-        psi_stop = a * (a - L0)
-    else:
-        rho_end = min(rho_max, rho_ceiling)
-        psi_stop = np.inf
+    rho_end = (1.0 - 1e-9) * math.sqrt(sigma2) * a
+    psi_stop = a * (a - L0)
     dz_target = min(0.01 * a, 0.05)
 
     inv_a2 = 1.0 / a ** 2
@@ -491,29 +476,3 @@ def shrinker_upper_bound_fit(profile: ShrinkerProfile, L: float) -> float:
         else:
             lo = mid
     return hi
-
-
-def shrinker_to_bowl_convergence(speed: SpeedFunction,
-                                 a_list: Sequence[float],
-                                 M: float) -> list[dict]:
-    """Sup-norm gaps sup_{rho<=M} |psi_a - zeta| (and derivative gaps) per a,
-    bowl and shrinkers solved at ``CONVERGENCE_TOL``.
-
-    The gap is expected to decrease in a: the shrinker's z-term
-    (rho psi' - psi)/(2a^2) vanishes in the limit, recovering the bowl ODE.
-    """
-    a_list = sorted(a_list)
-    if M >= min(a_list) * math.sqrt(2.0 * speed.F01):
-        raise ValueError("M must fit inside every shrinker's rho-range")
-    bowl = solve_bowl(speed, rho_max=1.3 * M, tol=CONVERGENCE_TOL)
-    grid = np.geomspace(0.05, M, 400)
-    zeta = bowl.poly(grid)
-    zeta_rho = bowl.poly(grid, 1)
-    rows = []
-    for a in a_list:
-        prof = solve_shrinker(speed, a, theta=CONVERGENCE_THETA,
-                              tol=CONVERGENCE_TOL, rho_max=1.2 * M)
-        gap = float(np.max(np.abs(prof.poly(grid) - zeta)))
-        gap_rho = float(np.max(np.abs(prof.poly(grid, 1) - zeta_rho)))
-        rows.append({"a": a, "sup_gap": gap, "sup_gap_rho": gap_rho})
-    return rows

@@ -209,6 +209,32 @@ def test_compute_is_what_main_writes(tmp_path, argv):
             == json.loads(json.dumps(output._sanitize(manifest))))
 
 
+# every command at its defaults for each family, and an input past a
+# command's range with the cause its error names
+_SWEEP = [
+    *(([*command, "--speed", kind, "--n", str(n),
+        *(["--k", str(k)] if k else [])], None)
+      for command in (["bowl"], ["shrinker"], ["flow"],
+                      ["flow", "--preset", "bowl-translation"],
+                      ["rescaled"], ["spectral"])
+      for kind, n, k in _FAMILIES.values()),
+    (["flow", "--preset", "bowl-translation", "--t-end", "10"],
+     r"window \[5, 25\]"),
+]
+
+
+@pytest.mark.parametrize("argv, error", [
+    pytest.param(argv, error, id=" ".join(argv)) for argv, error in _SWEEP])
+def test_command_sweep(argv, error):
+    # every command, for every family, passes its own check; an input past
+    # a command's range raises a ValueError that names the cause
+    if error is None:
+        assert cli.compute(argv)[0]["pass"]
+    else:
+        with pytest.raises(ValueError, match=error):
+            cli.compute(argv)
+
+
 @pytest.mark.parametrize("family", _FAMILIES)
 def test_translation_step_plan_is_accurate(tmp_path, family):
     # the planned steps give the speed of 4x as many, fitted at the same
@@ -456,6 +482,13 @@ def test_rescaled_monotone_decay_preset(tmp_path):
     # a run that fails midway, after the eigenvalue table was once written
     (["spectral", "--speed", "bh", "--seed-mode", "k1", "--windows", "7"],
      "step 25 of 64 (t = 3.125): ellipticity lost"),
+    # the bowl's tip rises by t/2 and reaches the window's lower end z = 5
+    # at t = 10
+    (["flow", "--preset", "bowl-translation", "--t-end", "10"],
+     "t-end = 10 must be < 10: the bowl's tip rises by t/2 and reaches the "
+     "lower end of the window [5, 25] at t = 10"),
+    (["flow", "--preset", "bowl-translation", "--t-end", "12"],
+     "t-end = 12 must be < 10"),
 ])
 def test_bad_input_names_its_parameter(tmp_path, capsys, argv, cause):
     assert _run(tmp_path, *argv) == 1

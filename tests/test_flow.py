@@ -9,12 +9,12 @@ from scipy.interpolate import CubicHermiteSpline
 
 import gflowlab as gf
 from gflowlab import _accel, cli
+from gflowlab.acceptance import (heat_barrier_psi, heat_barrier_psi_quadrature,
+                                 linearize_rescaled_at_cylinder)
 from gflowlab.errors import (ConeExit, DomainViolation, Pinch,
                              StabilityViolation)
 from gflowlab.flow import (BoundaryCondition, FlowHistory, RadialFlowState,
-                           cylinder_radius, heat_barrier_psi,
-                           heat_barrier_psi_quadrature, level_set_positions,
-                           run_flow, shrinking_cylinder_reference,
+                           cylinder_radius, level_set_positions, run_flow, shrinking_cylinder_reference,
                            state_from_reference, step_plan,
                            translating_bowl_reference, translation_speed)
 from gflowlab.spectral import build_basis
@@ -429,10 +429,10 @@ def test_semi_implicit_k1_rate(sum3):
 
 def test_linearize_at_cylinder(sum3, bh3):
     for sp in (sum3, bh3):
-        rep = gf.linearize_rescaled_at_cylinder(sp, delta=0.05, window=10.0)
+        rep = linearize_rescaled_at_cylinder(sp, delta=0.05, window=10.0)
         assert rep["max_deviation"] <= max(1e-4, 10 * 0.05 ** 2)
     # for the linear speed a = dgamma^1 = 1: matches the plain MCF operator
-    rep = gf.linearize_rescaled_at_cylinder(sum3, delta=0.05, window=10.0)
+    rep = linearize_rescaled_at_cylinder(sum3, delta=0.05, window=10.0)
     assert rep["a_lin"] == 1.0
 
 

@@ -6,8 +6,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 import gflowlab as gf
 from gflowlab.errors import ConeViolation
-from gflowlab.geometry import (CylinderGraph, expansion_error_G, trace_gamma,
-                               trace_gamma_expansion_error)
+from gflowlab.acceptance import (CylinderGraph, expansion_error_G,
+                                 trace_gamma, trace_gamma_expansion_error)
 
 Z = np.linspace(-6.0, 6.0, 241)
 

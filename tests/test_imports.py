@@ -1,8 +1,9 @@
 """Import guards: each module of the package references every name it
 imports (``__init__`` is exempt, since its imports are the package's
 re-exports, and so are ``from __future__`` imports and lines marked
-``# noqa: F401``), the CLI does not load ``scipy.interpolate`` or the
-acceptance suite, and the acceptance suite imports on its own."""
+``# noqa: F401``), ``flow`` imports neither scipy nor ``solitons``, the
+CLI does not load ``scipy.interpolate`` or the acceptance suite, and the
+acceptance suite imports on its own."""
 
 import ast
 import os
@@ -44,6 +45,29 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_its_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _imported_modules(source):
+    """The modules ``source`` imports; ``from . import x`` and ``from .x
+    import y`` both read ``x``."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules |= ({node.module} if node.module else
+                        {alias.name for alias in node.names})
+    return modules
+
+
+def test_flow_imports_no_scipy_or_solitons():
+    # the flow commands' module: the oracles that need scipy.integrate and
+    # scipy.special serve verify alone and live in acceptance, and a bowl
+    # reference takes its profile without naming the solitons module
+    assert sorted(m for m in _imported_modules((PACKAGE / "flow.py")
+                                               .read_text())
+                  if m.split(".")[0] == "scipy"
+                  or m.split(".")[-1] == "solitons") == []
 
 
 def _fresh(code):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gflowlab as gf
-from gflowlab import _accel
+from gflowlab import _accel, acceptance
 from gflowlab.errors import (NonConvergence, ToleranceFailure,
                              WindowTooNarrow)
 from gflowlab.solitons import (lambda_ceiling, neck_constants,
@@ -336,13 +336,6 @@ def test_profile_tolerances_must_be_finite_positive(sum3, solve, args,
         solve(sum3, *args, **kwargs)
 
 
-def test_shrinker_rho_max_below_the_start_is_named(sum3):
-    # below the tip-series start rho = 2^-8 both solves ran backwards and
-    # the error blamed their Cauchy gap
-    with pytest.raises(ValueError, match="^rho_max = 0.001 must exceed"):
-        solve_shrinker(sum3, 50.0, theta=0.9, tol=1e-8, rho_max=0.001)
-
-
 # -- w diagnostic --------------------------------------------------------------
 
 def test_w_lower_bound_and_tip(shrinker_sum3_a100, sum3):
@@ -445,8 +438,11 @@ def test_upper_bound_strict_inside(shrinker_sum3_a100):
     assert prof.v[0] ** 2 < rhs
 
 
-def test_shrinker_to_bowl(sum3):
-    rows = gf.shrinker_to_bowl_convergence(sum3, [20.0, 40.0, 80.0], M=10.0)
+def test_shrinker_to_bowl():
+    # criterion 5: the `shrinker` caps a = 25, 50, 100 against the
+    # `bowl --speed sum` profile on rho in [0.05, 10]
+    rows = acceptance.run_criterion(5).details["rows"]
+    assert [r["a"] for r in rows] == [25.0, 50.0, 100.0]
     gaps = [r["sup_gap"] for r in rows]
     dgaps = [r["sup_gap_rho"] for r in rows]
     assert gaps[0] > gaps[1] > gaps[2]
